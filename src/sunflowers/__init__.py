@@ -4,6 +4,7 @@ from .families import (
     EMPTY_SET,
     ElementSet,
     FamilyError,
+    InvariantError,
     SetFamily,
     Sunflower,
     WeightedFamily,
@@ -38,6 +39,7 @@ from .bounds import (
 )
 from .finders import (
     FinderTrace,
+    LemmaViolationError,
     SearchOutcome,
     brute_force_sunflower,
     deza_extract,

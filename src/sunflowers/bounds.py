@@ -9,6 +9,9 @@ is certified to 1e-30 relative), widening precision as needed.
 
 Logarithms default to base e; the base is configurable and echoed in
 reports, since the free constant C absorbs base changes anyway.
+
+mpmath is imported by the interval functions when first called, so the
+integer bounds (and the CLI subcommands that use only them) never load it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Union
 
-import mpmath as mp
-from mpmath import iv
+from .families import InvariantError
 
 Rational = Union[int, float, str, Fraction]
 
@@ -39,6 +41,8 @@ def as_fraction(value: Rational) -> Fraction:
 
 @contextmanager
 def _ivdps(dps: int):
+    from mpmath import iv
+
     old = iv.dps
     iv.dps = dps
     try:
@@ -65,10 +69,14 @@ def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
 
 
 def _iv_fraction(q: Fraction):
+    from mpmath import iv
+
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
 def _iv_log(value, log_base: Rational = "e"):
+    from mpmath import iv
+
     ln = iv.log(value)
     if log_base == "e":
         return ln
@@ -126,10 +134,14 @@ class RealBoundValue:
     digits: int
 
     def __float__(self) -> float:
+        import mpmath as mp
+
         return float(mp.mpf(self.decimal))
 
 
 def _real_value(interval: FracInterval, digits: int) -> RealBoundValue:
+    import mpmath as mp
+
     lo, hi = interval
     mid = (lo + hi) / 2
     with mp.workdps(digits + 10):
@@ -199,12 +211,15 @@ def l_multinomial_bound(n: int, L: Iterable[int], r: int) -> int:
     parts = [ls[0] + 1]
     parts += [b - a for a, b in zip(ls, ls[1:])]
     parts.append(n - ls[-1] - 1)
-    assert sum(parts) == n
+    if sum(parts) != n:
+        raise InvariantError(f"gap factorial arguments sum to {sum(parts)}, not {n}")
     denom = math.prod(math.factorial(p) for p in parts)
     multinomial, rem = divmod(math.factorial(n), denom)
-    assert rem == 0
+    if rem:
+        raise InvariantError("gap factorials do not divide n!")
     value = multinomial * pigeonhole_limit(n, r) ** len(ls)
-    assert value <= l_intersecting_bound(n, len(ls), r)
+    if value > l_intersecting_bound(n, len(ls), r):
+        raise InvariantError("multinomial bound exceeds the L-intersecting bound")
     return value
 
 
@@ -221,6 +236,8 @@ def falling_factorial_bound(n: int, d: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _three_sunflower_interval(n: int, s: int, dps: int) -> FracInterval:
+    from mpmath import iv
+
     exact = (n * n - n + 1) * 8 ** (s - 1)
     with _ivdps(dps):
         exponent = (iv.mpf(1) + iv.sqrt(iv.mpf(5)) / iv.mpf(5)) * iv.mpf(n * (s - 1))
@@ -241,6 +258,8 @@ def three_sunflower_bound(n: int, s: int, digits: int = 50) -> RealBoundValue:
 
 
 def _rlogn_interval(n: int, r: int, C: Fraction, dps: int, log_base: Rational) -> FracInterval:
+    from mpmath import iv
+
     with _ivdps(dps):
         base = _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(n), log_base)
         return _iv_endpoints(base ** n)
@@ -259,6 +278,8 @@ def rlogn_bound(n: int, r: int, C: Rational = 1, digits: int = 50, log_base: Rat
 def _d_intersecting_interval(
     n: int, d: int, r: int, C: Fraction, dps: int, log_base: Rational
 ) -> FracInterval:
+    from mpmath import iv
+
     exact = (4 * r) ** n
     with _ivdps(dps):
         base = _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(r * d), log_base)

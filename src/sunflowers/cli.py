@@ -332,12 +332,13 @@ def cmd_gen(args) -> int:
         family = gen_mod.gen_random_uniform(args.x, args.n, args.count, args.seed)
     elif kind == "random-l":
         _require(args.seed is not None, "random generation requires an explicit --seed")
+        stops: list[str] = []
         family = gen_mod.gen_random_L_intersecting(
-            args.x, args.n, _parse_int_list(args.L), args.count, args.seed, args.budget
+            args.x, args.n, _parse_int_list(args.L), args.count, args.seed, args.budget,
+            on_stop=stops.append,
         )
-        if len(family) < args.count:
-            print(f"note: reached {len(family)} of {args.count} sets within budget",
-                  file=sys.stderr)
+        print(f"note: reached {len(family)} of {args.count} sets; stopped: {stops[0]}",
+              file=sys.stderr)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown generator {kind!r}")
     if args.format == "json":

@@ -20,6 +20,14 @@ class FamilyError(ValueError):
     """Invalid construction of a set, family, or certificate."""
 
 
+class InvariantError(RuntimeError):
+    """A proof invariant or a certificate failed its check.
+
+    Correct code never raises this, whatever the input; the checks are
+    real exceptions, not asserts, so they also run under ``python -O``.
+    """
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """Bitmask of an iterable of nonnegative element indices."""
     m = 0
@@ -402,5 +410,6 @@ def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:
     if not extend(0, 0):
         return None
     witness = [family.members[i] for i in chosen]
-    assert all(a.isdisjoint(b) for a, b in combinations(witness, 2))
+    if not all(a.isdisjoint(b) for a, b in combinations(witness, 2)):
+        raise InvariantError("disjointness witness has intersecting members")
     return witness

@@ -23,6 +23,7 @@ from .bounds import pigeonhole_limit
 from .families import (
     ElementSet,
     FamilyError,
+    InvariantError,
     SetFamily,
     Sunflower,
     elements_of,
@@ -48,7 +49,7 @@ class BelowDezaThresholdError(FinderError):
     pass
 
 
-class LemmaViolationError(RuntimeError):
+class LemmaViolationError(InvariantError):
     """A family met Deza's hypothesis but failed the sunflower certificate.
 
     This cannot happen for correct inputs; raising it loudly (rather than
@@ -212,7 +213,8 @@ def _search(
         hits = [fm for fm in family.masks if (fm & smask).bit_count() >= l1 + 1]
         if pivot is None or len(hits) > len(filtered):
             pivot, filtered = smask, hits
-    assert pivot is not None and len(filtered) * m >= len(family)
+    if pivot is None or len(filtered) * m < len(family):
+        raise LemmaViolationError("pigeonhole guarantee for the pivot failed")
 
     # densest link over (l1+1)-subsets of the pivot, canonical tie-break
     pivot_link = None
@@ -224,7 +226,8 @@ def _search(
         cnt = sum(1 for fm in filtered if spm & ~fm == 0)
         if cnt > link_count:
             pivot_link, link_count = spm, cnt
-    assert pivot_link is not None and link_count * math.comb(n, l1 + 1) >= len(filtered)
+    if pivot_link is None or link_count * math.comb(n, l1 + 1) < len(filtered):
+        raise LemmaViolationError("pigeonhole guarantee for the pivot link failed")
 
     link_family = SetFamily.from_masks(
         family.ground_size,
@@ -287,8 +290,10 @@ def l_intersecting_find(
     flower = _search(family, sizes, r, m, 0, levels)
     if flower is not None:
         member_masks = set(family.masks)
-        assert all(s.mask in member_masks for s in flower.petal_sets)
-        assert is_sunflower(flower.petal_sets) == flower.core
+        if not all(s.mask in member_masks for s in flower.petal_sets):
+            raise LemmaViolationError("certificate uses sets outside the family")
+        if is_sunflower(flower.petal_sets) != flower.core:
+            raise LemmaViolationError("certificate is not a sunflower with its core")
     return flower, FinderTrace(found=flower is not None, levels=tuple(levels))
 
 

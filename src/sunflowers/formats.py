@@ -83,14 +83,14 @@ def parse_family_json(text: str) -> Union[SetFamily, WeightedFamily]:
     if not isinstance(obj, dict) or "ground_size" not in obj or "sets" not in obj:
         raise ParseError("JSON family needs 'ground_size' and 'sets' keys")
     ground_size = obj["ground_size"]
-    if not isinstance(ground_size, int):
+    if not _is_int(ground_size):
         raise ParseError("'ground_size' must be an integer")
     raw_sets = obj["sets"]
     if not isinstance(raw_sets, list):
         raise ParseError("'sets' must be a list of element lists")
     sets = []
     for i, row in enumerate(raw_sets):
-        if not isinstance(row, list) or not all(isinstance(e, int) for e in row):
+        if not isinstance(row, list) or not all(_is_int(e) for e in row):
             raise ParseError(f"set #{i}: must be a list of integers")
         if len(set(row)) != len(row):
             raise ParseError(f"set #{i}: duplicate element in {row}")
@@ -98,22 +98,24 @@ def parse_family_json(text: str) -> Union[SetFamily, WeightedFamily]:
             raise ParseError(f"set #{i}: element out of range [0, {ground_size})")
         sets.append(ElementSet(row))
     weights = obj.get("weights")
-    if weights is None:
-        try:
-            return SetFamily(ground_size, sets)
-        except FamilyError as exc:
-            raise ParseError(str(exc)) from None
-    if not isinstance(weights, list) or len(weights) != len(sets):
+    if weights is not None and (not isinstance(weights, list) or len(weights) != len(sets)):
         raise ParseError("'weights' must align one-to-one with 'sets'")
     try:
-        pairs = sorted(
-            ((s, Fraction(str(w))) for s, w in zip(sets, weights)),
-            key=lambda p: p[0].elements,
-        )
-        family = SetFamily(ground_size, [s for s, _ in pairs])
-        return WeightedFamily(family, [w for _, w in pairs])
+        family = SetFamily(ground_size, sets)
+    except FamilyError as exc:
+        raise ParseError(str(exc)) from None
+    if weights is None:
+        return family
+    try:
+        by_set = {s: Fraction(str(w)) for s, w in zip(sets, weights)}
+        return WeightedFamily(family, [by_set[s] for s in family.members])
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad weight: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    # bool is an int subclass, but JSON true/false are not integers
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def dump_family_json(family: Union[SetFamily, WeightedFamily]) -> str:

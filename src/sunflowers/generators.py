@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations, product
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -43,17 +43,26 @@ def _n_subset_masks(rng, x: int, n: int, max_draws: int):
     Batched: each draw takes the positions of the n smallest entries in a
     row of iid uniforms, which is a uniform n-subset.  The fixed block
     size keeps stream consumption (and thus output) seed-deterministic.
+    Rows are packed little-endian, so byte j of a row holds elements
+    8j..8j+7 and the row's bytes read as one integer are its mask.
     """
     drawn = 0
     while drawn < max_draws:
         block = min(512, max_draws - drawn)
         picks = np.argpartition(rng.random((block, x)), n - 1, axis=1)[:, :n]
-        for row in picks:
-            mask = 0
-            for e in row:
-                mask |= 1 << int(e)
-            yield mask
+        hit = np.zeros((block, x), dtype=bool)
+        np.put_along_axis(hit, picks, True, axis=1)
+        packed = np.packbits(hit, axis=1, bitorder="little")
+        width = packed.shape[1]
+        data = packed.tobytes()
+        for start in range(0, len(data), width):
+            yield int.from_bytes(data[start:start + width], "little")
         drawn += block
+
+
+def _all_n_subset_masks(x: int, n: int):
+    """Masks of all n-subsets of {0..x-1}, in combinations order."""
+    return (sum(1 << e for e in c) for c in combinations(range(x), n))
 
 
 def gen_sunflower(core_size: int, petal_size: int, r: int) -> SetFamily:
@@ -114,7 +123,7 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
         raise GeneratorError(f"cannot draw {count} distinct {n}-subsets of {x} (total {total})")
     rng = _rng(seed)
     if total <= max(4096, 4 * count):
-        all_masks = [sum(1 << e for e in c) for c in combinations(range(x), n)]
+        all_masks = list(_all_n_subset_masks(x, n))
         idx = rng.choice(total, size=count, replace=False)
         masks = [all_masks[i] for i in sorted(int(i) for i in idx)]
         return SetFamily.from_masks(x, masks, uniform=n)
@@ -144,6 +153,49 @@ def gen_single_intersection(n: int, t: int, count: int) -> SetFamily:
     return family
 
 
+def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, budget: int):
+    """Kept masks of the greedy L-intersecting construction, and why it
+    stopped: "target", "budget" or "proved-maximal".
+
+    A draw is kept iff it meets every kept set in a size in `allowed`.
+    Once C(x, n) draws have been rejected, the n-subsets still compatible
+    with every kept set are listed, at about the cost of the draws already
+    wasted; from then on a draw is kept iff it is listed, and each kept set
+    filters the list.  An empty list proves the family maximal: no later
+    draw could be kept, so stopping there gives the masks a run through
+    the whole budget would give.
+    """
+    if n == 0:
+        # the empty set is the only 0-subset; a second copy never passes
+        # the L-check since 0 is not an allowed size when L is empty
+        kept = [0][:target_count]
+        return kept, "target" if len(kept) >= target_count else "proved-maximal"
+    kept: list[int] = []
+    total = math.comb(x, n)
+    rejected = 0
+    compatible: Optional[set[int]] = None
+    for mask in _n_subset_masks(rng, x, n, budget):
+        if len(kept) >= target_count or compatible == set():
+            break
+        if compatible is not None:
+            if mask not in compatible:
+                continue
+            compatible = {c for c in compatible if (c & mask).bit_count() in allowed}
+        # a duplicate of a kept set intersects it in n elements, n not in L
+        elif not all((mask & m).bit_count() in allowed for m in kept):
+            rejected += 1
+            if rejected == total:
+                compatible = {
+                    c for c in _all_n_subset_masks(x, n)
+                    if all((c & m).bit_count() in allowed for m in kept)
+                }
+            continue
+        kept.append(mask)
+    if len(kept) >= target_count:
+        return kept, "target"
+    return kept, "proved-maximal" if compatible == set() else "budget"
+
+
 def gen_random_L_intersecting(
     x: int,
     n: int,
@@ -151,37 +203,35 @@ def gen_random_L_intersecting(
     target_count: int,
     seed: int,
     budget: int = 100_000,
+    *,
+    on_stop: Optional[Callable[[str], None]] = None,
 ) -> SetFamily:
     """Greedy seeded construction of an L-intersecting n-uniform family.
 
     Repeatedly samples an n-subset and keeps it iff every intersection with
-    the kept sets has size in L; stops at target_count sets or after
-    `budget` draws, so the result may be smaller than requested (callers
-    compare len() against target_count).  Not a uniform sampler over all
-    L-intersecting families -- greedy acceptance biases toward families
-    that are easy to extend.
+    the kept sets has size in L.  Stops at target_count sets, after
+    `budget` draws, or as soon as the family is provably maximal (no
+    n-subset can join it), so the result may be smaller than requested
+    (callers compare len() against target_count).  The early stop never
+    changes the result, since no later draw could be kept.  `on_stop`, if
+    given, receives the stop reason: "target", "budget" or
+    "proved-maximal".  Not a uniform sampler over all L-intersecting
+    families -- greedy acceptance biases toward families that are easy to
+    extend.
     """
     allowed = frozenset(int(e) for e in L)
     if not allowed <= frozenset(range(n)):
         raise GeneratorError(f"L must be a subset of {{0..{n - 1}}}, got {sorted(allowed)}")
     if target_count < 0:
         raise GeneratorError(f"target_count must be >= 0, got {target_count}")
+    if budget < 0:
+        raise GeneratorError(f"budget must be >= 0, got {budget}")
     if n > x:
         raise GeneratorError(f"need n <= x, got n={n}, x={x}")
-    rng = _rng(seed)
-    kept: list[int] = []
-    if n == 0:
-        # the empty set is the only 0-subset; a second copy never passes
-        # the L-check since 0 is not an allowed size when L is empty
-        kept = [0][: max(target_count, 0)]
-    else:
-        for mask in _n_subset_masks(rng, x, n, budget):
-            if len(kept) >= target_count:
-                break
-            # a duplicate of a kept set intersects it in n elements, n not in L
-            if all((mask & m).bit_count() in allowed for m in kept):
-                kept.append(mask)
+    kept, stop = _greedy_L_masks(_rng(seed), x, n, allowed, target_count, budget)
     family = SetFamily.from_masks(x, kept, uniform=n)
     if not is_L_intersecting(family, allowed):
         raise GeneratorError("L-intersecting self-check failed")
+    if on_stop is not None:
+        on_stop(stop)
     return family

@@ -26,6 +26,7 @@ import numpy as np
 from .families import (
     ElementSet,
     FamilyError,
+    InvariantError,
     SetFamily,
     WeightedFamily,
     find_r_disjoint,
@@ -212,7 +213,8 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
     if link_size:
         residual = qualifying(_link_counts(link_family), link_size)
         deep = d - len(t_set)
-        assert not any(t.bit_count() <= deep for t in residual), "maximality violated"
+        if any(t.bit_count() <= deep for t in residual):
+            raise InvariantError("spread link is not maximal")
         residual_ok = not residual
     remaining = n - len(t_set)
     size_clause_ok = link_size * b**remaining >= a**remaining

@@ -72,3 +72,35 @@ def has_sunflower_by_full_scan(sets, r):
         if sunflower_core_by_petals(combo) is not None:
             return True
     return False
+
+
+def greedy_L_masks_by_full_budget(x, n, allowed, target_count, seed, budget):
+    """Kept masks of the greedy L-intersecting construction by the plain
+    loop: every draw up to the target or the end of the budget is tested
+    against every kept set, and masks are packed element by element.  It
+    shares only numpy's Philox stream with the library, which it must
+    reproduce draw for draw."""
+    import numpy as np
+
+    def n_subset_masks(rng, max_draws):
+        drawn = 0
+        while drawn < max_draws:
+            block = min(512, max_draws - drawn)
+            picks = np.argpartition(rng.random((block, x)), n - 1, axis=1)[:, :n]
+            for row in picks:
+                mask = 0
+                for e in row:
+                    mask |= 1 << int(e)
+                yield mask
+            drawn += block
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    if n == 0:
+        return [0][: max(target_count, 0)]
+    kept = []
+    for mask in n_subset_masks(rng, budget):
+        if len(kept) >= target_count:
+            break
+        if all((mask & m).bit_count() in allowed for m in kept):
+            kept.append(mask)
+    return kept

@@ -146,8 +146,8 @@ def _corpus_family(seed):
     if kind == 1:
         return gen_random_L_intersecting(12, 2, [0], 6, seed, 20_000)
     if kind == 2:
-        # single-size families stall fast once a triangle forms; a small
-        # budget keeps the stall cheap without changing reachable stars
+        # single-size families become maximal once a triangle forms; the
+        # generator then proves it and stops well inside the budget
         return gen_random_L_intersecting(12, 2, [1], 4 + seed % 8, seed, 4_000)
     if kind == 3:
         return gen_random_L_intersecting(12, 2, [0, 1], 19 + seed % 12, seed, 50_000)

@@ -55,6 +55,12 @@ def test_check_parse_error_reports_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_check_rejects_boolean_ground_size(capsys, tmp_path):
+    fam = write_family(tmp_path, "b.json", '{"ground_size": true, "sets": [[0]]}')
+    code, out, err = run(capsys, "check", fam)
+    assert code == 3 and out == "" and "ground_size" in err
+
+
 # -- find -------------------------------------------------------------------
 
 def test_find_sunflower(capsys, tmp_path):
@@ -231,6 +237,22 @@ def test_gen_json_format(capsys):
     code, out, _ = run(capsys, "gen", "all-subsets", "4", "2", "--format", "json")
     data = json.loads(out)
     assert data["ground_size"] == 4 and len(data["sets"]) == 6
+
+
+def test_gen_random_l_names_its_stop_reason(capsys):
+    # all 66 pairs of a 12-set are {0,1}-intersecting, so 70 cannot be reached
+    code, out, err = run(capsys, "gen", "random-l", "12", "2", "--L", "0,1",
+                         "--count", "70", "--seed", "7")
+    assert code == 0 and len(out.splitlines()) == 1 + 66
+    assert "stopped: proved-maximal" in err
+    code, out, err = run(capsys, "gen", "random-l", "12", "2", "--L", "0,1",
+                         "--count", "70", "--seed", "7", "--budget", "1")
+    assert code == 0 and len(out.splitlines()) == 1 + 1
+    assert "stopped: budget" in err
+    code, out, err = run(capsys, "gen", "random-l", "12", "2", "--L", "0,1",
+                         "--count", "5", "--seed", "7")
+    assert code == 0 and len(out.splitlines()) == 1 + 5
+    assert "stopped: target" in err
 
 
 # -- reproducibility and global flags ------------------------------------------------

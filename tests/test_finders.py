@@ -1,6 +1,12 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
+
+import sunflowers
 
 from sunflowers import (
     SetFamily,
@@ -145,6 +151,32 @@ def test_preconditions():
         l_intersecting_find(SetFamily(4, [[0], [1, 2]]), [0], 2)
     with pytest.raises(FinderError):
         l_intersecting_find(TRIANGLE, [1], 1)
+
+
+FORGED_CERTIFICATE = textwrap.dedent("""
+    import sys
+    from sunflowers import ElementSet, SetFamily, Sunflower, finders
+
+    # a valid sunflower whose sets are not members of the family
+    forged = Sunflower.from_sets([ElementSet([0, 4]), ElementSet([1, 4])])
+    finders._search = lambda *args: forged
+    try:
+        finders.l_intersecting_find(SetFamily(6, [[0, 1], [2, 3]]), [0], 2)
+    except finders.LemmaViolationError as exc:
+        print(sys.flags.optimize, exc)
+    else:
+        print(sys.flags.optimize, "accepted")
+""")
+
+
+def test_certificate_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(sunflowers.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-O", "-c", FORGED_CERTIFICATE],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 certificate uses sets outside the family\n"
 
 
 GUARANTEE_CASES = [

@@ -103,3 +103,17 @@ def test_load_family_sniffs_format():
     assert load_family("x=2\n0 1\n") == SetFamily(2, [[0, 1]])
     assert load_family('{"ground_size": 2, "sets": [[0, 1]]}') == SetFamily(2, [[0, 1]])
     assert load_family("x=2\n0 1\n", fmt="text") == SetFamily(2, [[0, 1]])
+
+
+def test_json_rejects_booleans_as_integers():
+    with pytest.raises(ParseError, match="ground_size"):
+        parse_family_json('{"ground_size": true, "sets": [[0]]}')
+    with pytest.raises(ParseError, match="set #1"):
+        parse_family_json('{"ground_size": 3, "sets": [[0], [false, 2]]}')
+
+
+def test_json_weighted_duplicate_sets_reported_as_duplicates():
+    text = '{"ground_size": 4, "sets": [[0, 1], [0, 1]], "weights": ["1", "2"]}'
+    with pytest.raises(ParseError, match="duplicate member") as exc:
+        parse_family_json(text)
+    assert "weight" not in str(exc.value)

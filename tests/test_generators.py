@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
+from sunflowers import generators
 from sunflowers import (
+    SetFamily,
     brute_force_sunflower,
     intersection_profile,
     is_L_intersecting,
@@ -18,6 +21,8 @@ from sunflowers.generators import (
     gen_transversal,
 )
 from sunflowers.spread import spread_kappa
+
+from _oracles import greedy_L_masks_by_full_budget
 
 
 # -- explicit constructions -----------------------------------------------------
@@ -153,6 +158,47 @@ def test_gen_random_l_deterministic():
     assert a.masks == b.masks
 
 
+@st.composite
+def greedy_case(draw):
+    n = draw(st.integers(0, 5))
+    x = draw(st.integers(max(n, 1), 14))
+    L = draw(st.sets(st.integers(0, n - 1))) if n else set()
+    return (x, n, L, draw(st.integers(0, 80)), draw(st.integers(0, 2**32)),
+            draw(st.integers(0, 5000)))
+
+
+@given(greedy_case())
+def test_gen_random_l_equals_full_budget_greedy(case):
+    x, n, L, target, seed, budget = case
+    fam = gen_random_L_intersecting(x, n, L, target, seed, budget)
+    expected = greedy_L_masks_by_full_budget(x, n, L, target, seed, budget)
+    assert fam.masks == SetFamily.from_masks(x, expected).masks
+
+
+def test_gen_random_l_stops_long_before_a_huge_budget(monkeypatch):
+    real = generators._n_subset_masks
+    draws = []
+
+    def counted(*args):
+        for mask in real(*args):
+            draws.append(mask)
+            yield mask
+
+    monkeypatch.setattr(generators, "_n_subset_masks", counted)
+    stops = []
+    # only 66 pairs exist, so 70 {0,1}-intersecting pairs cannot be reached
+    huge = gen_random_L_intersecting(12, 2, [0, 1], 70, seed=3, budget=10_000_000,
+                                     on_stop=stops.append)
+    assert stops == ["proved-maximal"] and len(huge) == 66
+    assert len(draws) < 5_000
+    assert huge == gen_random_L_intersecting(12, 2, [0, 1], 70, seed=3, budget=50_000)
+
+
 def test_gen_random_l_validates_L():
     with pytest.raises(GeneratorError):
         gen_random_L_intersecting(8, 3, [3], 5, seed=1)
+
+
+def test_gen_random_l_rejects_negative_budget():
+    with pytest.raises(GeneratorError, match="budget"):
+        gen_random_L_intersecting(8, 3, [0, 1], 5, seed=1, budget=-1)
