@@ -20,23 +20,14 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional
 
-from .families import InvariantError
-
-Rational = Union[int, float, str, Fraction]
+from .families import InvariantError, Rational, _exact_fraction
 
 #: Relative tolerance at which an undecided comparison is certified equal.
 EQUALITY_REL_TOL = Fraction(1, 10**30)
 
 _MAX_COMPARE_DIGITS = 4096
-
-
-def as_fraction(value: Rational) -> Fraction:
-    """Exact rational from int/str/Fraction; floats go via repr (0.1 -> 1/10)."""
-    if isinstance(value, float):
-        return Fraction(repr(value))
-    return Fraction(value)
 
 
 @contextmanager
@@ -80,7 +71,7 @@ def _iv_log(value, log_base: Rational = "e"):
     ln = iv.log(value)
     if log_base == "e":
         return ln
-    base = as_fraction(log_base)
+    base = _exact_fraction(log_base, "log_base")
     if base <= 1:
         raise ValueError(f"log base must exceed 1, got {log_base}")
     return ln / iv.log(_iv_fraction(base))
@@ -269,7 +260,7 @@ def rlogn_bound(n: int, r: int, C: Rational = 1, digits: int = 50, log_base: Rat
     """(C * r * log n)^n, the improved unrestricted sunflower threshold form."""
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 (so log n > 0) and r >= 2, got n={n}, r={r}")
-    c = as_fraction(C)
+    c = _exact_fraction(C, "C")
     if c <= 0:
         raise ValueError(f"C must be positive, got {C}")
     return _real_value(_rlogn_interval(n, r, c, digits + 15, log_base), digits)
@@ -297,7 +288,7 @@ def d_intersecting_bound(
         raise ValueError(f"need n >= 1, d >= 1, r >= 2, got n={n}, d={d}, r={r}")
     if r * d < 2:
         raise ValueError(f"need r*d >= 2 so log(rd) is positive, got r*d={r * d}")
-    c = as_fraction(C)
+    c = _exact_fraction(C, "C")
     if c <= 0:
         raise ValueError(f"C must be positive, got {C}")
     return _real_value(_d_intersecting_interval(n, d, r, c, digits + 15, log_base), digits)
@@ -334,7 +325,7 @@ def crossover_report(
     drops below the factorial one."""
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 and r >= 2, got n={n}, r={r}")
-    c = as_fraction(C)
+    c = _exact_fraction(C, "C")
     if c <= 0:
         raise ValueError(f"C must be positive, got {C}")
     rows = []
@@ -416,7 +407,7 @@ def bound_report(
     log_base: Rational = "e",
 ) -> BoundReport:
     """Evaluate one named bound, echoing its parameters."""
-    c = as_fraction(C)
+    c = _exact_fraction(C, "C")
 
     def need(**kw):
         missing = [k for k, v in kw.items() if v is None]

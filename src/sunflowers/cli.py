@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -36,7 +37,7 @@ from .families import (
     is_d_intersecting,
 )
 from .finders import find_any
-from .formats import dump_family_json, dump_family_text, load_family
+from .formats import _family_object, dump_family_json, dump_family_text, load_family
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -64,17 +65,8 @@ def jsonable(obj):
             "core": list(obj.core.elements),
             "sets": [list(s.elements) for s in obj.petal_sets],
         }
-    if isinstance(obj, SetFamily):
-        return {
-            "ground_size": obj.ground_size,
-            "sets": [list(s.elements) for s in obj.members],
-        }
-    if isinstance(obj, WeightedFamily):
-        return {
-            "ground_size": obj.family.ground_size,
-            "sets": [list(s.elements) for s in obj.family.members],
-            "weights": [str(w) for w in obj.weights],
-        }
+    if isinstance(obj, (SetFamily, WeightedFamily)):
+        return _family_object(obj)
     if dataclasses.is_dataclass(obj):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
@@ -126,12 +118,23 @@ def _scalar(v):
     return v
 
 
+def _write(text: str) -> None:
+    """Write to stdout.  A reader that has gone away is not an error: the
+    rest of the output goes to the null device, so the subcommand still
+    returns its own exit code and nothing is printed about the pipe."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(args, report: dict) -> None:
     payload = jsonable(report)
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
-        print("\n".join(_render_text(payload)))
+        _write("\n".join(_render_text(payload)) + "\n")
 
 
 def _digest(path: str) -> str:
@@ -141,11 +144,13 @@ def _digest(path: str) -> str:
 def _load(path: str) -> SetFamily:
     family = load_family(Path(path).read_text())
     if isinstance(family, WeightedFamily):
-        return family.family
+        raise ValueError(
+            f"{path}: the CLI does not use weights; weighted families are for the library only"
+        )
     return family
 
 
-def _report(subcommand: str, args, parameters: dict, outputs: dict, started: float,
+def _report(subcommand: str, parameters: dict, outputs: dict, started: float,
             digest=None, seeds=None) -> dict:
     return {
         "subcommand": subcommand,
@@ -194,7 +199,7 @@ def cmd_check(args) -> int:
         "intersection_profile": profile,
         "verdicts": verdicts,
     }
-    _emit(args, _report("check", args, params, outputs, started, digest=_digest(args.family)))
+    _emit(args, _report("check", params, outputs, started, digest=_digest(args.family)))
     return EXIT_TRUE if all(verdicts.values()) else EXIT_FALSE
 
 
@@ -210,7 +215,7 @@ def cmd_find(args) -> int:
         "sunflower": outcome.sunflower,
         "trace": outcome.trace,
     }
-    _emit(args, _report("find", args, params, outputs, started, digest=_digest(args.family)))
+    _emit(args, _report("find", params, outputs, started, digest=_digest(args.family)))
     return {"found": EXIT_TRUE, "absent": EXIT_FALSE, "unknown": EXIT_UNKNOWN}[outcome.status]
 
 
@@ -239,7 +244,7 @@ def cmd_bounds(args) -> int:
         outputs = {"bounds": reports, "crossover": crossover()}
     else:
         outputs = {"bound": bounds_mod.bound_report(args.which, **common)}
-    _emit(args, _report("bounds", args, params, outputs, started))
+    _emit(args, _report("bounds", params, outputs, started))
     return EXIT_TRUE
 
 
@@ -274,7 +279,7 @@ def cmd_spread(args) -> int:
         outputs["disjointness"] = spread_mod.check_satisfying_disjoint(
             family, args.r, trials=args.trials, seed=args.seed
         )
-    _emit(args, _report("spread", args, params, outputs, started,
+    _emit(args, _report("spread", params, outputs, started,
                         digest=_digest(args.family), seeds=seeds))
     return EXIT_TRUE if verdict_ok else EXIT_FALSE
 
@@ -288,13 +293,13 @@ def cmd_experiment(args) -> int:
         raise ValueError(f"--alpha-grid must look like 0.1:0.9:0.1, got {args.alpha_grid!r}")
     _require(step > 0 and 0 < lo <= hi < 1, "need 0 < start <= stop < 1 and step > 0")
     exact_available = family.ground_size <= 24
-    print("alpha,estimate,stderr,exact")
+    _write("alpha,estimate,stderr,exact\n")
     alpha = lo
     trial_seed = args.seed
     while alpha <= hi:
         est = spread_mod.sample_satisfying(family, float(alpha), args.trials, trial_seed)
         exact = str(spread_mod.exact_satisfying(family, alpha)) if exact_available else ""
-        print(f"{float(alpha)!r},{est.estimate!r},{est.stderr!r},{exact}")
+        _write(f"{float(alpha)!r},{est.estimate!r},{est.stderr!r},{exact}\n")
         alpha += step
         trial_seed += 1
     return EXIT_TRUE
@@ -312,7 +317,7 @@ def cmd_encode_audit(args) -> int:
         markov = encoding_mod.audit_markov_step(family, args.px, args.delta, args.d)
         outputs["markov"] = markov
         ok = ok and markov.holds
-    _emit(args, _report("encode-audit", args, params, outputs, started,
+    _emit(args, _report("encode-audit", params, outputs, started,
                         digest=_digest(args.family)))
     return EXIT_TRUE if ok else EXIT_FALSE
 
@@ -341,10 +346,7 @@ def cmd_gen(args) -> int:
               file=sys.stderr)
     else:  # pragma: no cover - argparse restricts choices
         raise ValueError(f"unknown generator {kind!r}")
-    if args.format == "json":
-        sys.stdout.write(dump_family_json(family))
-    else:
-        sys.stdout.write(dump_family_text(family))
+    _write(dump_family_json(family) if args.format == "json" else dump_family_text(family))
     return EXIT_TRUE
 
 
@@ -364,8 +366,6 @@ def build_parser() -> _Parser:
     def add_common(p):
         p.add_argument("--format", choices=("json", "text"), default="json",
                        help="report rendering (text is rendered from the same JSON)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="reserved; results are schedule-independent regardless")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
@@ -483,9 +483,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return args.func(args)
     except (ValueError, TypeError, OSError, ArithmeticError) as exc:

@@ -17,10 +17,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
-from .families import ElementSet, FamilyError, SetFamily, is_d_intersecting
+from .families import (
+    ElementSet,
+    FamilyError,
+    Rational,
+    SetFamily,
+    _exact_fraction,
+    _subset_masks,
+    is_d_intersecting,
+)
 
 
 class DecodeError(ValueError):
@@ -53,17 +60,24 @@ class EncodingKey:
 def classify_pair(family: SetFamily, w_set: ElementSet, member: ElementSet, w: int) -> PairClassification:
     """Classify (W, member) at threshold w by scanning the family in
     canonical order for the first witness."""
-    if w < 0:
-        raise ValueError(f"threshold w must be >= 0, got {w}")
     if member.mask not in set(family.masks):
         raise FamilyError(f"{member!r} is not a member of the family")
-    wm = w_set.mask
-    target = member.mask & ~wm
-    for cand in family.members:
-        outside = cand.mask & ~wm
+    i = _first_witness(family.masks, w_set.mask, member.mask, w)
+    witness = None if i is None else family.members[i]
+    return PairClassification(w_set=w_set, member=member, w=w, good=i is not None, witness=witness)
+
+
+def _first_witness(masks: Sequence[int], wm: int, member: int, w: int) -> Optional[int]:
+    """Index of the first mask S' with S'\\W inside member\\W and
+    |S'\\W| <= w, else None (the pair (W, member) is bad)."""
+    if w < 0:
+        raise ValueError(f"threshold w must be >= 0, got {w}")
+    target = member & ~wm
+    for i, cand in enumerate(masks):
+        outside = cand & ~wm
         if outside & ~target == 0 and outside.bit_count() <= w:
-            return PairClassification(w_set=w_set, member=member, w=w, good=True, witness=cand)
-    return PairClassification(w_set=w_set, member=member, w=w, good=False, witness=None)
+            return i
+    return None
 
 
 def encode_bad_pair(w_set: ElementSet, member: ElementSet) -> EncodingKey:
@@ -90,8 +104,10 @@ def decode_bad_pair(family: SetFamily, key: EncodingKey) -> tuple[ElementSet, El
 
 def bad_pair_members(family: SetFamily, w_set: ElementSet, d: int) -> tuple[ElementSet, ...]:
     """Members S for which (W, S) is bad at threshold d, canonical order."""
+    masks = family.masks
     return tuple(
-        s for s in family.members if not classify_pair(family, w_set, s, d).good
+        s for s, m in zip(family.members, masks)
+        if _first_witness(masks, w_set.mask, m, d) is None
     )
 
 
@@ -153,10 +169,7 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     injective = True
     roundtrip_ok = True
     union_sizes_ok = True
-    for combo in combinations(range(x), w_size):
-        wmask = 0
-        for e in combo:
-            wmask |= 1 << e
+    for wmask in _subset_masks(x, w_size):
         w_set = ElementSet.from_mask(wmask)
         bad = bad_pair_members(family, w_set, d)
         total += len(bad)
@@ -226,13 +239,13 @@ class MarkovAudit:
     holds: bool
 
 
-def audit_markov_step(family: SetFamily, w_size: int, delta, d: int) -> MarkovAudit:
+def audit_markov_step(family: SetFamily, w_size: int, delta: Rational, d: int) -> MarkovAudit:
     """Exact fraction of size-w_size sets W with at least delta*|F| bad
     members, compared against (2/p)^n / (delta |F|)."""
     x = family.ground_size
     if not 0 < w_size < x:
         raise ValueError(f"need 0 < w_size < x = {x}, got {w_size}")
-    dlt = Fraction(delta)
+    dlt = _exact_fraction(delta, "delta")
     if dlt <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if len(family) == 0:
@@ -242,10 +255,7 @@ def audit_markov_step(family: SetFamily, w_size: int, delta, d: int) -> MarkovAu
     num_w = _comb(x, w_size)
     cutoff = dlt * len(family)
     exceed = 0
-    for combo in combinations(range(x), w_size):
-        wmask = 0
-        for e in combo:
-            wmask |= 1 << e
+    for wmask in _subset_masks(x, w_size):
         if len(bad_pair_members(family, ElementSet.from_mask(wmask), d)) >= cutoff:
             exceed += 1
     fraction = Fraction(exceed, num_w)

@@ -13,7 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
+
+#: Exact rational input: int, str (like "1/3") or Fraction; floats are refused.
+Rational = Union[int, str, Fraction]
 
 
 class FamilyError(ValueError):
@@ -26,6 +29,15 @@ class InvariantError(RuntimeError):
     Correct code never raises this, whatever the input; the checks are
     real exceptions, not asserts, so they also run under ``python -O``.
     """
+
+
+def _exact_fraction(value: Rational, name: str) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(
+            f"{name} must be an exact rational (int, str, or Fraction), not float; "
+            f"pass Fraction or a string like '1/3'"
+        )
+    return Fraction(value)
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -46,6 +58,11 @@ def elements_of(mask: int) -> tuple[int, ...]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return tuple(out)
+
+
+def _subset_masks(x: int, k: int) -> Iterator[int]:
+    """Masks of all k-subsets of {0, ..., x-1}, in canonical order."""
+    return (sum(1 << e for e in c) for c in combinations(range(x), k))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -238,7 +255,7 @@ class WeightedFamily:
     __slots__ = ("_family", "_weights")
 
     def __init__(self, family: SetFamily, weights: Iterable):
-        ws = tuple(Fraction(w) for w in weights)
+        ws = tuple(_exact_fraction(w, "weight") for w in weights)
         if len(ws) != len(family):
             raise FamilyError(f"{len(ws)} weights for {len(family)} members")
         if any(w < 0 for w in ws):
@@ -250,7 +267,7 @@ class WeightedFamily:
 
     @classmethod
     def uniform(cls, family: SetFamily, weight=1) -> "WeightedFamily":
-        return cls(family, [Fraction(weight)] * len(family))
+        return cls(family, [weight] * len(family))
 
     def __setattr__(self, name, value):
         raise AttributeError("WeightedFamily is immutable")
@@ -283,33 +300,20 @@ class WeightedFamily:
 class Sunflower:
     """r >= 2 distinct sets whose pairwise intersections all equal the core.
 
-    Construction validates the full certificate: the core equals the
-    intersection of all petal sets, every pairwise intersection equals the
-    core, and the petals (sets minus core) are pairwise disjoint.  The last
-    two are equivalent restatements; both are checked.
+    Construction validates the full certificate: the sets form a sunflower
+    (`is_sunflower`) and its core is the given one.  Pairwise disjoint
+    petals follow: if A & B = core, then (A - core) & (B - core) is empty.
     """
 
     petal_sets: tuple[ElementSet, ...]
     core: ElementSet
 
     def __post_init__(self):
-        sets = self.petal_sets
-        if len(sets) < 2:
-            raise FamilyError(f"a sunflower needs at least 2 sets, got {len(sets)}")
-        masks = [s.mask for s in sets]
-        if len(set(masks)) != len(masks):
-            raise FamilyError("sunflower sets must be distinct")
-        core = masks[0]
-        for m in masks[1:]:
-            core &= m
-        if core != self.core.mask:
+        core = is_sunflower(self.petal_sets)
+        if core is None:
+            raise FamilyError("a pairwise intersection differs from the common intersection")
+        if core != self.core:
             raise FamilyError("core is not the intersection of the petal sets")
-        for a, b in combinations(masks, 2):
-            if a & b != core:
-                raise FamilyError("a pairwise intersection differs from the core")
-        for a, b in combinations(masks, 2):
-            if (a & ~core) & (b & ~core):
-                raise FamilyError("petals are not pairwise disjoint")
 
     @property
     def r(self) -> int:
@@ -374,13 +378,20 @@ def is_sunflower(sets: Sequence[ElementSet]) -> Optional[ElementSet]:
     masks = [s.mask for s in sets]
     if len(set(masks)) != len(masks):
         raise FamilyError("sunflower test requires distinct sets")
+    core = _sunflower_core(masks)
+    return None if core is None else ElementSet.from_mask(core)
+
+
+def _sunflower_core(masks: Sequence[int]) -> Optional[int]:
+    """Common intersection of `masks` when every pairwise intersection
+    equals it, else None: the sunflower test on raw bitmasks."""
     core = masks[0]
     for m in masks[1:]:
         core &= m
     for a, b in combinations(masks, 2):
         if a & b != core:
             return None
-    return ElementSet.from_mask(core)
+    return core
 
 
 def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:

@@ -19,17 +19,19 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .bounds import pigeonhole_limit
+from .bounds import _validated_l, pigeonhole_limit
 from .families import (
     ElementSet,
     FamilyError,
     InvariantError,
     SetFamily,
     Sunflower,
+    _sunflower_core,
     elements_of,
     intersection_profile,
     is_L_intersecting,
     is_sunflower,
+    mask_of,
 )
 
 
@@ -98,16 +100,6 @@ class SearchOutcome:
     note: str = ""
 
 
-def _masks_form_sunflower(masks) -> Optional[int]:
-    core = masks[0]
-    for m in masks[1:]:
-        core &= m
-    for a, b in combinations(masks, 2):
-        if a & b != core:
-            return None
-    return core
-
-
 def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     """First r-subset of members (canonical order) forming a sunflower.
 
@@ -119,7 +111,7 @@ def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     masks = family.masks
     members = family.members
     for combo in combinations(range(len(masks)), r):
-        core = _masks_form_sunflower([masks[i] for i in combo])
+        core = _sunflower_core([masks[i] for i in combo])
         if core is not None:
             return Sunflower(tuple(members[i] for i in combo), ElementSet.from_mask(core))
     return None
@@ -161,15 +153,6 @@ def deza_extract(family: SetFamily, r: int) -> Sunflower:
         return Sunflower(tuple(family.members[:r]), ElementSet.from_mask(core))
     except FamilyError as exc:
         raise LemmaViolationError(f"certificate verification failed: {exc}") from exc
-
-
-def _validated_sizes(n: int, L: Iterable[int]) -> tuple[int, ...]:
-    ls = tuple(sorted(set(int(e) for e in L)))
-    if not ls:
-        raise FinderError("L must be nonempty")
-    if ls[0] < 0 or ls[-1] >= n:
-        raise FinderError(f"need 0 <= l < n for every l in L, got {list(ls)} with n={n}")
-    return ls
 
 
 def _search(
@@ -220,9 +203,7 @@ def _search(
     pivot_link = None
     link_count = -1
     for combo in combinations(elements_of(pivot), l1 + 1):
-        spm = 0
-        for e in combo:
-            spm |= 1 << e
+        spm = mask_of(combo)
         cnt = sum(1 for fm in filtered if spm & ~fm == 0)
         if cnt > link_count:
             pivot_link, link_count = spm, cnt
@@ -279,7 +260,10 @@ def l_intersecting_find(
     n = family.uniformity
     if n is None or n < 1:
         raise NotUniformError("family must be n-uniform with n >= 1")
-    sizes = _validated_sizes(n, L)
+    try:
+        sizes = _validated_l(n, L)
+    except ValueError as exc:
+        raise FinderError(str(exc)) from exc
     if not is_L_intersecting(family, sizes):
         raise FinderError(
             f"family has intersection sizes {sorted(intersection_profile(family))}, "

@@ -118,19 +118,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def dump_family_json(family: Union[SetFamily, WeightedFamily]) -> str:
+def _family_object(family: Union[SetFamily, WeightedFamily]) -> dict:
+    """The JSON object of a family: ground size, sets, and any weights."""
     if isinstance(family, WeightedFamily):
-        obj = {
-            "ground_size": family.family.ground_size,
-            "sets": [list(s.elements) for s in family.family.members],
-            "weights": [str(w) for w in family.weights],
-        }
-    else:
-        obj = {
-            "ground_size": family.ground_size,
-            "sets": [list(s.elements) for s in family.members],
-        }
-    return json.dumps(obj, sort_keys=True) + "\n"
+        return {**_family_object(family.family), "weights": [str(w) for w in family.weights]}
+    return {
+        "ground_size": family.ground_size,
+        "sets": [list(s.elements) for s in family.members],
+    }
+
+
+def dump_family_json(family: Union[SetFamily, WeightedFamily]) -> str:
+    return json.dumps(_family_object(family), sort_keys=True) + "\n"
 
 
 def load_family(text: str, fmt: Optional[str] = None) -> Union[SetFamily, WeightedFamily]:

@@ -10,7 +10,7 @@ no generator can loop silently forever.
 from __future__ import annotations
 
 import math
-from itertools import combinations, product
+from itertools import product
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -18,6 +18,7 @@ import numpy as np
 from .families import (
     ElementSet,
     SetFamily,
+    _subset_masks,
     intersection_profile,
     is_L_intersecting,
     is_sunflower,
@@ -58,11 +59,6 @@ def _n_subset_masks(rng, x: int, n: int, max_draws: int):
         for start in range(0, len(data), width):
             yield int.from_bytes(data[start:start + width], "little")
         drawn += block
-
-
-def _all_n_subset_masks(x: int, n: int):
-    """Masks of all n-subsets of {0..x-1}, in combinations order."""
-    return (sum(1 << e for e in c) for c in combinations(range(x), n))
 
 
 def gen_sunflower(core_size: int, petal_size: int, r: int) -> SetFamily:
@@ -107,7 +103,7 @@ def gen_all_k_subsets(x: int, k: int, budget: int = DEFAULT_SIZE_BUDGET) -> SetF
     count = math.comb(x, k)
     if count > budget:
         raise GeneratorError(f"{count} subsets exceed budget {budget}")
-    return SetFamily(x, (ElementSet(c) for c in combinations(range(x), k)))
+    return SetFamily.from_masks(x, _subset_masks(x, k))
 
 
 def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
@@ -123,7 +119,7 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
         raise GeneratorError(f"cannot draw {count} distinct {n}-subsets of {x} (total {total})")
     rng = _rng(seed)
     if total <= max(4096, 4 * count):
-        all_masks = list(_all_n_subset_masks(x, n))
+        all_masks = list(_subset_masks(x, n))
         idx = rng.choice(total, size=count, replace=False)
         masks = [all_masks[i] for i in sorted(int(i) for i in idx)]
         return SetFamily.from_masks(x, masks, uniform=n)
@@ -186,7 +182,7 @@ def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, 
             rejected += 1
             if rejected == total:
                 compatible = {
-                    c for c in _all_n_subset_masks(x, n)
+                    c for c in _subset_masks(x, n)
                     if all((c & m).bit_count() in allowed for m in kept)
                 }
             continue

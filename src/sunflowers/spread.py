@@ -19,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import repeat
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -27,43 +28,38 @@ from .families import (
     ElementSet,
     FamilyError,
     InvariantError,
+    Rational,
     SetFamily,
     WeightedFamily,
+    _exact_fraction,
     find_r_disjoint,
     link,
     submasks,
 )
-
-Rational = Union[int, str, Fraction]
 
 _ENUMERATION_LIMIT = 1 << 22
 _EXACT_GROUND_LIMIT = 24
 _SAMPLE_BLOCK = 1 << 16
 
 
-def _exact_fraction(value: Rational, name: str) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError(
-            f"{name} must be an exact rational (int, str, or Fraction), not float; "
-            f"pass Fraction or a string like '1/3'"
-        )
-    return Fraction(value)
-
-
-def _link_counts(family: SetFamily, max_size: Optional[int] = None) -> dict[int, int]:
-    """|F_T| for every nonempty T contained in at least one member."""
-    budget = sum(1 << len(s) for s in family.members)
+def _link_counts(
+    masks: Sequence[int], weights: Optional[Iterable] = None, max_size: Optional[int] = None
+) -> dict:
+    """Total weight of the members containing T, for every nonempty T of
+    size at most `max_size` contained in at least one member.  Without
+    `weights` every member weighs 1, which gives |F_T|."""
+    budget = sum(1 << m.bit_count() for m in masks)
     if budget > _ENUMERATION_LIMIT:
         raise ValueError(f"link enumeration needs {budget} submask visits, over budget")
-    counts: dict[int, int] = {}
-    for mask in family.masks:
+    totals: dict = {}
+    for mask, w in zip(masks, repeat(1) if weights is None else weights):
         for sub in submasks(mask):
             if sub == 0:
                 continue
             if max_size is not None and sub.bit_count() > max_size:
                 continue
-            counts[sub] = counts.get(sub, 0) + 1
-    return counts
+            totals[sub] = totals.get(sub, 0) + w
+    return totals
 
 
 @dataclass(frozen=True)
@@ -104,7 +100,7 @@ def is_kappa_spread(family: SetFamily, kappa: Rational) -> bool:
     size = len(family)
     if size * b**n < a**n:
         return False
-    for tmask, count in _link_counts(family).items():
+    for tmask, count in _link_counts(family.masks).items():
         t = tmask.bit_count()
         if count * a**t > size * b**t:
             return False
@@ -124,7 +120,7 @@ def spread_kappa(family: SetFamily) -> float:
     if n == 0:
         return 1.0
     best = size ** (1.0 / n)
-    for tmask, count in _link_counts(family).items():
+    for tmask, count in _link_counts(family.masks).items():
         t = tmask.bit_count()
         best = min(best, (size / count) ** (1.0 / t))
     return best
@@ -142,15 +138,7 @@ def is_profile_spread(weighted: WeightedFamily, profile: SpreadProfile) -> bool:
         )
     if weighted.total_weight < profile.s0:
         return False
-    budget = sum(1 << len(s) for s in members)
-    if budget > _ENUMERATION_LIMIT:
-        raise ValueError(f"link enumeration needs {budget} submask visits, over budget")
-    mass: dict[int, Fraction] = {}
-    for s, w in weighted.items():
-        for sub in submasks(s.mask):
-            if sub:
-                mass[sub] = mass.get(sub, Fraction(0)) + w
-    for tmask, total in mass.items():
+    for tmask, total in _link_counts(weighted.family.masks, weighted.weights).items():
         if total > profile.tail[tmask.bit_count() - 1]:
             return False
     return True
@@ -197,7 +185,7 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
             if count * a ** tmask.bit_count() >= total * b ** tmask.bit_count()
         ]
 
-    quals = qualifying(_link_counts(family, max_size=d), size)
+    quals = qualifying(_link_counts(family.masks, max_size=d), size)
     best_mask = 0
     if quals:
         best_size = max(t.bit_count() for t in quals)
@@ -211,7 +199,7 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
 
     residual_ok = True
     if link_size:
-        residual = qualifying(_link_counts(link_family), link_size)
+        residual = qualifying(_link_counts(link_family.masks), link_size)
         deep = d - len(t_set)
         if any(t.bit_count() <= deep for t in residual):
             raise InvariantError("spread link is not maximal")

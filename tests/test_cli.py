@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sunflowers
 from sunflowers.cli import main
 
 
@@ -288,11 +292,47 @@ def test_gen_and_experiment_byte_reproducible(capsys, triangle):
     assert csv1 == csv2
 
 
-def test_threads_flag_accepted_and_validated(capsys, triangle):
-    code, _, _ = run(capsys, "check", triangle, "--threads", "4")
-    assert code == 0
-    code, _, err = run(capsys, "check", triangle, "--threads", "0")
+def test_threads_flag_is_a_usage_error(capsys, triangle):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", triangle, "--threads", "4"])
+    assert exc.value.code == 3
+    assert "--threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spread", "{fam}", "--kappa", "1"],
+    ["check", "{fam}"],
+    ["find", "{fam}", "--r", "3"],
+])
+def test_weighted_family_file_refused(capsys, tmp_path, argv):
+    text = '{"ground_size": 3, "sets": [[0, 1], [0, 2], [1, 2]], "weights": ["1", "1/2", "2"]}'
+    fam = write_family(tmp_path, "w.json", text)
+    code, out, err = run(capsys, *(a.format(fam=fam) for a in argv))
     assert code == 3
+    assert out == ""
+    assert "does not use weights" in err
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["find", "{fam}", "--r", "3"], 1),
+    (["gen", "transversal", "3", "2"], 0),
+    (["experiment", "{fam}", "--alpha-grid", "0.2:0.8:0.3", "--trials", "100", "--seed", "1"], 0),
+])
+def test_closed_stdout_is_quiet_and_keeps_exit_code(triangle, argv, expected):
+    src = os.path.dirname(os.path.dirname(sunflowers.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout now fails with EPIPE
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sunflowers.cli", *(a.format(fam=triangle) for a in argv)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+    assert proc.stderr == b""
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -10,12 +10,16 @@ from sunflowers import (
     SetFamily,
     Sunflower,
     WeightedFamily,
+    audit_markov_step,
+    d_intersecting_bound,
     find_r_disjoint,
     intersection_profile,
     is_L_intersecting,
     is_d_intersecting,
+    is_kappa_spread,
     is_sunflower,
     link,
+    rlogn_bound,
 )
 from sunflowers.generators import gen_all_k_subsets, gen_random_uniform
 
@@ -170,6 +174,23 @@ def test_sunflower_type_validates_certificate():
         Sunflower(petals, ElementSet([]))
     with pytest.raises(FamilyError):
         Sunflower((ElementSet([0, 1]),), ElementSet([0, 1]))
+    with pytest.raises(FamilyError):
+        Sunflower((ElementSet([0, 1]), ElementSet([0, 1])), ElementSet([0, 1]))
+    for core_mask in range(1 << 3):  # no core at all makes the triangle a sunflower
+        with pytest.raises(FamilyError):
+            Sunflower(TRIANGLE.members, ElementSet.from_mask(core_mask))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rlogn_bound(4, 3, C=0.5),
+    lambda: d_intersecting_bound(3, 1, 3, log_base=2.0),
+    lambda: audit_markov_step(SetFamily(6, [[0, 1], [2, 3], [4, 5]]), 3, 0.5, 1),
+    lambda: WeightedFamily(SetFamily(4, [[0, 1], [2, 3]]), [1, 0.5]),
+    lambda: is_kappa_spread(gen_all_k_subsets(4, 2), 1.5),
+], ids=["rlogn-C", "d-intersecting-log-base", "markov-delta", "weights", "kappa"])
+def test_floats_rejected_at_every_rational_entry_point(call):
+    with pytest.raises(TypeError, match="not float"):
+        call()
 
 
 # -- find_r_disjoint -----------------------------------------------------------
