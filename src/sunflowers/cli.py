@@ -250,6 +250,10 @@ def cmd_bounds(args) -> int:
 
 def cmd_spread(args) -> int:
     started = time.perf_counter()
+    if args.alpha is None and args.r is None:
+        _require(args.trials is None and args.seed is None,
+                 "--trials and --seed need --alpha or --r")
+    _require(args.kappa is not None or args.d is None, "--d needs --kappa")
     family = _load(args.family)
     params = {
         "kappa": str(args.kappa) if args.kappa is not None else None,
@@ -268,7 +272,7 @@ def cmd_spread(args) -> int:
         d = args.d if args.d is not None else family.uniformity
         outputs["spread_link"] = spread_mod.find_spread_link(family, args.kappa, d)
     if args.alpha is not None:
-        if family.ground_size <= 24:
+        if family.ground_size <= spread_mod._EXACT_GROUND_LIMIT:
             outputs["exact_satisfying"] = spread_mod.exact_satisfying(family, args.alpha)
         if args.trials is not None:
             _require(args.seed is not None, "sampling requires an explicit --seed")
@@ -287,12 +291,14 @@ def cmd_spread(args) -> int:
 def cmd_experiment(args) -> int:
     family = _load(args.family)
     _require(args.seed is not None, "sampling requires an explicit --seed")
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
+    _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
     try:
         lo, hi, step = (Fraction(part) for part in args.alpha_grid.split(":"))
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--alpha-grid must look like 0.1:0.9:0.1, got {args.alpha_grid!r}")
     _require(step > 0 and 0 < lo <= hi < 1, "need 0 < start <= stop < 1 and step > 0")
-    exact_available = family.ground_size <= 24
+    exact_available = family.ground_size <= spread_mod._EXACT_GROUND_LIMIT
     _write("alpha,estimate,stderr,exact\n")
     alpha = lo
     trial_seed = args.seed

@@ -8,10 +8,13 @@ cross-multiplication; no floating-point comparisons decide anything.
 
 Satisfying probabilities P(some member is contained in a random
 alpha-density subset R) are computed two independent ways: an exact
-subset-lattice sum for ground sizes up to 24, and a seeded Monte Carlo
-estimator whose trials are drawn from a counter-based PRNG stream
-(numpy Philox, keyed by the seed, trial i occupying block i of the
-counter sequence) so results are independent of evaluation order.
+subset-lattice sum for ground sizes up to 24, over the lattice stored as
+packed bits (2^x / 8 bytes), and a seeded Monte Carlo estimator whose
+trials are rows of uniforms from a counter-based PRNG stream (numpy
+Philox, keyed by the seed).  The rows are drawn in blocks that together
+are exactly one `random((trials, x))` draw, so the estimate does not
+depend on the block size; each block is packed into uint64 words before
+the containment test.
 """
 
 from __future__ import annotations
@@ -228,8 +231,11 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     """Monte Carlo estimate of P(some member is a subset of R) where R
     keeps each ground element independently with probability alpha.
 
-    Deterministic for a fixed seed: trial i consumes block i of a Philox
-    counter stream, so the estimate does not depend on evaluation order.
+    Deterministic for a fixed seed: trial i is row i of the Philox
+    stream's `random((trials, x)) < alpha`, drawn `_SAMPLE_BLOCK // x`
+    rows at a time.  Each block is packed into little-endian uint64 words
+    (element e is bit e % 64 of word e // 64), and member M is contained
+    in R iff M & ~R is zero in every word.
     """
     alpha = float(alpha)
     if not 0 < alpha < 1:
@@ -245,18 +251,24 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     elif x == 0:
         successes = trials  # only possible member is the empty set
     else:
-        memb = np.zeros((len(family), x), dtype=np.int64)
-        for i, s in enumerate(family.members):
-            memb[i, list(s.elements)] = 1
-        sizes = memb.sum(axis=1)
+        words = -(-x // 64)
+        memb = np.frombuffer(
+            b"".join(m.to_bytes(8 * words, "little") for m in family.masks), dtype="<u8"
+        ).reshape(-1, words)
         successes = 0
         block = max(1, _SAMPLE_BLOCK // x)
+        packed = np.zeros((min(block, trials), 8 * words), dtype=np.uint8)
         done = 0
         while done < trials:
             rows = min(block, trials - done)
-            included = (rng.random((rows, x)) < alpha).astype(np.int64)
-            cov = included @ memb.T
-            successes += int((cov == sizes[None, :]).any(axis=1).sum())
+            packed[:rows, : -(-x // 8)] = np.packbits(
+                rng.random((rows, x)) < alpha, axis=1, bitorder="little"
+            )
+            missing = ~packed[:rows].view("<u8")
+            outside = missing[:, 0, None] & memb[:, 0]
+            for w in range(1, words):
+                outside |= missing[:, w, None] & memb[:, w]
+            successes += int(np.count_nonzero(outside.min(axis=1) == 0))
             done += rows
     estimate = successes / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
@@ -266,10 +278,46 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     )
 
 
+# _SIZE_MASKS[c]: the bit positions 0..63 with exactly c set bits;
+# _SPREAD_MASKS[b]: the positions with bit b set (upward closure in a word)
+_SIZE_MASKS = tuple(
+    np.uint64(sum(1 << p for p in range(64) if p.bit_count() == c)) for c in range(7)
+)
+_SPREAD_MASKS = tuple(
+    np.uint64(sum(1 << p for p in range(64) if p >> b & 1)) for b in range(6)
+)
+_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
+    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
+
+
+def _popcount64(v: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 word, computed in place in v (numpy's
+    `bitwise_count` needs numpy >= 2.0): sums over bit pairs, nibbles and
+    bytes, then one multiply adds the eight byte sums into the top byte."""
+    t = v >> np.uint64(1)
+    t &= _M1
+    v -= t
+    np.right_shift(v, np.uint64(2), out=t)
+    t &= _M2
+    v &= _M2
+    v += t
+    np.right_shift(v, np.uint64(4), out=t)
+    v += t
+    v &= _M4
+    v *= _H01
+    v >>= np.uint64(56)
+    return v
+
+
 def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
     """Exact P(some member is a subset of R) at rational alpha, by the
-    full 2^x subset sum (grouped by |R| after an upward closure over the
-    subset lattice).  The oracle for sample_satisfying; x <= 24."""
+    full 2^x subset sum.  The oracle for sample_satisfying; x <= 24.
+
+    The subset lattice is a bit array in uint64 words (2^x / 8 bytes):
+    subset R is bit R % 64 of word R // 64.  Its upward closure runs by
+    shift-or inside each word and by word blocks across words; the hit
+    sets are then counted by size |R| = popcount(R // 64) + popcount(R % 64),
+    in integers, before the exact rational sum."""
     a = _exact_fraction(alpha, "alpha")
     if not 0 <= a <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -278,17 +326,28 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
         raise ValueError(f"ground size {x} exceeds exhaustive budget {_EXACT_GROUND_LIMIT}")
     if len(family) == 0:
         return Fraction(0)
-    hit = np.zeros(1 << x, dtype=bool)
-    for m in family.masks:
-        hit[m] = True
-    pc = np.zeros(1 << x, dtype=np.uint8)
-    for bit in range(x):
+    high = max(x - 6, 0)  # ground elements that index words, not bits
+    lattice = np.zeros(1 << high, dtype=np.uint64)
+    masks = np.array(family.masks, dtype=np.uint64)
+    np.bitwise_or.at(lattice, (masks >> np.uint64(6)).astype(np.intp),
+                     np.left_shift(np.uint64(1), masks & np.uint64(63)))
+    for bit in range(min(x, 6)):
+        lattice |= (lattice << np.uint64(1 << bit)) & _SPREAD_MASKS[bit]
+    for bit in range(high):
         step = 1 << bit
-        h = hit.reshape(-1, 2 * step)
+        h = lattice.reshape(-1, 2 * step)
         h[:, step:] |= h[:, :step]
-        p = pc.reshape(-1, 2 * step)
-        p[:, step:] = p[:, :step] + 1
-    counts = np.bincount(pc[hit], minlength=x + 1)
+    word_sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(high):
+        word_sizes = np.concatenate((word_sizes, word_sizes + 1))
+    # group the words by |R // 64|: C(high, k) words hold the subsets with k high elements
+    lattice = lattice[np.argsort(word_sizes, kind="stable")]
+    starts = np.cumsum([0] + [math.comb(high, k) for k in range(high)])
+    counts = [0] * (x + 1)
+    for c, size_mask in enumerate(_SIZE_MASKS[: min(x, 6) + 1]):
+        hits = _popcount64(lattice & size_mask)
+        for k, n in enumerate(np.add.reduceat(hits, starts).tolist()):
+            counts[k + c] += n
     total = Fraction(0)
     for size in range(x + 1):
         c = int(counts[size])

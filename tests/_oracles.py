@@ -44,6 +44,24 @@ def satisfying_by_subset_loop(ground_size, sets, alpha):
     return total
 
 
+def satisfying_successes_by_replay(ground_size, sets, alpha, trials, seed):
+    """Monte Carlo successes by replaying the seeded draws in one call
+    and testing frozenset containment row by row.  It shares only numpy's
+    Philox stream with the library, which draws the same numbers in
+    blocks of rows."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    included = rng.random((trials, ground_size)) < alpha
+    fsets = [frozenset(s) for s in sets]
+    successes = 0
+    for row in included:
+        r = frozenset(e for e, kept in enumerate(row.tolist()) if kept)
+        if any(s <= r for s in fsets):
+            successes += 1
+    return successes
+
+
 def bad_members_by_witness_table(ground_size, sets, w_elems, d):
     """Members without a goodness witness, via precomputed witness sets."""
     w = frozenset(w_elems)

@@ -155,6 +155,20 @@ def test_spread_sampling_requires_seed(capsys, triangle):
     assert code == 3 and "--seed" in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--trials", "100", "--seed", "1"], "--alpha or --r"),
+    (["--seed", "7"], "--alpha or --r"),
+    (["--kappa", "2", "--trials", "100"], "--alpha or --r"),
+    (["--d", "2"], "--d needs --kappa"),
+    (["--alpha", "1/2", "--d", "2"], "--d needs --kappa"),
+])
+def test_spread_refuses_flags_it_would_ignore(capsys, triangle, flags, message):
+    code, out, err = run(capsys, "spread", triangle, *flags)
+    assert code == 3
+    assert out == ""
+    assert message in err
+
+
 # -- experiment ---------------------------------------------------------------
 
 def test_experiment_csv(capsys, triangle):
@@ -177,6 +191,17 @@ def test_experiment_requires_seed(capsys, triangle):
     code, _, err = run(capsys, "experiment", triangle,
                        "--alpha-grid", "0.5:0.5:0.1", "--trials", "10")
     assert code == 3 and "--seed" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--trials", "0", "--seed", "1"],
+    ["--trials", "10", "--seed", "-1"],
+])
+def test_experiment_refuses_before_writing_the_header(capsys, triangle, flags):
+    code, out, err = run(capsys, "experiment", triangle, "--alpha-grid", "0.5:0.5:0.1", *flags)
+    assert code == 3
+    assert out == ""
+    assert "must be >= " in err
 
 
 def test_experiment_singleton_family_matches_closed_form(capsys, tmp_path):

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
+
+import sunflowers
 
 from sunflowers import (
     ElementSet,
@@ -27,7 +32,11 @@ from sunflowers.generators import (
     gen_transversal,
 )
 
-from _oracles import link_count_by_scan, satisfying_by_subset_loop
+from _oracles import (
+    link_count_by_scan,
+    satisfying_by_subset_loop,
+    satisfying_successes_by_replay,
+)
 
 TRIANGLE = SetFamily(3, [[0, 1], [1, 2], [0, 2]])
 
@@ -243,6 +252,54 @@ def test_exact_edge_cases():
         exact_satisfying(TRIANGLE, 0.5)
 
 
+@st.composite
+def small_families(draw, max_x):
+    """(x, sets) with 0 <= x <= max_x and at most 12 distinct members of
+    mixed sizes; the empty set may be a member."""
+    x = draw(st.integers(0, max_x))
+    members = st.frozensets(st.integers(0, x - 1), max_size=min(x, 6)) if x else st.just(frozenset())
+    return x, [sorted(s) for s in draw(st.sets(members, max_size=12))]
+
+
+@given(small_families(12), st.fractions(min_value=0, max_value=1, max_denominator=12))
+@example((0, []), Fraction(1, 2))
+@example((0, [[]]), Fraction(1, 3))
+@example((7, [[]]), Fraction(1, 3))
+@example((6, [[0, 5], [1, 2, 3]]), Fraction(2, 5))
+@example((12, [[0], [5, 6], [6, 7, 11], [1, 2, 3, 4, 8]]), Fraction(3, 4))
+def test_exact_matches_subset_loop_oracle_across_word_boundary(case, alpha):
+    # x crosses 6, where the lattice grows from one partial word to many
+    x, sets = case
+    assert exact_satisfying(SetFamily(x, sets), alpha) == satisfying_by_subset_loop(x, sets, alpha)
+
+
+EXACT_AT_24_RSS = """
+import resource
+from fractions import Fraction
+from sunflowers import SetFamily, exact_satisfying
+fam = SetFamily(24, [[0, 7, 23], [1, 2], [3, 9, 12, 20], [5], [6, 10, 11, 17]])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+value = exact_satisfying(fam, Fraction(1, 3))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(value, after - before)
+"""
+
+
+def test_exact_lattice_memory_at_ground_24():
+    # the lattice is a bit array, 2 MiB at x = 24; a byte per subset would be 16 MiB
+    src = os.path.dirname(os.path.dirname(sunflowers.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", EXACT_AT_24_RSS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    value, grown_kib = proc.stdout.split()
+    a = Fraction(1, 3)
+    miss = (1 - a**3) * (1 - a**2) * (1 - a**4) * (1 - a) * (1 - a**4)  # disjoint members
+    assert Fraction(value) == 1 - miss
+    assert int(grown_kib) < 32 * 1024
+
+
 def test_exact_monotone_in_alpha_and_members():
     fam = gen_random_uniform(8, 3, 6, seed=2)
     grid = [Fraction(k, 8) for k in range(1, 8)]
@@ -294,6 +351,33 @@ def test_sample_validation():
         sample_satisfying(TRIANGLE, 0.0, 10, seed=0)
     with pytest.raises(ValueError):
         sample_satisfying(TRIANGLE, 0.5, 0, seed=0)
+
+
+@st.composite
+def sampling_cases(draw):
+    """(x, sets, trials) for x in [0, 130]; for x >= 13 the trials may
+    straddle the 65536 // x rows of one draw block."""
+    x = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129, 130]), st.integers(0, 130)))
+    members = st.frozensets(st.integers(0, x - 1), max_size=min(x, 5)) if x else st.just(frozenset())
+    sets = [sorted(s) for s in draw(st.sets(members, max_size=10))]
+    trials = st.integers(1, 60)
+    if x >= 13:
+        block = 65536 // x
+        trials = st.one_of(trials, st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
+    return x, sets, draw(trials)
+
+
+@given(sampling_cases(), st.floats(min_value=0.05, max_value=0.95),
+       st.integers(0, 2**32))
+@example((0, [[]], 5), 0.5, 0)
+@example((64, [[]], 7), 0.5, 1)
+@example((65, [[0, 64], [63]], 1009), 0.9, 2)
+@example((129, [[], [128]], 509), 0.3, 3)
+@example((20, [], 3277), 0.5, 4)
+def test_sample_successes_match_replay_oracle(case, alpha, seed):
+    x, sets, trials = case
+    est = sample_satisfying(SetFamily(x, sets), alpha, trials, seed)
+    assert est.successes == satisfying_successes_by_replay(x, sets, alpha, trials, seed)
 
 
 def test_sample_converges_across_seeds():
