@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .families import InvariantError, Rational, _exact_fraction
+from .families import InvariantError, Rational, _exact_fraction, _positive_fraction
 
 #: Relative tolerance at which an undecided comparison is certified equal.
 EQUALITY_REL_TOL = Fraction(1, 10**30)
@@ -260,9 +260,7 @@ def rlogn_bound(n: int, r: int, C: Rational = 1, digits: int = 50, log_base: Rat
     """(C * r * log n)^n, the improved unrestricted sunflower threshold form."""
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 (so log n > 0) and r >= 2, got n={n}, r={r}")
-    c = _exact_fraction(C, "C")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    c = _positive_fraction(C, "C")
     return _real_value(_rlogn_interval(n, r, c, digits + 15, log_base), digits)
 
 
@@ -288,9 +286,7 @@ def d_intersecting_bound(
         raise ValueError(f"need n >= 1, d >= 1, r >= 2, got n={n}, d={d}, r={r}")
     if r * d < 2:
         raise ValueError(f"need r*d >= 2 so log(rd) is positive, got r*d={r * d}")
-    c = _exact_fraction(C, "C")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    c = _positive_fraction(C, "C")
     return _real_value(_d_intersecting_interval(n, d, r, c, digits + 15, log_base), digits)
 
 
@@ -325,9 +321,7 @@ def crossover_report(
     drops below the factorial one."""
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 and r >= 2, got n={n}, r={r}")
-    c = _exact_fraction(C, "C")
-    if c <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    c = _positive_fraction(C, "C")
     rows = []
     first = None
     for d in range(1, n + 1):

@@ -224,8 +224,7 @@ def cmd_bounds(args) -> int:
     L = _parse_int_list(args.L) if args.L is not None else None
     common = dict(n=args.n, r=args.r, s=args.s, L=L, d=args.d,
                   C=args.C, digits=args.digits, log_base=args.log_base)
-    params = {"which": args.which, **{k: (str(v) if isinstance(v, Fraction) else v)
-                                      for k, v in common.items()}}
+    params = {"which": args.which, **common}
 
     def crossover():
         return bounds_mod.crossover_report(args.n, args.r, args.C, args.digits, args.log_base)
@@ -253,15 +252,15 @@ def cmd_spread(args) -> int:
     if args.alpha is None and args.r is None:
         _require(args.trials is None and args.seed is None,
                  "--trials and --seed need --alpha or --r")
+    _require(args.trials is not None or args.seed is None, "--seed needs --trials")
     _require(args.kappa is not None or args.d is None, "--d needs --kappa")
     family = _load(args.family)
-    params = {
-        "kappa": str(args.kappa) if args.kappa is not None else None,
-        "d": args.d,
-        "alpha": str(args.alpha) if args.alpha is not None else None,
-        "trials": args.trials,
-        "r": args.r,
-    }
+    _require(args.alpha is not None or args.trials is None
+             or family.ground_size > spread_mod._EXACT_GROUND_LIMIT,
+             f"--trials needs --alpha at ground size <= {spread_mod._EXACT_GROUND_LIMIT}, "
+             f"where --r is evaluated exactly")
+    params = {"kappa": args.kappa, "d": args.d, "alpha": args.alpha,
+              "trials": args.trials, "r": args.r}
     outputs: dict = {"spread_kappa": spread_mod.spread_kappa(family)}
     seeds = {"seed": args.seed} if args.seed is not None else None
     verdict_ok = True
@@ -314,8 +313,7 @@ def cmd_experiment(args) -> int:
 def cmd_encode_audit(args) -> int:
     started = time.perf_counter()
     family = _load(args.family)
-    params = {"px": args.px, "d": args.d,
-              "delta": str(args.delta) if args.delta is not None else None}
+    params = {"px": args.px, "d": args.d, "delta": args.delta}
     audit = encoding_mod.audit_encoding_bound(family, args.px, args.d)
     outputs: dict = {"encoding": audit}
     ok = audit.passed
@@ -424,7 +422,6 @@ def build_parser() -> _Parser:
     p.add_argument("--alpha-grid", required=True, help="start:stop:step, e.g. 0.1:0.9:0.1")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
-    add_common(p)
     p.set_defaults(func=cmd_experiment)
 
     p = sub.add_parser("encode-audit", help="bad-pair encoding and Markov audits")

@@ -6,14 +6,16 @@ possibly S itself), and *bad* otherwise.  For a d-intersecting family the
 map (W, S) -> (W u S, W n S) is injective on bad pairs: any member inside
 W u S would witness goodness unless it meets S in more than d elements,
 which forces it to BE S -- so S is recoverable as the unique member inside
-the union, and W follows from the meet.  The audits enumerate every W of
-a fixed size and verify, in exact rational arithmetic, the injectivity,
-the decode round-trip, the (2/p)^n * C(x, px) count bound, and the Markov
-fraction bound.
+the union, and W follows from the meet.  One pass over every W of a fixed
+size finds the bad members; both audits, the Markov one at every delta,
+read it to verify in exact rational arithmetic the injectivity, the decode
+round-trip, the (2/p)^n * C(x, px) count bound, and the Markov fraction
+bound.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +26,7 @@ from .families import (
     FamilyError,
     Rational,
     SetFamily,
-    _exact_fraction,
+    _positive_fraction,
     _subset_masks,
     is_d_intersecting,
 )
@@ -111,13 +113,32 @@ def bad_pair_members(family: SetFamily, w_set: ElementSet, d: int) -> tuple[Elem
     )
 
 
-def _require_d_intersecting(family: SetFamily, d: int) -> int:
+def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction, int]:
+    """Check an audit's input and return (n, p, num_w).  The checks run on
+    every call, outside the memo of `_bad_members_by_w`: an empty family
+    equals any other on its ground set, whatever uniformity it declares."""
+    x = family.ground_size
+    if not 0 < w_size < x:
+        raise ValueError(f"need 0 < w_size < x = {x}, got {w_size}")
     n = family.uniformity
     if n is None:
         raise FamilyError("audit needs an n-uniform family")
     if not is_d_intersecting(family, d):
         raise FamilyError(f"family is not {d}-intersecting")
-    return n
+    return n, Fraction(w_size, x), math.comb(x, w_size)
+
+
+@functools.lru_cache(maxsize=1)
+def _bad_members_by_w(
+    family: SetFamily, w_size: int, d: int
+) -> tuple[tuple[ElementSet, tuple[ElementSet, ...]], ...]:
+    """(W, bad members at threshold d) for every W of size w_size, in
+    `_subset_masks` order.  The last pass is kept, so an encoding audit and
+    the Markov audits that follow it at any deltas enumerate W once."""
+    return tuple(
+        (w_set, bad_pair_members(family, w_set, d))
+        for w_set in map(ElementSet.from_mask, _subset_masks(family.ground_size, w_size))
+    )
 
 
 @dataclass(frozen=True)
@@ -154,12 +175,8 @@ class EncodingAudit:
 def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudit:
     """Enumerate all W of size w_size, classify every (W, S), and verify
     the encoding claims in exact rational arithmetic."""
+    n, p, num_w = _audit_setup(family, w_size, d)
     x = family.ground_size
-    if not 0 < w_size < x:
-        raise ValueError(f"need 0 < w_size < x = {x}, got {w_size}")
-    n = _require_d_intersecting(family, d)
-    p = Fraction(w_size, x)
-    num_w = _comb(x, w_size)
     bound = (2 / p) ** n * num_w
 
     total = 0
@@ -169,9 +186,7 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     injective = True
     roundtrip_ok = True
     union_sizes_ok = True
-    for wmask in _subset_masks(x, w_size):
-        w_set = ElementSet.from_mask(wmask)
-        bad = bad_pair_members(family, w_set, d)
+    for w_set, bad in _bad_members_by_w(family, w_size, d):
         total += len(bad)
         if len(bad) > per_w_max or worst_w is None:
             per_w_max, worst_w = len(bad), w_set
@@ -180,19 +195,19 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
             union_size = len(key.union_part)
             if not w_size <= union_size <= w_size + n:
                 union_sizes_ok = False
-            pair = (wmask, s.mask)
+            pair = (w_set.mask, s.mask)
             kk = (key.union_part.mask, key.meet_part.mask)
             if kk in keys and keys[kk] != pair:
                 injective = False
             keys[kk] = pair
             try:
                 got_w, got_s = decode_bad_pair(family, key)
-                if got_w.mask != wmask or got_s.mask != s.mask:
+                if got_w.mask != w_set.mask or got_s.mask != s.mask:
                     roundtrip_ok = False
             except DecodeError:
                 roundtrip_ok = False
 
-    binomial_sum = sum(_comb(x, w_size + i) for i in range(n + 1))
+    binomial_sum = sum(math.comb(x, w_size + i) for i in range(n + 1))
     binomial_sum_bound = num_w / p**n
     series_checked = p <= Fraction(1, 2)
     series_ok = (not series_checked) or binomial_sum <= binomial_sum_bound
@@ -242,31 +257,18 @@ class MarkovAudit:
 def audit_markov_step(family: SetFamily, w_size: int, delta: Rational, d: int) -> MarkovAudit:
     """Exact fraction of size-w_size sets W with at least delta*|F| bad
     members, compared against (2/p)^n / (delta |F|)."""
-    x = family.ground_size
-    if not 0 < w_size < x:
-        raise ValueError(f"need 0 < w_size < x = {x}, got {w_size}")
-    dlt = _exact_fraction(delta, "delta")
-    if dlt <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    dlt = _positive_fraction(delta, "delta")
     if len(family) == 0:
         raise FamilyError("Markov audit needs a nonempty family")
-    n = _require_d_intersecting(family, d)
-    p = Fraction(w_size, x)
-    num_w = _comb(x, w_size)
+    n, p, num_w = _audit_setup(family, w_size, d)
     cutoff = dlt * len(family)
-    exceed = 0
-    for wmask in _subset_masks(x, w_size):
-        if len(bad_pair_members(family, ElementSet.from_mask(wmask), d)) >= cutoff:
-            exceed += 1
+    exceed = sum(len(bad) >= cutoff for _, bad in _bad_members_by_w(family, w_size, d))
     fraction = Fraction(exceed, num_w)
     rhs = (2 / p) ** n / (dlt * len(family))
     return MarkovAudit(
-        x=x, n=n, d=d, w_size=w_size, p=p, delta=dlt,
+        x=family.ground_size, n=n, d=d, w_size=w_size, p=p, delta=dlt,
         family_size=len(family), num_w=num_w,
         exceed_count=exceed, fraction=fraction, rhs=rhs,
         vacuous=rhs >= 1, holds=fraction <= rhs,
     )
 
-
-def _comb(a: int, b: int) -> int:
-    return math.comb(a, b) if 0 <= b <= a else 0

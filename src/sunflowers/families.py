@@ -40,6 +40,13 @@ def _exact_fraction(value: Rational, name: str) -> Fraction:
     return Fraction(value)
 
 
+def _positive_fraction(value: Rational, name: str) -> Fraction:
+    v = _exact_fraction(value, name)
+    if v <= 0:
+        raise ValueError(f"{name} must be positive, got {value}")
+    return v
+
+
 def mask_of(elements: Iterable[int]) -> int:
     """Bitmask of an iterable of nonnegative element indices."""
     m = 0

@@ -35,6 +35,7 @@ from .families import (
     SetFamily,
     WeightedFamily,
     _exact_fraction,
+    _positive_fraction,
     find_r_disjoint,
     link,
     submasks,
@@ -93,9 +94,7 @@ def is_kappa_spread(family: SetFamily, kappa: Rational) -> bool:
     """Exact spreadness test: |F| >= kappa^n and |F_T| <= kappa^-|T| |F|
     for every T up to size n (sets outside all members give |F_T| = 0 and
     pass vacuously, as does T = empty)."""
-    k = _exact_fraction(kappa, "kappa")
-    if k <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    k = _positive_fraction(kappa, "kappa")
     n = family.uniformity
     if n is None:
         raise FamilyError("kappa-spreadness needs an n-uniform family")
@@ -170,9 +169,7 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
     (asserted); whether the link resists *all* nonempty T' -- and whether
     it meets the spreadness size clause -- is reported, not assumed.
     """
-    k = _exact_fraction(kappa, "kappa")
-    if k <= 0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    k = _positive_fraction(kappa, "kappa")
     n = family.uniformity
     if n is None or len(family) == 0:
         raise FamilyError("find_spread_link needs a nonempty n-uniform family")

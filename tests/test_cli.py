@@ -161,6 +161,8 @@ def test_spread_sampling_requires_seed(capsys, triangle):
     (["--kappa", "2", "--trials", "100"], "--alpha or --r"),
     (["--d", "2"], "--d needs --kappa"),
     (["--alpha", "1/2", "--d", "2"], "--d needs --kappa"),
+    (["--alpha", "1/2", "--seed", "5"], "--seed needs --trials"),
+    (["--r", "2", "--trials", "100", "--seed", "5"], "--trials needs --alpha"),
 ])
 def test_spread_refuses_flags_it_would_ignore(capsys, triangle, flags, message):
     code, out, err = run(capsys, "spread", triangle, *flags)
@@ -202,6 +204,16 @@ def test_experiment_refuses_before_writing_the_header(capsys, triangle, flags):
     assert code == 3
     assert out == ""
     assert "must be >= " in err
+
+
+def test_experiment_has_no_format_flag(capsys, triangle):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", triangle, "--alpha-grid", "0.5:0.5:0.1",
+              "--trials", "10", "--seed", "1", "--format", "text"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format" in captured.err
 
 
 def test_experiment_singleton_family_matches_closed_form(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,6 +17,8 @@ from sunflowers import (
     decode_bad_pair,
     encode_bad_pair,
 )
+from sunflowers import encoding
+from sunflowers.cli import main
 from sunflowers.generators import gen_random_L_intersecting
 
 from _oracles import bad_members_by_witness_table
@@ -215,3 +218,79 @@ def test_audit_random_corpus_no_violations():
                 assert mk.holds, (seed, x, n, d, w_size, delta, mk)
             checked += 1
     assert checked > 40
+
+
+# -- the one W pass ------------------------------------------------------------
+
+def count_w_passes(monkeypatch):
+    calls = []
+    real = encoding._subset_masks
+
+    def counting(x, k):
+        calls.append((x, k))
+        return real(x, k)
+
+    monkeypatch.setattr(encoding, "_subset_masks", counting)
+    return calls
+
+
+def test_one_w_pass_serves_both_audits_and_every_delta(monkeypatch):
+    audit_encoding_bound(MATCHING, 2, 1)  # the kept pass now belongs to another family
+    fam = seeded_d_intersecting(9, 3, 1, 10, 3)
+    assert len(fam) > 1
+    calls = count_w_passes(monkeypatch)
+    assert audit_encoding_bound(fam, 3, 1).passed
+    for delta in (Fraction(1, 4), Fraction(1, 2), 1):
+        assert audit_markov_step(fam, 3, delta, 1).holds
+    assert calls == [(9, 3)]
+
+
+def test_encode_audit_cli_enumerates_w_once(monkeypatch, capsys, tmp_path):
+    audit_encoding_bound(MATCHING, 2, 1)
+    path = tmp_path / "fam.txt"
+    path.write_text("x=7\n0 1 2\n0 3 4\n1 3 5\n2 4 5\n")
+    calls = count_w_passes(monkeypatch)
+    assert main(["encode-audit", str(path), "--px", "3", "--d", "1", "--delta", "1/2"]) == 0
+    capsys.readouterr()
+    assert calls == [(7, 3)]
+
+
+def oracle_bad_counts(fam, w_size, d):
+    sets = [s.elements for s in fam.members]
+    return [len(bad_members_by_witness_table(fam.ground_size, sets, w, d))
+            for w in combinations(range(fam.ground_size), w_size)]
+
+
+def test_interleaved_audits_match_the_oracle_pass():
+    families = [(seeded_d_intersecting(8, 3, 1, 8, seed), 1) for seed in range(3)]
+    families += [(seeded_d_intersecting(8, 2, 0, 4, seed), 0) for seed in range(2)]
+    cases = [(fam, w_size, d) for fam, d0 in families for w_size in (2, 3, 4)
+             for d in (d0, d0 + 1)]
+    counts = {case: oracle_bad_counts(*case) for case in cases}
+    # a stale pass would show: most cases differ in their per-W bad counts
+    assert len({tuple(c) for c in counts.values()}) > len(cases) // 2
+    rng = random.Random(5)
+    case = cases[0]
+    for _ in range(80):
+        if rng.random() > 0.3:  # otherwise repeat the last case: a memo hit
+            case = rng.choice(cases)
+        fam, w_size, d = case
+        want = counts[case]
+        if rng.random() < 0.5:
+            audit = audit_encoding_bound(fam, w_size, d)
+            assert audit.total_bad_pairs == sum(want)
+            assert audit.per_w_max == max(want)
+        else:
+            delta = rng.choice([Fraction(1, len(fam)), Fraction(2, len(fam)), Fraction(1, 2)])
+            mk = audit_markov_step(fam, w_size, delta, d)
+            assert mk.exceed_count == sum(c >= delta * len(fam) for c in want)
+
+
+def test_checks_run_on_a_memo_hit():
+    declared = audit_encoding_bound(SetFamily(5, [], uniform=2), 2, 1)
+    assert declared.passed and declared.total_bad_pairs == 0
+    with pytest.raises(FamilyError, match="n-uniform"):
+        audit_encoding_bound(SetFamily(5, []), 2, 1)
+    assert audit_markov_step(MATCHING, 3, 1, 1).holds
+    with pytest.raises(ValueError, match="must be positive"):
+        audit_markov_step(MATCHING, 3, 0, 1)

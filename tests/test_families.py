@@ -11,8 +11,10 @@ from sunflowers import (
     Sunflower,
     WeightedFamily,
     audit_markov_step,
+    crossover_report,
     d_intersecting_bound,
     find_r_disjoint,
+    find_spread_link,
     intersection_profile,
     is_L_intersecting,
     is_d_intersecting,
@@ -191,6 +193,21 @@ def test_sunflower_type_validates_certificate():
 def test_floats_rejected_at_every_rational_entry_point(call):
     with pytest.raises(TypeError, match="not float"):
         call()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("call", [
+    lambda v: rlogn_bound(4, 3, C=v),
+    lambda v: d_intersecting_bound(3, 1, 3, C=v),
+    lambda v: crossover_report(4, 3, C=v),
+    lambda v: is_kappa_spread(gen_all_k_subsets(4, 2), v),
+    lambda v: find_spread_link(gen_all_k_subsets(4, 2), v, 1),
+    lambda v: audit_markov_step(SetFamily(6, [[0, 1], [2, 3], [4, 5]]), 3, v, 1),
+], ids=["rlogn-C", "d-intersecting-C", "crossover-C", "kappa", "spread-link-kappa",
+        "markov-delta"])
+def test_nonpositive_rejected_at_every_positive_rational_entry_point(call, value):
+    with pytest.raises(ValueError, match="must be positive"):
+        call(value)
 
 
 # -- find_r_disjoint -----------------------------------------------------------
