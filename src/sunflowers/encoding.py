@@ -6,11 +6,14 @@ possibly S itself), and *bad* otherwise.  For a d-intersecting family the
 map (W, S) -> (W u S, W n S) is injective on bad pairs: any member inside
 W u S would witness goodness unless it meets S in more than d elements,
 which forces it to BE S -- so S is recoverable as the unique member inside
-the union, and W follows from the meet.  One pass over every W of a fixed
-size finds the bad members; both audits, the Markov one at every delta,
-read it to verify in exact rational arithmetic the injectivity, the decode
-round-trip, the (2/p)^n * C(x, px) count bound, and the Markov fraction
-bound.
+the union, and W follows from the meet.
+
+Both audits, the Markov one at every delta, read one pass that finds the
+bad pairs for every W of a size on Python-int bitsets indexed by W's
+position: x + |F| bitsets of C(x, px) bits, about (x + |F|) C(x, px) / 8
+bytes, beside the W masks.  The encoding audit then encodes, decodes and
+checks every bad pair on masks, and both verify their bounds in exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .families import (
     ElementSet,
@@ -28,6 +31,7 @@ from .families import (
     SetFamily,
     _positive_fraction,
     _subset_masks,
+    elements_of,
     is_d_intersecting,
 )
 
@@ -94,14 +98,21 @@ def decode_bad_pair(family: SetFamily, key: EncodingKey) -> tuple[ElementSet, El
     d-intersecting family; zero or several members inside the union part
     mean that contract was violated.
     """
-    inside = [s for s in family.members if s.issubset(key.union_part)]
+    w, s = _decode_masks(family.masks, key.union_part.mask, key.meet_part.mask)
+    return ElementSet.from_mask(w), ElementSet.from_mask(s)
+
+
+def _decode_masks(masks: Sequence[int], union: int, meet: int) -> tuple[int, int]:
+    """The (W, S) masks that the key (union, meet) encodes, by a scan of
+    `masks` for the one mask inside the union."""
+    outside = ~union
+    inside = [m for m in masks if not m & outside]
     if len(inside) != 1:
         raise DecodeError(
             f"{len(inside)} members inside the union part; expected exactly 1"
         )
-    member = inside[0]
-    w_set = (key.union_part - member) | key.meet_part
-    return w_set, member
+    s = inside[0]
+    return (union & ~s) | meet, s
 
 
 def bad_pair_members(family: SetFamily, w_set: ElementSet, d: int) -> tuple[ElementSet, ...]:
@@ -131,14 +142,84 @@ def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction,
 @functools.lru_cache(maxsize=1)
 def _bad_members_by_w(
     family: SetFamily, w_size: int, d: int
-) -> tuple[tuple[ElementSet, tuple[ElementSet, ...]], ...]:
-    """(W, bad members at threshold d) for every W of size w_size, in
-    `_subset_masks` order.  The last pass is kept, so an encoding audit and
-    the Markov audits that follow it at any deltas enumerate W once."""
-    return tuple(
-        (w_set, bad_pair_members(family, w_set, d))
-        for w_set in map(ElementSet.from_mask, _subset_masks(family.ground_size, w_size))
-    )
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(W masks in `_subset_masks` order, per member the bitset of the W
+    numbers i where (W_i, S) is bad at threshold d, per W its bad count).
+
+    (W, S) is good iff some S' has S' \\ S inside W (an AND of the bitsets
+    of the W holding each element) and |S' \\ W| <= d (a saturating count
+    of the elements of S' each W misses, at most d + 1 bitsets).  Memory:
+    x + |F| bitsets of C(x, w_size) bits and the W masks.  The last pass is
+    kept, so an encoding audit and the Markov audits that follow it at any
+    deltas enumerate W once."""
+    x = family.ground_size
+    masks = family.masks
+    w_masks = tuple(_subset_masks(x, w_size))
+    full = (1 << len(w_masks)) - 1
+    # one row of x digits per W, the last W first: column e then reads as
+    # the bitset of the W holding element e
+    rows = "".join([format(w, f"0{x}b") for w in reversed(w_masks)])
+    holding = [int(rows[x - 1 - e::x], 2) for e in range(x)]
+    near = []  # per member S': the W with |S' \ W| <= d
+    for s in masks:
+        depth = min(d, s.bit_count())  # no W misses more than |S'| elements
+        over = [0] * (depth + 1)  # over[c]: the W missing more than c elements of S' so far
+        for e in elements_of(s):
+            miss = full ^ holding[e]
+            for c in range(depth, 0, -1):
+                over[c] |= over[c - 1] & miss
+            over[0] |= miss
+        near.append(full ^ over[depth])
+    bad = []
+    for s in masks:
+        good = 0
+        for other, other_near in zip(masks, near):
+            for e in elements_of(other & ~s):
+                other_near &= holding[e]
+            good |= other_near
+        bad.append(full ^ good)
+    return w_masks, tuple(bad), _column_counts(bad, len(w_masks))
+
+
+def _column_counts(bitsets: Sequence[int], width: int) -> tuple[int, ...]:
+    """For each bit position i < width, the number of bitsets with bit i
+    set: a bit-sliced binary sum, read back one position at a time."""
+    planes: list[int] = []  # planes[j]: bit j of every position's sum
+    for carry in bitsets:
+        j = 0
+        while carry:
+            if j == len(planes):
+                planes.append(0)
+            planes[j], carry = planes[j] ^ carry, planes[j] & carry
+            j += 1
+    if not planes:
+        return (0,) * width
+    digits = [format(plane, f"0{width}b") for plane in reversed(planes)]
+    return tuple(int("".join(column), 2) for column in zip(*digits))[::-1]
+
+
+def _check_bad_pairs(
+    masks: Sequence[int], w_size: int, n: int, pairs: Iterable[tuple[int, int]]
+) -> tuple[bool, bool, bool]:
+    """(injective, roundtrip_ok, union_sizes_ok) over (W, S) mask pairs:
+    each is encoded as (W | S, W & S), and the keys must be distinct across
+    distinct pairs, decode back to their pair through a scan of `masks`,
+    and have unions of w_size to w_size + n elements."""
+    keys: dict[tuple[int, int], tuple[int, int]] = {}
+    injective = roundtrip_ok = union_sizes_ok = True
+    for pair in pairs:
+        w, s = pair
+        union, meet = w | s, w & s
+        if not w_size <= union.bit_count() <= w_size + n:
+            union_sizes_ok = False
+        if keys.setdefault((union, meet), pair) != pair:
+            injective = False
+        try:
+            if _decode_masks(masks, union, meet) != pair:
+                roundtrip_ok = False
+        except DecodeError:
+            roundtrip_ok = False
+    return injective, roundtrip_ok, union_sizes_ok
 
 
 @dataclass(frozen=True)
@@ -179,33 +260,14 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     x = family.ground_size
     bound = (2 / p) ** n * num_w
 
-    total = 0
-    per_w_max = 0
-    worst_w: Optional[ElementSet] = None
-    keys: dict[tuple[int, int], tuple[int, int]] = {}
-    injective = True
-    roundtrip_ok = True
-    union_sizes_ok = True
-    for w_set, bad in _bad_members_by_w(family, w_size, d):
-        total += len(bad)
-        if len(bad) > per_w_max or worst_w is None:
-            per_w_max, worst_w = len(bad), w_set
-        for s in bad:
-            key = encode_bad_pair(w_set, s)
-            union_size = len(key.union_part)
-            if not w_size <= union_size <= w_size + n:
-                union_sizes_ok = False
-            pair = (w_set.mask, s.mask)
-            kk = (key.union_part.mask, key.meet_part.mask)
-            if kk in keys and keys[kk] != pair:
-                injective = False
-            keys[kk] = pair
-            try:
-                got_w, got_s = decode_bad_pair(family, key)
-                if got_w.mask != w_set.mask or got_s.mask != s.mask:
-                    roundtrip_ok = False
-            except DecodeError:
-                roundtrip_ok = False
+    w_masks, bad, counts = _bad_members_by_w(family, w_size, d)
+    total = sum(counts)
+    per_w_max = max(counts)
+    worst_w = ElementSet.from_mask(w_masks[counts.index(per_w_max)])
+    injective, roundtrip_ok, union_sizes_ok = _check_bad_pairs(
+        family.masks, w_size, n,
+        ((w_masks[i], s) for s, bits in zip(family.masks, bad) for i in elements_of(bits)),
+    )
 
     binomial_sum = sum(math.comb(x, w_size + i) for i in range(n + 1))
     binomial_sum_bound = num_w / p**n
@@ -262,7 +324,8 @@ def audit_markov_step(family: SetFamily, w_size: int, delta: Rational, d: int) -
         raise FamilyError("Markov audit needs a nonempty family")
     n, p, num_w = _audit_setup(family, w_size, d)
     cutoff = dlt * len(family)
-    exceed = sum(len(bad) >= cutoff for _, bad in _bad_members_by_w(family, w_size, d))
+    _, _, counts = _bad_members_by_w(family, w_size, d)
+    exceed = sum(c >= cutoff for c in counts)
     fraction = Fraction(exceed, num_w)
     rhs = (2 / p) ** n / (dlt * len(family))
     return MarkovAudit(

@@ -69,7 +69,7 @@ def elements_of(mask: int) -> tuple[int, ...]:
 
 def _subset_masks(x: int, k: int) -> Iterator[int]:
     """Masks of all k-subsets of {0, ..., x-1}, in canonical order."""
-    return (sum(1 << e for e in c) for c in combinations(range(x), k))
+    return map(sum, combinations([1 << e for e in range(x)], k))
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from sunflowers import (
     DecodeError,
@@ -19,6 +20,7 @@ from sunflowers import (
 )
 from sunflowers import encoding
 from sunflowers.cli import main
+from sunflowers.families import mask_of
 from sunflowers.generators import gen_random_L_intersecting
 
 from _oracles import bad_members_by_witness_table
@@ -294,3 +296,82 @@ def test_checks_run_on_a_memo_hit():
     assert audit_markov_step(MATCHING, 3, 1, 1).holds
     with pytest.raises(ValueError, match="must be positive"):
         audit_markov_step(MATCHING, 3, 0, 1)
+
+
+# -- the bitset pass and its pair checks ---------------------------------------
+
+@st.composite
+def audit_cases(draw):
+    """(family, w_size, d): a seeded d-intersecting n-uniform family, or the
+    empty family declared n-uniform, with x <= 12, 0 < w_size < x and
+    0 <= d <= n + 1."""
+    x = draw(st.sampled_from(range(12, 1, -1)))  # large first: examples lean large
+    n = draw(st.sampled_from(range(min(4, x), 0, -1)))
+    d = draw(st.integers(0, n + 1))
+    w_size = draw(st.integers(1, x - 1))
+    size = draw(st.sampled_from(range(14, -1, -1)))
+    if size == 0:
+        return SetFamily(x, [], uniform=n), w_size, d
+    return seeded_d_intersecting(x, n, d, size, draw(st.integers(0, 10**6))), w_size, d
+
+
+@given(audit_cases())
+@example((SetFamily(5, [], uniform=2), 2, 1))
+@example((MATCHING, 1, 0))
+@example((seeded_d_intersecting(12, 3, 1, 14, 0), 4, 1))
+@example((seeded_d_intersecting(12, 4, 2, 12, 1), 6, 2))
+@example((seeded_d_intersecting(11, 3, 0, 6, 2), 5, 0))
+def test_bitset_pass_matches_the_witness_table_oracle(case):
+    fam, w_size, d = case
+    x = fam.ground_size
+    all_w = list(combinations(range(x), w_size))
+    oracle = [bad_members_by_witness_table(x, [s.elements for s in fam.members], w, d)
+              for w in all_w]
+    w_masks, bad, counts = encoding._bad_members_by_w(fam, w_size, d)
+    assert w_masks == tuple(mask_of(w) for w in all_w)
+    for i, want in enumerate(oracle):
+        assert [set(s.elements) for s, bits in zip(fam.members, bad) if bits >> i & 1] == \
+            [set(s) for s in want]
+    want_counts = [len(b) for b in oracle]
+    assert list(counts) == want_counts
+    if d >= fam.uniformity:  # every member witnesses itself
+        assert sum(want_counts) == 0
+    audit = audit_encoding_bound(fam, w_size, d)
+    assert audit.injective and audit.roundtrip_ok and audit.union_sizes_ok
+    assert audit.total_bad_pairs == sum(want_counts)
+    assert audit.per_w_max == max(want_counts)
+    assert audit.worst_w.elements == all_w[want_counts.index(max(want_counts))]
+    for delta in ((Fraction(1, len(fam)), Fraction(1, 2), Fraction(1)) if len(fam) else ()):
+        mk = audit_markov_step(fam, w_size, delta, d)
+        assert mk.exceed_count == sum(c >= delta * len(fam) for c in want_counts)
+
+
+def test_pair_checks_fail_on_forged_pairs():
+    # members {0, 1} and {2, 3} on 6 points; each pair lists (W, S) as masks
+    masks = (mask_of([0, 1]), mask_of([2, 3]))
+    genuine = (mask_of([2, 4]), mask_of([0, 1]))
+    assert encoding._check_bad_pairs(masks, 2, 2, [genuine, genuine]) == (True, True, True)
+    # the union {0, 1, 2, 3} holds both members, so it decodes to neither
+    both_inside = (mask_of([2, 3]), mask_of([0, 1]))
+    assert encoding._check_bad_pairs(masks, 2, 2, [genuine, both_inside]) == (True, False, True)
+    # ({2}, {0, 1}) and ({0}, {1, 2}) share the key ({0, 1, 2}, {})
+    one_key = [(mask_of([2]), mask_of([0, 1])), (mask_of([0]), mask_of([1, 2]))]
+    assert encoding._check_bad_pairs((mask_of([0, 1]), mask_of([1, 2])), 1, 2, one_key)[0] is False
+    # |{0, 1, 4, 5}| = 4 > w_size + n = 3; it still decodes
+    too_wide = (mask_of([4, 5]), mask_of([0, 1]))
+    assert encoding._check_bad_pairs(masks, 1, 2, [too_wide]) == (True, True, False)
+
+
+def test_negative_d_is_refused_after_a_memo_hit():
+    fam = seeded_d_intersecting(9, 3, 1, 10, 3)
+    audits = (lambda d: audit_encoding_bound(fam, 3, d),
+              lambda d: audit_markov_step(fam, 3, Fraction(1, 2), d))
+    for run in audits:
+        audit_encoding_bound(fam, 3, 1)
+        hits = encoding._bad_members_by_w.cache_info().hits
+        run(1)
+        assert encoding._bad_members_by_w.cache_info().hits == hits + 1
+        with pytest.raises(FamilyError, match="d must be >= 0"):
+            run(-1)
+    with pytest.raises(FamilyError, match="d must be >= 0"):
+        audit_encoding_bound(SetFamily(5, [], uniform=2), 2, -1)
