@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import sys
@@ -137,17 +138,20 @@ def _emit(args, report: dict) -> None:
         _write("\n".join(_render_text(payload)) + "\n")
 
 
-def _digest(path: str) -> str:
-    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _load(path: str) -> tuple[SetFamily, str]:
+    """The family in `path` and the digest of the bytes it was parsed from.
 
-
-def _load(path: str) -> SetFamily:
-    family = load_family(Path(path).read_text())
+    The file is read once, so a pipe or FIFO is digested and parsed from
+    the same bytes.  They are decoded as `Path.read_text` decodes them:
+    locale encoding, universal newlines.
+    """
+    data = Path(path).read_bytes()
+    family = load_family(io.TextIOWrapper(io.BytesIO(data), encoding="locale").read())
     if isinstance(family, WeightedFamily):
         raise ValueError(
             f"{path}: the CLI does not use weights; weighted families are for the library only"
         )
-    return family
+    return family, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
 def _report(subcommand: str, parameters: dict, outputs: dict, started: float,
@@ -182,7 +186,7 @@ def _parse_fraction(text: str) -> Fraction:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
-    family = _load(args.family)
+    family, digest = _load(args.family)
     params = {"L": args.L, "d": args.d, "uniform": args.uniform}
     profile = sorted(intersection_profile(family))
     verdicts = {}
@@ -199,13 +203,13 @@ def cmd_check(args) -> int:
         "intersection_profile": profile,
         "verdicts": verdicts,
     }
-    _emit(args, _report("check", params, outputs, started, digest=_digest(args.family)))
+    _emit(args, _report("check", params, outputs, started, digest=digest))
     return EXIT_TRUE if all(verdicts.values()) else EXIT_FALSE
 
 
 def cmd_find(args) -> int:
     started = time.perf_counter()
-    family = _load(args.family)
+    family, digest = _load(args.family)
     outcome = find_any(family, args.r, strategy=args.strategy, budget=args.budget)
     params = {"r": args.r, "strategy": args.strategy, "budget": args.budget}
     outputs = {
@@ -215,7 +219,7 @@ def cmd_find(args) -> int:
         "sunflower": outcome.sunflower,
         "trace": outcome.trace,
     }
-    _emit(args, _report("find", params, outputs, started, digest=_digest(args.family)))
+    _emit(args, _report("find", params, outputs, started, digest=digest))
     return {"found": EXIT_TRUE, "absent": EXIT_FALSE, "unknown": EXIT_UNKNOWN}[outcome.status]
 
 
@@ -254,7 +258,7 @@ def cmd_spread(args) -> int:
                  "--trials and --seed need --alpha or --r")
     _require(args.trials is not None or args.seed is None, "--seed needs --trials")
     _require(args.kappa is not None or args.d is None, "--d needs --kappa")
-    family = _load(args.family)
+    family, digest = _load(args.family)
     _require(args.alpha is not None or args.trials is None
              or family.ground_size > spread_mod._EXACT_GROUND_LIMIT,
              f"--trials needs --alpha at ground size <= {spread_mod._EXACT_GROUND_LIMIT}, "
@@ -283,12 +287,12 @@ def cmd_spread(args) -> int:
             family, args.r, trials=args.trials, seed=args.seed
         )
     _emit(args, _report("spread", params, outputs, started,
-                        digest=_digest(args.family), seeds=seeds))
+                        digest=digest, seeds=seeds))
     return EXIT_TRUE if verdict_ok else EXIT_FALSE
 
 
 def cmd_experiment(args) -> int:
-    family = _load(args.family)
+    family, _ = _load(args.family)
     _require(args.seed is not None, "sampling requires an explicit --seed")
     _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
@@ -312,7 +316,7 @@ def cmd_experiment(args) -> int:
 
 def cmd_encode_audit(args) -> int:
     started = time.perf_counter()
-    family = _load(args.family)
+    family, digest = _load(args.family)
     params = {"px": args.px, "d": args.d, "delta": args.delta}
     audit = encoding_mod.audit_encoding_bound(family, args.px, args.d)
     outputs: dict = {"encoding": audit}
@@ -322,7 +326,7 @@ def cmd_encode_audit(args) -> int:
         outputs["markov"] = markov
         ok = ok and markov.holds
     _emit(args, _report("encode-audit", params, outputs, started,
-                        digest=_digest(args.family)))
+                        digest=digest))
     return EXIT_TRUE if ok else EXIT_FALSE
 
 
@@ -386,7 +390,8 @@ def build_parser() -> _Parser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--strategy", choices=("auto", "recursive", "brute"), default="auto")
     p.add_argument("--budget", type=int, default=500_000,
-                   help="max r-subsets the exhaustive fallback may examine")
+                   help="cap on C(|F|, r), the most r-subsets the exact search "
+                        "(method \"brute-force\") can examine; above it the status is unknown")
     add_common(p)
     p.set_defaults(func=cmd_find)
 
@@ -484,8 +489,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # No reference to the parser outlives parsing: its reference cycles are
+    # then collected young instead of piling up in the oldest generation.
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, TypeError, OSError, ArithmeticError) as exc:

@@ -401,31 +401,61 @@ def _sunflower_core(masks: Sequence[int]) -> Optional[int]:
     return core
 
 
+def _petal_positions(
+    masks: Sequence[int], start: int, need: int, core: int, used: int
+) -> Optional[list[int]]:
+    """Positions, from `start` on and first in combinations order, of
+    `need` masks that hold `core` and whose petals avoid `used` and each
+    other.  Depth first; a prefix that fails is never extended."""
+    if need == 0:
+        return []
+    seen = core | used
+    for pos in range(start, len(masks) - need + 1):
+        m = masks[pos]
+        if m & seen == core:  # m holds the core and avoids every petal so far
+            rest = _petal_positions(masks, pos + 1, need - 1, core, used | (m & ~core))
+            if rest is not None:
+                return [pos] + rest
+    return None
+
+
+def _sunflower_indices(
+    masks: Sequence[int], r: int, core: Optional[int] = None
+) -> Optional[list[int]]:
+    """Indices of the first r masks, in combinations order, that form a
+    sunflower: with the given core, or with any core when `core` is None
+    (then r >= 2).
+
+    An exact depth-first search in index order.  Every sub-collection of a
+    sunflower is a sunflower with the same core, so a prefix that is not
+    one never extends to one and is cut: the first full prefix is the
+    lexicographically first witness, and None is authoritative.  With no
+    core given, the first pair fixes it.  Once the core is fixed, a later
+    mask extends the prefix iff it holds the core and avoids every petal
+    chosen so far.  At most C(len(masks), r) r-subsets are examined.
+    """
+    if core is not None:
+        return _petal_positions(masks, 0, r, core, 0)
+    for i in range(len(masks) - r + 1):
+        for j in range(i + 1, len(masks) - r + 2):
+            c = masks[i] & masks[j]
+            rest = _petal_positions(masks, j + 1, r - 2, c, (masks[i] | masks[j]) & ~c)
+            if rest is not None:
+                return [i, j] + rest
+    return None
+
+
 def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:
     """First (in canonical order) r pairwise-disjoint members, else None.
 
-    Backtracking over the canonical member order; the witness returned is
-    the lexicographically first index sequence, independent of any
-    parallel exploration of other prefixes.
+    The sunflower search of `_sunflower_indices` with the core fixed at
+    the empty set: the witness is the lexicographically first index
+    sequence, and None is authoritative.
     """
     if r < 1:
         raise FamilyError(f"r must be >= 1, got {r}")
-    masks = family.masks
-    n = len(masks)
-    chosen: list[int] = []
-
-    def extend(start: int, used: int) -> bool:
-        if len(chosen) == r:
-            return True
-        for i in range(start, n):
-            if masks[i] & used == 0:
-                chosen.append(i)
-                if extend(i + 1, used | masks[i]):
-                    return True
-                chosen.pop()
-        return False
-
-    if not extend(0, 0):
+    chosen = _sunflower_indices(family.masks, r, core=0)
+    if chosen is None:
         return None
     witness = [family.members[i] for i in chosen]
     if not all(a.isdisjoint(b) for a, b in combinations(witness, 2)):

@@ -1,4 +1,4 @@
-"""Sunflower extraction: exhaustive oracle, Deza extraction, and the
+"""Sunflower extraction: exact pruned search, Deza extraction, and the
 recursive extractor for families with restricted intersection sizes.
 
 The recursive extractor mirrors the inductive argument behind the
@@ -26,7 +26,7 @@ from .families import (
     InvariantError,
     SetFamily,
     Sunflower,
-    _sunflower_core,
+    _sunflower_indices,
     elements_of,
     intersection_profile,
     is_L_intersecting,
@@ -52,7 +52,8 @@ class BelowDezaThresholdError(FinderError):
 
 
 class LemmaViolationError(InvariantError):
-    """A family met Deza's hypothesis but failed the sunflower certificate.
+    """A finder's witness failed its sunflower certificate: a family that
+    met Deza's hypothesis, or a witness of the exact search.
 
     This cannot happen for correct inputs; raising it loudly (rather than
     returning a bad certificate) is deliberate.
@@ -103,18 +104,27 @@ class SearchOutcome:
 def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     """First r-subset of members (canonical order) forming a sunflower.
 
-    Exhaustive over all C(|F|, r) member subsets, so a None result is an
-    authoritative "no r-sunflower in this family".
+    An exact depth-first search in index order (`_sunflower_indices`): the
+    first pair fixes the core, and every later member must hold the core
+    while its petal avoids the petals chosen so far.  Only prefixes that
+    cannot extend to a sunflower are cut, so the witness is the one an
+    exhaustive scan of all C(|F|, r) member subsets would return first,
+    and a None result is an authoritative "no r-sunflower in this family".
+    The witness is re-verified; a failed certificate raises
+    LemmaViolationError.
     """
     if r < 2:
         raise FinderError(f"need r >= 2, got {r}")
-    masks = family.masks
-    members = family.members
-    for combo in combinations(range(len(masks)), r):
-        core = _sunflower_core([masks[i] for i in combo])
-        if core is not None:
-            return Sunflower(tuple(members[i] for i in combo), ElementSet.from_mask(core))
-    return None
+    chosen = _sunflower_indices(family.masks, r)
+    if chosen is None:
+        return None
+    try:
+        flower = Sunflower.from_sets([family.members[i] for i in chosen])
+    except FamilyError as exc:
+        raise LemmaViolationError(f"certificate verification failed: {exc}") from exc
+    if flower.r != r:
+        raise LemmaViolationError(f"certificate has {flower.r} sets, not r = {r}")
+    return flower
 
 
 def deza_extract(family: SetFamily, r: int) -> Sunflower:
@@ -287,12 +297,16 @@ def find_any(
     """Strategy dispatcher over the finders.
 
     "auto" tries the recursive extractor (when the family is uniform) and
-    falls back to exhaustive search when the number of r-subsets fits the
-    budget; an exceeded budget yields status "unknown", never a false
-    "absent".  Any returned sunflower has passed certificate verification.
+    falls back to the exact search of `brute_force_sunflower` (method
+    "brute-force") when C(|F|, r), the most r-subsets that search can
+    examine, fits the budget; an exceeded budget yields status "unknown",
+    never a false "absent".  Any returned sunflower has passed certificate
+    verification.
     """
     if r < 2:
         raise FinderError(f"need r >= 2, got {r}")
+    if budget < 0:
+        raise FinderError(f"budget must be >= 0, got {budget}")
     if strategy not in ("auto", "recursive", "brute"):
         raise FinderError(f"unknown strategy {strategy!r}")
     trace = None

@@ -83,13 +83,27 @@ def link_count_by_scan(sets, t_elems):
     return sum(1 for s in sets if t <= frozenset(s))
 
 
+def first_sunflower_by_full_scan(sets, r, core=None):
+    """First index tuple, in combinations order, of r sets forming a
+    sunflower by the petal formulation, else None.  With `core` given the
+    core is fixed: every set holds it and the sets minus it are pairwise
+    disjoint (so core=frozenset() asks for pairwise-disjoint sets)."""
+    fsets = [frozenset(s) for s in sets]
+    for combo in combinations(range(len(fsets)), r):
+        chosen = [fsets[i] for i in combo]
+        if core is None:
+            if sunflower_core_by_petals(chosen) is not None:
+                return combo
+        elif all(core <= s for s in chosen) and all(
+            not ((a - core) & (b - core)) for a, b in combinations(chosen, 2)
+        ):
+            return combo
+    return None
+
+
 def has_sunflower_by_full_scan(sets, r):
     """Exhaustive r-sunflower existence via the petal formulation."""
-    fsets = [frozenset(s) for s in sets]
-    for combo in combinations(fsets, r):
-        if sunflower_core_by_petals(combo) is not None:
-            return True
-    return False
+    return first_sunflower_by_full_scan(sets, r) is not None
 
 
 def greedy_L_masks_by_full_budget(x, n, allowed, target_count, seed, budget):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -93,6 +94,34 @@ def test_find_budget_unknown_exit_two(capsys, tmp_path):
     )
     assert code == 2
     assert report["outputs"]["status"] == "unknown"
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_find_digests_the_bytes_it_parses_from_a_pipe(capsys):
+    # as `find <(printf ...) --r 3` passes it: a pipe can be read only once
+    data = b"x=6\n0 1\n2 3\n4 5\n"
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)
+        os.close(write_end)
+        code, report, _ = run_json(capsys, "find", f"/dev/fd/{read_end}", "--r", "3")
+    finally:
+        os.close(read_end)
+    assert code == 0 and report["outputs"]["status"] == "found"
+    assert report["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def test_crlf_family_is_digested_raw_and_parsed_as_text(capsys, tmp_path):
+    data = b"x=3\r\n0 1\r\n0 2\r\n1 2\r\n"
+    crlf = tmp_path / "crlf.txt"
+    crlf.write_bytes(data)
+    lf = write_family(tmp_path, "lf.txt", "x=3\n0 1\n0 2\n1 2\n")
+    code, report, _ = run_json(capsys, "find", str(crlf), "--r", "3")
+    _, plain, _ = run_json(capsys, "find", lf, "--r", "3")
+    assert code == 1
+    assert report["input_digest"] == "sha256:" + hashlib.sha256(data).hexdigest()
+    assert report["input_digest"] != plain["input_digest"]
+    assert report["outputs"] == plain["outputs"]
 
 
 # -- bounds -----------------------------------------------------------------

@@ -5,6 +5,7 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import sunflowers
 
@@ -13,14 +14,18 @@ from sunflowers import (
     brute_force_sunflower,
     deza_extract,
     find_any,
+    find_r_disjoint,
     intersection_profile,
     is_sunflower,
     l_intersecting_find,
     l_multinomial_bound,
 )
+from sunflowers import finders
+from sunflowers.cli import main
 from sunflowers.finders import (
     BelowDezaThresholdError,
     FinderError,
+    LemmaViolationError,
     NotUniformError,
     ProfileNotSingletonError,
 )
@@ -33,7 +38,7 @@ from sunflowers.generators import (
     gen_transversal,
 )
 
-from _oracles import has_sunflower_by_full_scan
+from _oracles import first_sunflower_by_full_scan, has_sunflower_by_full_scan
 
 TRIANGLE = SetFamily(3, [[0, 1], [1, 2], [0, 2]])
 
@@ -66,6 +71,69 @@ def test_brute_force_agrees_with_oracle_on_random_families():
         assert (ours is not None) == oracle
         if ours is not None:
             assert is_sunflower(ours.petal_sets) == ours.core
+
+
+@st.composite
+def small_families(draw):
+    """(x, member element tuples): uniform or not, the empty set allowed."""
+    x = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, min(x, 4)))
+        member = st.frozensets(st.integers(0, x - 1), min_size=n, max_size=n)
+    else:
+        member = st.frozensets(st.integers(0, x - 1), max_size=x)
+    sets = draw(st.lists(member, unique=True, max_size=14))
+    return x, [sorted(s) for s in sets]
+
+
+@settings(max_examples=200)
+@given(small_families(), st.integers(2, 5))
+@example((3, []), 2)
+@example((3, [[0], [1]]), 3)
+@example((4, [[], [0, 1], [2], [3]]), 4)
+@example((4, [[0, 1], [0, 2], [3]]), 3)  # the third set avoids both petals but not the core
+def test_brute_force_returns_the_first_witness_of_a_full_scan(fam, r):
+    x, sets = fam
+    family = SetFamily(x, sets)
+    members = [s.elements for s in family.members]
+    expected = first_sunflower_by_full_scan(members, r)
+    flower = brute_force_sunflower(family, r)
+    if expected is None:
+        assert flower is None
+    else:
+        assert [s.elements for s in flower.petal_sets] == [members[i] for i in expected]
+        assert flower.core.elements == tuple(sorted(frozenset.intersection(
+            *(frozenset(members[i]) for i in expected))))
+
+
+@settings(max_examples=200)
+@given(small_families(), st.integers(1, 5))
+@example((3, []), 1)
+@example((3, [[0]]), 2)
+@example((4, [[], [0, 1], [2], [3]]), 4)
+def test_find_r_disjoint_returns_the_first_witness_of_a_full_scan(fam, r):
+    x, sets = fam
+    family = SetFamily(x, sets)
+    members = [s.elements for s in family.members]
+    expected = first_sunflower_by_full_scan(members, r, core=frozenset())
+    found = find_r_disjoint(family, r)
+    if expected is None:
+        assert found is None
+    else:
+        assert [s.elements for s in found] == [members[i] for i in expected]
+
+
+@pytest.mark.parametrize("indices", [[0, 1, 2], [0, 1]], ids=["not-a-sunflower", "too-few"])
+def test_failed_search_certificate_is_an_internal_error(monkeypatch, tmp_path, capsys, indices):
+    monkeypatch.setattr(finders, "_sunflower_indices", lambda masks, r: indices)
+    with pytest.raises(LemmaViolationError, match="certificate"):
+        brute_force_sunflower(TRIANGLE, 3)
+    path = tmp_path / "triangle.txt"
+    path.write_text("x=3\n0 1\n0 2\n1 2\n")
+    code = main(["find", str(path), "--r", "3", "--strategy", "brute"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and "certificate" in captured.err
 
 
 # -- Deza extraction ------------------------------------------------------------
@@ -251,6 +319,27 @@ def test_find_any_budget_exceeded_is_unknown():
     fam = gen_all_k_subsets(10, 5)  # 252 members
     outcome = find_any(fam, 3, strategy="brute", budget=10)
     assert outcome.status == "unknown" and "budget" in outcome.note
+
+
+@pytest.mark.parametrize("strategy", ["auto", "brute"])
+def test_find_any_budget_caps_the_subset_count(strategy):
+    fam = gen_transversal(3, 2)  # 8 sets, no 3-sunflower
+    total = math.comb(len(fam), 3)
+    short = find_any(fam, 3, strategy=strategy, budget=total - 1)
+    assert short.status == "unknown" and short.method == "brute-force"
+    assert short.note == f"{total} r-subsets exceed budget {total - 1}"
+    exact = find_any(fam, 3, strategy=strategy, budget=total)
+    assert exact.status == "absent" and exact.method == "brute-force" and exact.note == ""
+
+
+def test_find_any_refuses_a_negative_budget(tmp_path, capsys):
+    with pytest.raises(FinderError, match="budget must be >= 0"):
+        find_any(TRIANGLE, 3, budget=-1)
+    path = tmp_path / "triangle.txt"
+    path.write_text("x=3\n0 1\n0 2\n1 2\n")
+    assert main(["find", str(path), "--r", "3", "--budget", "-1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget must be >= 0" in captured.err
 
 
 def test_find_any_recursive_only_never_claims_absent():
