@@ -80,6 +80,13 @@ def _iv_log(value, log_base: Rational = "e"):
 FracInterval = tuple[Fraction, Fraction]
 
 
+def _check_digits(digits: int) -> None:
+    """Refuse fewer than one significant digit: no value can be shown at
+    it, and `certified_compare` could never widen a precision of 0."""
+    if digits < 1:
+        raise ValueError(f"digits must be >= 1, got {digits}")
+
+
 def certified_compare(
     make_a: Callable[[int], FracInterval],
     make_b: Callable[[int], FracInterval],
@@ -91,6 +98,7 @@ def certified_compare(
     precision.  Precision doubles until the intervals are disjoint or
     their joint span is below EQUALITY_REL_TOL relative.
     """
+    _check_digits(digits)
     d = digits
     while True:
         a_lo, a_hi = make_a(d)
@@ -245,6 +253,7 @@ def three_sunflower_bound(n: int, s: int, digits: int = 50) -> RealBoundValue:
     """
     if n < 1 or s < 1:
         raise ValueError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
+    _check_digits(digits)
     return _real_value(_three_sunflower_interval(n, s, digits + 15), digits)
 
 
@@ -261,6 +270,7 @@ def rlogn_bound(n: int, r: int, C: Rational = 1, digits: int = 50, log_base: Rat
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 (so log n > 0) and r >= 2, got n={n}, r={r}")
     c = _positive_fraction(C, "C")
+    _check_digits(digits)
     return _real_value(_rlogn_interval(n, r, c, digits + 15, log_base), digits)
 
 
@@ -287,6 +297,7 @@ def d_intersecting_bound(
     if r * d < 2:
         raise ValueError(f"need r*d >= 2 so log(rd) is positive, got r*d={r * d}")
     c = _positive_fraction(C, "C")
+    _check_digits(digits)
     return _real_value(_d_intersecting_interval(n, d, r, c, digits + 15, log_base), digits)
 
 
@@ -322,6 +333,7 @@ def crossover_report(
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 and r >= 2, got n={n}, r={r}")
     c = _positive_fraction(C, "C")
+    _check_digits(digits)
     rows = []
     first = None
     for d in range(1, n + 1):
@@ -401,6 +413,7 @@ def bound_report(
     log_base: Rational = "e",
 ) -> BoundReport:
     """Evaluate one named bound, echoing its parameters."""
+    _check_digits(digits)
     c = _exact_fraction(C, "C")
 
     def need(**kw):

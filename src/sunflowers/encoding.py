@@ -8,12 +8,14 @@ W u S would witness goodness unless it meets S in more than d elements,
 which forces it to BE S -- so S is recoverable as the unique member inside
 the union, and W follows from the meet.
 
-Both audits, the Markov one at every delta, read one pass that finds the
-bad pairs for every W of a size on Python-int bitsets indexed by W's
-position: x + |F| bitsets of C(x, px) bits, about (x + |F|) C(x, px) / 8
-bytes, beside the W masks.  The encoding audit then encodes, decodes and
-checks every bad pair on masks, and both verify their bounds in exact
-rational arithmetic.
+Both audits, the Markov one at every delta, read one pass that finds, for
+every W of a size, the bad pairs and the pairs whose union W u S holds a
+member other than S, on Python-int bitsets indexed by W's position:
+x + 2|F| bitsets of C(x, px) bits, about (x + 2|F|) C(x, px) / 8 bytes,
+beside the W masks.  Only a bad pair in both sets can break the encoding,
+so the encoding audit encodes, decodes and checks just those on masks
+(for a d-intersecting family there are none), and both audits verify
+their bounds in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -142,16 +144,19 @@ def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction,
 @functools.lru_cache(maxsize=1)
 def _bad_members_by_w(
     family: SetFamily, w_size: int, d: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(W masks in `_subset_masks` order, per member the bitset of the W
-    numbers i where (W_i, S) is bad at threshold d, per W its bad count).
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(W masks in `_subset_masks` order, per member S the bitset of the W
+    numbers i where (W_i, S) is bad at threshold d, per member S the bitset
+    of the W_i where another member lies inside W_i u S, per W its bad
+    count).
 
     (W, S) is good iff some S' has S' \\ S inside W (an AND of the bitsets
     of the W holding each element) and |S' \\ W| <= d (a saturating count
-    of the elements of S' each W misses, at most d + 1 bitsets).  Memory:
-    x + |F| bitsets of C(x, w_size) bits and the W masks.  The last pass is
-    kept, so an encoding audit and the Markov audits that follow it at any
-    deltas enumerate W once."""
+    of the elements of S' each W misses, at most d + 1 bitsets).  The first
+    AND alone, ORed over S' other than S, is the collision bitset.  Memory:
+    x + 2|F| bitsets of C(x, w_size) bits and the W masks.  The last pass
+    is kept, so an encoding audit and the Markov audits that follow it at
+    any deltas enumerate W once."""
     x = family.ground_size
     masks = family.masks
     w_masks = tuple(_subset_masks(x, w_size))
@@ -171,14 +176,19 @@ def _bad_members_by_w(
             over[0] |= miss
         near.append(full ^ over[depth])
     bad = []
-    for s in masks:
-        good = 0
-        for other, other_near in zip(masks, near):
+    collide = []
+    for j, s in enumerate(masks):
+        good = hit = 0
+        for k, (other, other_near) in enumerate(zip(masks, near)):
+            inside = full  # the W with other \ s inside W
             for e in elements_of(other & ~s):
-                other_near &= holding[e]
-            good |= other_near
+                inside &= holding[e]
+            good |= inside & other_near
+            if k != j:
+                hit |= inside
         bad.append(full ^ good)
-    return w_masks, tuple(bad), _column_counts(bad, len(w_masks))
+        collide.append(hit)
+    return w_masks, tuple(bad), tuple(collide), _column_counts(bad, len(w_masks))
 
 
 def _column_counts(bitsets: Sequence[int], width: int) -> tuple[int, ...]:
@@ -260,13 +270,22 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     x = family.ground_size
     bound = (2 / p) ** n * num_w
 
-    w_masks, bad, counts = _bad_members_by_w(family, w_size, d)
+    w_masks, bad, collide, counts = _bad_members_by_w(family, w_size, d)
     total = sum(counts)
     per_w_max = max(counts)
     worst_w = ElementSet.from_mask(w_masks[counts.index(per_w_max)])
+    # Only bad pairs whose union holds another member can fail a check:
+    # - with S the only member inside W u S, the key decodes to (W, S);
+    # - two pairs sharing a key (U, M) have distinct members (one member
+    #   and M fix W = (U \ S) u M), both inside U: both collide;
+    # - |W u S| = w_size + |S \ W| <= w_size + n, the family being n-uniform.
+    # For a d-intersecting family no bad pair collides (a member T inside
+    # W u S has T \ W inside S n T, at most d elements, so it witnesses
+    # goodness), so no pair is decoded; any that did would be checked here.
     injective, roundtrip_ok, union_sizes_ok = _check_bad_pairs(
         family.masks, w_size, n,
-        ((w_masks[i], s) for s, bits in zip(family.masks, bad) for i in elements_of(bits)),
+        ((w_masks[i], s) for s, bits, hits in zip(family.masks, bad, collide)
+         for i in elements_of(bits & hits)),
     )
 
     binomial_sum = sum(math.comb(x, w_size + i) for i in range(n + 1))
@@ -323,8 +342,9 @@ def audit_markov_step(family: SetFamily, w_size: int, delta: Rational, d: int) -
     if len(family) == 0:
         raise FamilyError("Markov audit needs a nonempty family")
     n, p, num_w = _audit_setup(family, w_size, d)
-    cutoff = dlt * len(family)
-    _, _, counts = _bad_members_by_w(family, w_size, d)
+    # an integer count reaches delta |F| iff it reaches its ceiling
+    cutoff = math.ceil(dlt * len(family))
+    *_, counts = _bad_members_by_w(family, w_size, d)
     exceed = sum(c >= cutoff for c in counts)
     fraction = Fraction(exceed, num_w)
     rhs = (2 / p) ** n / (dlt * len(family))

@@ -77,6 +77,16 @@ def bad_members_by_witness_table(ground_size, sets, w_elems, d):
     return bad
 
 
+def others_inside_unions(sets, w_elems):
+    """Per set S, the indices of the other sets T with T inside W u S."""
+    w = frozenset(w_elems)
+    fsets = [frozenset(s) for s in sets]
+    return [
+        [k for k, t in enumerate(fsets) if k != j and t <= w | s]
+        for j, s in enumerate(fsets)
+    ]
+
+
 def link_count_by_scan(sets, t_elems):
     """|F_T| by scanning members for supersets of T."""
     t = frozenset(t_elems)

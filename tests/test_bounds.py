@@ -208,6 +208,47 @@ def test_crossover_first_improvement_consistent():
     assert rep.first_improvement == (min(smaller_ds) if smaller_ds else None)
 
 
+def test_digits_below_one_refused_before_any_interval(monkeypatch):
+    from sunflowers import bounds
+
+    def no_interval(*args):
+        raise AssertionError("an interval was evaluated")
+
+    for name in ("_three_sunflower_interval", "_rlogn_interval", "_d_intersecting_interval"):
+        monkeypatch.setattr(bounds, name, no_interval)
+    entries = (
+        lambda digits: certified_compare(no_interval, no_interval, digits=digits),
+        lambda digits: three_sunflower_bound(3, 2, digits),
+        lambda digits: rlogn_bound(4, 3, digits=digits),
+        lambda digits: d_intersecting_bound(4, 2, 3, digits=digits),
+        lambda digits: crossover_report(4, 3, digits=digits),
+        lambda digits: bound_report("rlogn", n=4, r=3, digits=digits),
+        lambda digits: bound_report("erdos-rado", n=4, r=3, digits=digits),
+    )
+    for entry in entries:
+        for digits in (0, -5):
+            with pytest.raises(ValueError, match="digits must be >= 1, got"):
+                entry(digits)
+
+
+def test_one_digit_is_accepted():
+    assert rlogn_bound(4, 3, digits=1).digits == 1
+    assert len(crossover_report(4, 3, digits=1).rows) == 4
+    # overlapping intervals at 1 digit: the precision must widen, not stall
+    overlapping = lambda dps: (Fraction(1), Fraction(1) + Fraction(1, 10**dps))
+    assert certified_compare(overlapping, lambda dps: (Fraction(1), Fraction(1)), digits=1) == "="
+
+
+def test_cli_refuses_digits_below_one(capsys):
+    from sunflowers.cli import main
+
+    for which in ("crossover", "rlogn", "all", "erdos-rado"):
+        for digits in ("0", "-5"):
+            assert main(["bounds", "--which", which, "-n", "4", "-r", "3", "--digits", digits]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and "digits must be >= 1" in err
+
+
 # -- reports ------------------------------------------------------------------------
 
 def test_bound_report_exact_and_real():

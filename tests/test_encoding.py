@@ -23,7 +23,7 @@ from sunflowers.cli import main
 from sunflowers.families import mask_of
 from sunflowers.generators import gen_random_L_intersecting
 
-from _oracles import bad_members_by_witness_table
+from _oracles import bad_members_by_witness_table, others_inside_unions
 
 MATCHING = SetFamily(6, [[0, 1], [2, 3], [4, 5]])
 
@@ -327,11 +327,15 @@ def test_bitset_pass_matches_the_witness_table_oracle(case):
     all_w = list(combinations(range(x), w_size))
     oracle = [bad_members_by_witness_table(x, [s.elements for s in fam.members], w, d)
               for w in all_w]
-    w_masks, bad, counts = encoding._bad_members_by_w(fam, w_size, d)
+    w_masks, bad, collide, counts = encoding._bad_members_by_w(fam, w_size, d)
     assert w_masks == tuple(mask_of(w) for w in all_w)
     for i, want in enumerate(oracle):
         assert [set(s.elements) for s, bits in zip(fam.members, bad) if bits >> i & 1] == \
             [set(s) for s in want]
+        others = others_inside_unions([s.elements for s in fam.members], all_w[i])
+        assert [bool(bits >> i & 1) for bits in collide] == [bool(o) for o in others]
+    # the lemma: at threshold d no bad pair of a d-intersecting family collides
+    assert not any(b & c for b, c in zip(bad, collide))
     want_counts = [len(b) for b in oracle]
     assert list(counts) == want_counts
     if d >= fam.uniformity:  # every member witnesses itself
@@ -375,3 +379,98 @@ def test_negative_d_is_refused_after_a_memo_hit():
             run(-1)
     with pytest.raises(FamilyError, match="d must be >= 0"):
         audit_encoding_bound(SetFamily(5, [], uniform=2), 2, -1)
+
+
+# -- which pairs are decoded -----------------------------------------------------
+
+def bad_pairs_by_oracle(fam, w_size, d):
+    """The (W, S) mask pairs that are bad at threshold d, member by member,
+    each with whether its union holds another member."""
+    sets = [s.elements for s in fam.members]
+    pairs = []
+    for j, s in enumerate(sets):
+        for w in combinations(range(fam.ground_size), w_size):
+            if set(s) in [set(b) for b in bad_members_by_witness_table(fam.ground_size, sets, w, d)]:
+                pairs.append((mask_of(w), mask_of(s), bool(others_inside_unions(sets, w)[j])))
+    return pairs
+
+
+def spy_on_pair_checks(patch):
+    seen = []
+    real = encoding._check_bad_pairs
+
+    def spying(masks, w_size, n, pairs):
+        pairs = list(pairs)
+        seen.append(pairs)
+        return real(masks, w_size, n, pairs)
+
+    patch.setattr(encoding, "_check_bad_pairs", spying)
+    return seen
+
+
+def test_no_pair_is_decoded_on_benchmark_like_fixtures(monkeypatch):
+    seen = spy_on_pair_checks(monkeypatch)
+    total = 0
+    for k in range(6):
+        fam = seeded_d_intersecting(12 + k % 2, 3, 1, 10 + k, 100 + k)
+        audit = audit_encoding_bound(fam, 4, 1)
+        assert audit.passed
+        total += audit.total_bad_pairs
+    assert total > 1000  # the bad pairs are there; none of them collides
+    assert seen == [[]] * 6
+
+
+@st.composite
+def uniform_families(draw):
+    """(family, w_size, d): any n-uniform family on x <= 8 points, most of
+    them not d-intersecting, so that bad pairs collide."""
+    x = draw(st.integers(3, 8))
+    n = draw(st.integers(1, min(3, x - 1)))
+    sets = draw(st.lists(st.sampled_from(list(combinations(range(x), n))),
+                         max_size=8, unique=True))
+    fam = SetFamily(x, sets, uniform=n)
+    return fam, draw(st.integers(1, x - 1)), draw(st.integers(0, n))
+
+
+TRIANGLE = SetFamily(4, [[0, 1], [0, 2], [1, 2]])
+
+
+@given(uniform_families())
+@example((TRIANGLE, 1, 0))
+@example((SetFamily(6, [[0, 1, 2], [0, 3, 4], [1, 3, 5], [2, 4, 5]]), 2, 0))
+def test_only_colliding_bad_pairs_are_checked_and_the_flags_hold(case):
+    fam, w_size, d = case
+    # admit families that are not d-intersecting, where pairs can fail
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(encoding, "is_d_intersecting", lambda family, d: True)
+        seen = spy_on_pair_checks(patch)
+        audit = audit_encoding_bound(fam, w_size, d)
+    pairs = bad_pairs_by_oracle(fam, w_size, d)
+    assert seen == [[(w, s) for w, s, collides in pairs if collides]]
+    # the flags are those of checking every bad pair
+    assert (audit.injective, audit.roundtrip_ok, audit.union_sizes_ok) == \
+        encoding._check_bad_pairs(fam.masks, w_size, fam.uniformity, [(w, s) for w, s, _ in pairs])
+    if fam is TRIANGLE:  # ({2}, {0, 1}) and ({0}, {1, 2}) share the key ({0, 1, 2}, {})
+        assert not audit.injective and not audit.roundtrip_ok and audit.union_sizes_ok
+
+
+# -- the Markov cutoff in integers ------------------------------------------------
+
+@pytest.mark.parametrize("fam, w_size, d", [
+    (seeded_d_intersecting(12, 3, 1, 14, 0), 4, 1),
+    (seeded_d_intersecting(9, 3, 1, 10, 3), 3, 1),
+    (seeded_d_intersecting(10, 3, 2, 12, 2), 4, 2),
+])
+def test_markov_cutoff_at_and_beside_integer_thresholds(fam, w_size, d):
+    want = oracle_bad_counts(fam, w_size, d)
+    size = len(fam)
+    tiny = Fraction(1, 10**9)
+    checked = 0
+    for k in sorted(set(want) | {max(want) + 1}):
+        if k == 0:
+            continue
+        for delta in (Fraction(k, size), Fraction(k, size) + tiny, Fraction(k, size) - tiny):
+            mk = audit_markov_step(fam, w_size, delta, d)
+            assert mk.exceed_count == sum(Fraction(c) >= delta * size for c in want), delta
+            checked += 1
+    assert checked >= 9
