@@ -33,9 +33,8 @@ from .families import (
     SetFamily,
     Sunflower,
     WeightedFamily,
+    _d_sizes,
     intersection_profile,
-    is_L_intersecting,
-    is_d_intersecting,
 )
 from .finders import find_any
 from .formats import _family_object, dump_family_json, dump_family_text, load_family
@@ -188,19 +187,19 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     family, digest = _load(args.family)
     params = {"L": args.L, "d": args.d, "uniform": args.uniform}
-    profile = sorted(intersection_profile(family))
+    profile = intersection_profile(family)  # one pass over the pairs decides every verdict
     verdicts = {}
     if args.L is not None:
-        verdicts["L_intersecting"] = is_L_intersecting(family, _parse_int_list(args.L))
+        verdicts["L_intersecting"] = profile <= frozenset(_parse_int_list(args.L))
     if args.d is not None:
-        verdicts["d_intersecting"] = is_d_intersecting(family, args.d)
+        verdicts["d_intersecting"] = profile <= frozenset(_d_sizes(args.d))
     if args.uniform is not None:
         verdicts["uniform"] = family.uniformity == args.uniform
     outputs = {
         "ground_size": family.ground_size,
         "members": len(family),
         "uniformity": family.uniformity,
-        "intersection_profile": profile,
+        "intersection_profile": sorted(profile),
         "verdicts": verdicts,
     }
     _emit(args, _report("check", params, outputs, started, digest=digest))

@@ -12,10 +12,14 @@ Both audits, the Markov one at every delta, read one pass that finds, for
 every W of a size, the bad pairs and the pairs whose union W u S holds a
 member other than S, on Python-int bitsets indexed by W's position:
 x + 2|F| bitsets of C(x, px) bits, about (x + 2|F|) C(x, px) / 8 bytes,
-beside the W masks.  Only a bad pair in both sets can break the encoding,
-so the encoding audit encodes, decodes and checks just those on masks
-(for a d-intersecting family there are none), and both audits verify
-their bounds in exact arithmetic.
+beside the W masks and a few bit planes of the per-W bad counts.  The x
+element bitsets come from the lex-order recursion on W, without strings,
+and the last few tables are kept.  The audits read the total, the
+largest count and the Markov tail off the planes, with no per-W loop.
+Only a bad pair in both sets can break the encoding, so the encoding
+audit encodes, decodes and checks just those on masks (for a
+d-intersecting family there are none), and both audits verify their
+bounds in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -147,24 +151,21 @@ def _bad_members_by_w(
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(W masks in `_subset_masks` order, per member S the bitset of the W
     numbers i where (W_i, S) is bad at threshold d, per member S the bitset
-    of the W_i where another member lies inside W_i u S, per W its bad
-    count).
+    of the W_i where another member lies inside W_i u S, the bit planes of
+    the per-W bad counts as `_bit_planes` returns them).
 
     (W, S) is good iff some S' has S' \\ S inside W (an AND of the bitsets
     of the W holding each element) and |S' \\ W| <= d (a saturating count
     of the elements of S' each W misses, at most d + 1 bitsets).  The first
     AND alone, ORed over S' other than S, is the collision bitset.  Memory:
-    x + 2|F| bitsets of C(x, w_size) bits and the W masks.  The last pass
-    is kept, so an encoding audit and the Markov audits that follow it at
-    any deltas enumerate W once."""
+    x + 2|F| bitsets of C(x, w_size) bits, a few count planes and the W
+    masks.  The last pass is kept, so an encoding audit and the Markov
+    audits that follow it at any deltas enumerate W once."""
     x = family.ground_size
     masks = family.masks
     w_masks = tuple(_subset_masks(x, w_size))
     full = (1 << len(w_masks)) - 1
-    # one row of x digits per W, the last W first: column e then reads as
-    # the bitset of the W holding element e
-    rows = "".join([format(w, f"0{x}b") for w in reversed(w_masks)])
-    holding = [int(rows[x - 1 - e::x], 2) for e in range(x)]
+    holding = _w_table(x, w_size)
     near = []  # per member S': the W with |S' \ W| <= d
     for s in masks:
         depth = min(d, s.bit_count())  # no W misses more than |S'| elements
@@ -188,13 +189,37 @@ def _bad_members_by_w(
                 hit |= inside
         bad.append(full ^ good)
         collide.append(hit)
-    return w_masks, tuple(bad), tuple(collide), _column_counts(bad, len(w_masks))
+    return w_masks, tuple(bad), tuple(collide), _bit_planes(bad)
 
 
-def _column_counts(bitsets: Sequence[int], width: int) -> tuple[int, ...]:
-    """For each bit position i < width, the number of bitsets with bit i
-    set: a bit-sliced binary sum, read back one position at a time."""
-    planes: list[int] = []  # planes[j]: bit j of every position's sum
+@functools.lru_cache(maxsize=4)
+def _w_table(x: int, k: int) -> tuple[int, ...]:
+    """Per element e < x, the bitset of the numbers i, in `_subset_masks(x,
+    k)` order, of the k-subsets W_i that hold e.
+
+    Built by the lex-order recursion, from lo = x - 1 down to 0: the
+    j-subsets of {lo..x-1} are those that hold lo (lo joined to each
+    (j-1)-subset of {lo+1..x-1}), followed by those that do not (the
+    j-subsets of {lo+1..x-1})."""
+    # tables[j][e - lo]: the bitset of the j-subsets of {lo..x-1} holding e
+    tables: list[list[int]] = [[] for _ in range(k + 1)]
+    for lo in range(x - 1, -1, -1):
+        rest = x - lo - 1  # elements above lo
+        new = [[0] * (rest + 1)]  # the one 0-subset holds no element
+        for j in range(1, k + 1):
+            split = math.comb(rest, j - 1)  # the j-subsets holding lo come first
+            new.append([(1 << split) - 1] + [
+                with_lo | (without << split)
+                for with_lo, without in zip(tables[j - 1], tables[j])
+            ])
+        tables = new
+    return tuple(tables[k])
+
+
+def _bit_planes(bitsets: Iterable[int]) -> tuple[int, ...]:
+    """The bit-sliced binary sum of `bitsets`: plane j holds bit j of, for
+    every position i, the number of bitsets with bit i set."""
+    planes: list[int] = []
     for carry in bitsets:
         j = 0
         while carry:
@@ -202,10 +227,35 @@ def _column_counts(bitsets: Sequence[int], width: int) -> tuple[int, ...]:
                 planes.append(0)
             planes[j], carry = planes[j] ^ carry, planes[j] & carry
             j += 1
-    if not planes:
-        return (0,) * width
-    digits = [format(plane, f"0{width}b") for plane in reversed(planes)]
-    return tuple(int("".join(column), 2) for column in zip(*digits))[::-1]
+    return tuple(planes)
+
+
+def _plane_max(planes: Sequence[int], full: int) -> tuple[int, int]:
+    """(the largest count, the lowest position holding it) among the
+    positions of `full`, by a walk from the top plane down that keeps the
+    positions whose counts agree with the largest so far."""
+    best = 0
+    keep = full
+    for j in range(len(planes) - 1, -1, -1):
+        if keep & planes[j]:
+            keep &= planes[j]
+            best |= 1 << j
+    return best, (keep & -keep).bit_length() - 1
+
+
+def _at_least(planes: Sequence[int], cutoff: int, full: int) -> int:
+    """The bitset of the positions of `full` whose count is >= cutoff
+    (cutoff >= 0), by a bit-sliced comparison from the top bit down."""
+    above = 0  # positions already known to exceed the cutoff
+    equal = full  # positions equal to it on the bits so far
+    for j in range(max(len(planes), cutoff.bit_length()) - 1, -1, -1):
+        plane = planes[j] if j < len(planes) else 0
+        if cutoff >> j & 1:
+            equal &= plane
+        else:
+            above |= equal & plane
+            equal &= ~plane
+    return above | equal
 
 
 def _check_bad_pairs(
@@ -270,10 +320,10 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     x = family.ground_size
     bound = (2 / p) ** n * num_w
 
-    w_masks, bad, collide, counts = _bad_members_by_w(family, w_size, d)
-    total = sum(counts)
-    per_w_max = max(counts)
-    worst_w = ElementSet.from_mask(w_masks[counts.index(per_w_max)])
+    w_masks, bad, collide, planes = _bad_members_by_w(family, w_size, d)
+    total = sum(bits.bit_count() for bits in bad)
+    per_w_max, worst = _plane_max(planes, (1 << num_w) - 1)
+    worst_w = ElementSet.from_mask(w_masks[worst])
     # Only bad pairs whose union holds another member can fail a check:
     # - with S the only member inside W u S, the key decodes to (W, S);
     # - two pairs sharing a key (U, M) have distinct members (one member
@@ -344,8 +394,8 @@ def audit_markov_step(family: SetFamily, w_size: int, delta: Rational, d: int) -
     n, p, num_w = _audit_setup(family, w_size, d)
     # an integer count reaches delta |F| iff it reaches its ceiling
     cutoff = math.ceil(dlt * len(family))
-    *_, counts = _bad_members_by_w(family, w_size, d)
-    exceed = sum(c >= cutoff for c in counts)
+    *_, planes = _bad_members_by_w(family, w_size, d)
+    exceed = _at_least(planes, cutoff, (1 << num_w) - 1).bit_count()
     fraction = Fraction(exceed, num_w)
     rhs = (2 / p) ** n / (dlt * len(family))
     return MarkovAudit(

@@ -351,9 +351,14 @@ def is_L_intersecting(family: SetFamily, L: Iterable[int]) -> bool:
 
 def is_d_intersecting(family: SetFamily, d: int) -> bool:
     """True iff every pairwise intersection has size at most d (L = {0..d})."""
+    return is_L_intersecting(family, _d_sizes(d))
+
+
+def _d_sizes(d: int) -> range:
+    """The intersection sizes {0..d} a d-intersecting family allows."""
     if d < 0:
         raise FamilyError(f"d must be >= 0, got {d}")
-    return is_L_intersecting(family, range(d + 1))
+    return range(d + 1)
 
 
 def link(family: SetFamily, t: ElementSet) -> SetFamily:
@@ -429,19 +434,38 @@ def _sunflower_indices(
     An exact depth-first search in index order.  Every sub-collection of a
     sunflower is a sunflower with the same core, so a prefix that is not
     one never extends to one and is cut: the first full prefix is the
-    lexicographically first witness, and None is authoritative.  With no
-    core given, the first pair fixes it.  Once the core is fixed, a later
-    mask extends the prefix iff it holds the core and avoids every petal
-    chosen so far.  At most C(len(masks), r) r-subsets are examined.
+    lexicographically first witness, and None is authoritative.  Once the
+    core is fixed, a later mask extends the prefix iff it holds the core
+    and avoids every petal chosen so far.
+
+    With no core given, the later masks are grouped by their meet with the
+    first, masks[i]: a sunflower (i, j, ...) with core c takes every later
+    member from group c, and each member of group c already meets masks[i]
+    in exactly c, so the rest of the witness is a search inside that group
+    alone.  The second index fixes the group, so the first witness for i
+    is the group witness with the smallest second index, and groups that
+    start after that index are not searched.  A group holds no more masks than the
+    full scan would try, so at most C(len(masks), r) r-subsets are
+    examined.
     """
     if core is not None:
         return _petal_positions(masks, 0, r, core, 0)
     for i in range(len(masks) - r + 1):
-        for j in range(i + 1, len(masks) - r + 2):
-            c = masks[i] & masks[j]
-            rest = _petal_positions(masks, j + 1, r - 2, c, (masks[i] | masks[j]) & ~c)
-            if rest is not None:
-                return [i, j] + rest
+        first = masks[i]
+        groups: dict[int, list[int]] = {}  # meet with masks[i] -> later positions
+        for k, m in enumerate(masks[i + 1:], i + 1):
+            groups.setdefault(m & first, []).append(k)
+        best: Optional[list[int]] = None
+        for c, positions in groups.items():
+            if best is not None and best[0] < positions[0]:
+                break
+            if len(positions) < r - 1:
+                continue
+            rest = _petal_positions([masks[k] for k in positions], 0, r - 1, c, 0)
+            if rest is not None and (best is None or positions[rest[0]] < best[0]):
+                best = [positions[p] for p in rest]
+        if best is not None:
+            return [i] + best
     return None
 
 

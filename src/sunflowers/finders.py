@@ -29,7 +29,6 @@ from .families import (
     _sunflower_indices,
     elements_of,
     intersection_profile,
-    is_L_intersecting,
     is_sunflower,
     mask_of,
 )
@@ -104,11 +103,12 @@ class SearchOutcome:
 def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     """First r-subset of members (canonical order) forming a sunflower.
 
-    An exact depth-first search in index order (`_sunflower_indices`): the
-    first pair fixes the core, and every later member must hold the core
-    while its petal avoids the petals chosen so far.  Only prefixes that
-    cannot extend to a sunflower are cut, so the witness is the one an
-    exhaustive scan of all C(|F|, r) member subsets would return first,
+    An exact depth-first search in index order (`_sunflower_indices`): for
+    each first member, the later members are grouped by their meet with
+    it, which is the core of any sunflower they complete, and each group
+    is searched for members whose petals avoid each other.  Only prefixes
+    that cannot extend to a sunflower are cut, so the witness is the one
+    an exhaustive scan of all C(|F|, r) member subsets would return first,
     and a None result is an authoritative "no r-sunflower in this family".
     The witness is re-verified; a failed certificate raises
     LemmaViolationError.
@@ -274,12 +274,20 @@ def l_intersecting_find(
         sizes = _validated_l(n, L)
     except ValueError as exc:
         raise FinderError(str(exc)) from exc
-    if not is_L_intersecting(family, sizes):
+    profile = intersection_profile(family)
+    if not profile <= frozenset(sizes):
         raise FinderError(
-            f"family has intersection sizes {sorted(intersection_profile(family))}, "
-            f"not within {list(sizes)}"
+            f"family has intersection sizes {sorted(profile)}, not within {list(sizes)}"
         )
-    m = pigeonhole_limit(n, r)
+    return _extract(family, sizes, r)
+
+
+def _extract(
+    family: SetFamily, sizes: tuple[int, ...], r: int
+) -> tuple[Optional[Sunflower], FinderTrace]:
+    """The body of `l_intersecting_find`, for a validated L (`sizes`) that
+    holds the family's intersection profile."""
+    m = pigeonhole_limit(family.uniformity, r)
     levels: list[TraceLevel] = []
     flower = _search(family, sizes, r, m, 0, levels)
     if flower is not None:
@@ -313,7 +321,9 @@ def find_any(
     if strategy in ("auto", "recursive"):
         n = family.uniformity
         if n is not None and n >= 1 and len(family) >= 2:
-            flower, trace = l_intersecting_find(family, intersection_profile(family), r)
+            # the profile is a valid L for the family, so validating it again
+            # (one more pass over the pairs) could only confirm it
+            flower, trace = _extract(family, _validated_l(n, intersection_profile(family)), r)
             if flower is not None:
                 return SearchOutcome(
                     status="found", sunflower=flower, trace=trace, method="recursive"

@@ -327,7 +327,7 @@ def test_bitset_pass_matches_the_witness_table_oracle(case):
     all_w = list(combinations(range(x), w_size))
     oracle = [bad_members_by_witness_table(x, [s.elements for s in fam.members], w, d)
               for w in all_w]
-    w_masks, bad, collide, counts = encoding._bad_members_by_w(fam, w_size, d)
+    w_masks, bad, collide, planes = encoding._bad_members_by_w(fam, w_size, d)
     assert w_masks == tuple(mask_of(w) for w in all_w)
     for i, want in enumerate(oracle):
         assert [set(s.elements) for s, bits in zip(fam.members, bad) if bits >> i & 1] == \
@@ -337,7 +337,8 @@ def test_bitset_pass_matches_the_witness_table_oracle(case):
     # the lemma: at threshold d no bad pair of a d-intersecting family collides
     assert not any(b & c for b, c in zip(bad, collide))
     want_counts = [len(b) for b in oracle]
-    assert list(counts) == want_counts
+    assert [sum((p >> i & 1) << j for j, p in enumerate(planes))
+            for i in range(len(all_w))] == want_counts
     if d >= fam.uniformity:  # every member witnesses itself
         assert sum(want_counts) == 0
     audit = audit_encoding_bound(fam, w_size, d)
@@ -474,3 +475,50 @@ def test_markov_cutoff_at_and_beside_integer_thresholds(fam, w_size, d):
             assert mk.exceed_count == sum(Fraction(c) >= delta * size for c in want), delta
             checked += 1
     assert checked >= 9
+
+
+# -- the W table and the count planes ---------------------------------------------
+
+def test_w_table_marks_the_subset_masks_holding_each_element():
+    for x in range(14):
+        for k in range(x + 1):
+            w_masks = list(encoding._subset_masks(x, k))
+            want = tuple(sum(1 << i for i, w in enumerate(w_masks) if w >> e & 1)
+                         for e in range(x))
+            assert encoding._w_table(x, k) == want, (x, k)
+
+
+def plane_statistics(counts, cutoff):
+    """(max, first position at the max, positions >= cutoff) read off the
+    bit planes of the per-position counts."""
+    # bitsets whose column sums are the counts: bitset t marks count > t
+    bitsets = [sum(1 << i for i, c in enumerate(counts) if c > t) for t in range(max(counts))]
+    planes = encoding._bit_planes(bitsets)
+    full = (1 << len(counts)) - 1
+    high, first = encoding._plane_max(planes, full)
+    above = encoding._at_least(planes, cutoff, full)
+    return high, first, [i for i in range(len(counts)) if above >> i & 1]
+
+
+@pytest.mark.parametrize("counts", [
+    [0, 0, 0],
+    [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5],
+    [7, 2, 7, 7, 0, 7],  # ties at the maximum: the first one counts
+    [4, 6, 6, 5, 1, 6],
+    [8, 7, 8, 15, 16, 16, 1],
+])
+def test_plane_statistics_match_the_counts(counts):
+    for cutoff in sorted({0, 1, max(counts), max(counts) + 1, 2 * max(counts) + 5} | set(counts)):
+        high, first, above = plane_statistics(counts, cutoff)
+        assert high == max(counts)
+        assert first == counts.index(max(counts))
+        assert above == [i for i, c in enumerate(counts) if c >= cutoff], cutoff
+    assert plane_statistics(counts, 0)[2] == list(range(len(counts)))
+    assert plane_statistics(counts, max(counts) + 1)[2] == []
+
+
+@given(st.lists(st.integers(0, 40), min_size=1, max_size=70), st.integers(0, 80))
+def test_plane_statistics_match_random_counts(counts, cutoff):
+    high, first, above = plane_statistics(counts, cutoff)
+    assert (high, first) == (max(counts), counts.index(max(counts)))
+    assert above == [i for i, c in enumerate(counts) if c >= cutoff]

@@ -38,7 +38,11 @@ from sunflowers.generators import (
     gen_transversal,
 )
 
-from _oracles import first_sunflower_by_full_scan, has_sunflower_by_full_scan
+from _oracles import (
+    first_sunflower_by_full_scan,
+    has_sunflower_by_full_scan,
+    sunflower_core_by_petals,
+)
 
 TRIANGLE = SetFamily(3, [[0, 1], [1, 2], [0, 2]])
 
@@ -74,7 +78,7 @@ def test_brute_force_agrees_with_oracle_on_random_families():
 
 
 @st.composite
-def small_families(draw):
+def small_families(draw, max_members=14):
     """(x, member element tuples): uniform or not, the empty set allowed."""
     x = draw(st.integers(1, 10))
     if draw(st.booleans()):
@@ -82,7 +86,7 @@ def small_families(draw):
         member = st.frozensets(st.integers(0, x - 1), min_size=n, max_size=n)
     else:
         member = st.frozensets(st.integers(0, x - 1), max_size=x)
-    sets = draw(st.lists(member, unique=True, max_size=14))
+    sets = draw(st.lists(member, unique=True, max_size=max_members))
     return x, [sorted(s) for s in sets]
 
 
@@ -121,6 +125,52 @@ def test_find_r_disjoint_returns_the_first_witness_of_a_full_scan(fam, r):
         assert found is None
     else:
         assert [s.elements for s in found] == [members[i] for i in expected]
+
+
+# -- the grouped search: members grouped by their meet with the first -----------
+
+# (x, sets in canonical order, r, first witness, the witness of the group
+# created first).  From the first member, the group of the second member
+# (by its meet with the first) is created first and yields a witness, but a
+# group created after it yields one with a smaller second index.
+COMPETING_GROUPS = [
+    (5, [[0, 4], [1, 2], [1, 2, 4], [1, 3], [2], [2, 3, 4], [3, 4]], 3,
+     (0, 2, 6), (0, 3, 4)),
+    (7, [[0, 5], [1, 2, 5, 6], [1, 3], [1, 3, 5], [1, 3, 6], [2, 4], [2, 5], [3, 6],
+         [5, 6], [6]], 4,
+     (0, 2, 5, 9), (0, 3, 6, 8)),
+]
+
+
+@pytest.mark.parametrize("x, sets, r, witness, rival", COMPETING_GROUPS)
+def test_grouped_search_takes_the_smallest_witness_over_groups(x, sets, r, witness, rival):
+    family = SetFamily(x, sets)
+    members = [s.elements for s in family.members]
+    assert members == [tuple(s) for s in sets]
+    meet = [frozenset(sets[0]) & frozenset(s) for s in sets]
+    # the rival is a sunflower from the group created first, a different group
+    assert sunflower_core_by_petals([sets[i] for i in rival]) is not None
+    assert meet[rival[1]] == meet[1] != meet[witness[1]]
+    assert witness < rival
+    assert first_sunflower_by_full_scan(members, r) == witness
+    flower = brute_force_sunflower(family, r)
+    assert [s.elements for s in flower.petal_sets] == [members[i] for i in witness]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_families(max_members=30), st.integers(3, 5))
+@example((9, [s.elements for s in gen_transversal(3, 3).members]), 4)
+@example((8, [s.elements for s in gen_transversal(4, 2).members]), 3)
+def test_grouped_search_matches_a_full_scan_up_to_30_members(fam, r):
+    x, sets = fam
+    family = SetFamily(x, sets)
+    members = [s.elements for s in family.members]
+    expected = first_sunflower_by_full_scan(members, r)
+    flower = brute_force_sunflower(family, r)
+    if expected is None:
+        assert flower is None
+    else:
+        assert [s.elements for s in flower.petal_sets] == [members[i] for i in expected]
 
 
 @pytest.mark.parametrize("indices", [[0, 1, 2], [0, 1]], ids=["not-a-sunflower", "too-few"])
