@@ -329,7 +329,13 @@ def crossover_report(
 ) -> CrossoverReport:
     """Row-by-row certified comparison of the two d-restricted thresholds
     for d = 1..n, reporting the first d (if any) where the log-form bound
-    drops below the factorial one."""
+    drops below the factorial one.
+
+    Each row's interval is evaluated once, at `digits + 15`: it is the
+    comparison's first-precision enclosure and the source of the row's
+    decimal, which is then exactly `d_intersecting_bound(...).decimal`.
+    Only a comparison that has to double its precision evaluates again.
+    """
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 and r >= 2, got n={n}, r={r}")
     c = _positive_fraction(C, "C")
@@ -338,8 +344,12 @@ def crossover_report(
     first = None
     for d in range(1, n + 1):
         trivial = falling_factorial_bound(n, d, r)
+        interval = _d_intersecting_interval(n, d, r, c, digits + 15, log_base)
         verdict = certified_compare(
-            lambda dps, d=d: _d_intersecting_interval(n, d, r, c, dps + 15, log_base),
+            lambda dps, d=d, interval=interval: (
+                interval if dps == digits
+                else _d_intersecting_interval(n, d, r, c, dps + 15, log_base)
+            ),
             lambda dps: (Fraction(trivial), Fraction(trivial)),
             digits=digits,
         )
@@ -349,7 +359,7 @@ def crossover_report(
         rows.append(
             CrossoverRow(
                 d=d,
-                d_intersecting=d_intersecting_bound(n, d, r, c, digits, log_base).decimal,
+                d_intersecting=_real_value(interval, digits).decimal,
                 falling_factorial=str(trivial),
                 smaller=smaller,
             )

@@ -222,8 +222,31 @@ def cmd_find(args) -> int:
     return {"found": EXIT_TRUE, "absent": EXIT_FALSE, "unknown": EXIT_UNKNOWN}[outcome.status]
 
 
+# The parameter flags each single bound reads besides -n; --which all reads
+# every flag.  l-intersecting and three-sunflower take s from --L only when
+# -s is not given.
+_BOUND_FLAGS = {
+    "erdos-rado": ("-r",),
+    "pigeonhole-limit": ("-r",),
+    "l-intersecting": ("-r", "-s", "--L"),
+    "l-multinomial": ("-r", "--L"),
+    "three-sunflower": ("-s", "--L"),
+    "rlogn": ("-r",),
+    "d-intersecting": ("-r", "-d"),
+    "falling-factorial": ("-r", "-d"),
+    "crossover": ("-r",),
+}
+
+
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
+    if args.which != "all":
+        reads = set(_BOUND_FLAGS[args.which])
+        if args.s is not None and "-s" in reads:
+            reads.discard("--L")
+        given = {"-r": args.r, "-s": args.s, "--L": args.L, "-d": args.d}
+        unread = [flag for flag, value in given.items() if value is not None and flag not in reads]
+        _require(not unread, f"--which {args.which} does not read {', '.join(unread)}")
     L = _parse_int_list(args.L) if args.L is not None else None
     common = dict(n=args.n, r=args.r, s=args.s, L=L, d=args.d,
                   C=args.C, digits=args.digits, log_base=args.log_base)

@@ -14,7 +14,8 @@ trials are rows of uniforms from a counter-based PRNG stream (numpy
 Philox, keyed by the seed).  The rows are drawn in blocks that together
 are exactly one `random((trials, x))` draw, so the estimate does not
 depend on the block size; each block is packed into uint64 words before
-the containment test.
+the containment test.  A block holds `_SAMPLE_BLOCK // max(x, |F| * words)`
+rows, so its uniforms and its member word tests each take at most 512 KiB.
 """
 
 from __future__ import annotations
@@ -229,10 +230,12 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     keeps each ground element independently with probability alpha.
 
     Deterministic for a fixed seed: trial i is row i of the Philox
-    stream's `random((trials, x)) < alpha`, drawn `_SAMPLE_BLOCK // x`
-    rows at a time.  Each block is packed into little-endian uint64 words
-    (element e is bit e % 64 of word e // 64), and member M is contained
-    in R iff M & ~R is zero in every word.
+    stream's `random((trials, x)) < alpha`, drawn
+    `max(1, _SAMPLE_BLOCK // max(x, |F| * words))` rows at a time, where
+    words = ceil(x / 64), so that a block's uniforms and its word tests
+    each take at most 8 * _SAMPLE_BLOCK bytes.  Each block is packed into
+    little-endian uint64 words (element e is bit e % 64 of word e // 64),
+    and member M is contained in R iff M & ~R is zero in every word.
     """
     alpha = float(alpha)
     if not 0 < alpha < 1:
@@ -253,7 +256,7 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
             b"".join(m.to_bytes(8 * words, "little") for m in family.masks), dtype="<u8"
         ).reshape(-1, words)
         successes = 0
-        block = max(1, _SAMPLE_BLOCK // x)
+        block = max(1, _SAMPLE_BLOCK // max(x, len(memb) * words))
         packed = np.zeros((min(block, trials), 8 * words), dtype=np.uint8)
         done = 0
         while done < trials:

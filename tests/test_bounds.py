@@ -185,12 +185,76 @@ def test_certified_compare_decides():
 
 
 def test_crossover_rows_match_direct_calls():
-    rep = crossover_report(8, 3, 1)
-    assert len(rep.rows) == 8
-    for row in rep.rows:
-        assert row.d_intersecting == d_intersecting_bound(8, row.d, 3, 1).decimal
-        assert row.falling_factorial == str(falling_factorial_bound(8, row.d, 3))
-        assert row.smaller in ("d-intersecting", "falling-factorial", "equal")
+    from sunflowers.bounds import _d_intersecting_interval
+
+    for n, C, log_base, digits in (
+        (8, 1, "e", 50),
+        (8, Fraction(1, 3), 2, 1),
+        (8, Fraction(1, 3), 2, 20),
+        (60, 1, "e", 50),
+        (60, Fraction(1, 3), 2, 20),
+    ):
+        rep = crossover_report(n, 3, C, digits, log_base)
+        assert len(rep.rows) == n
+        for row in rep.rows:
+            assert row.d_intersecting == d_intersecting_bound(n, row.d, 3, C, digits, log_base).decimal
+            trivial = falling_factorial_bound(n, row.d, 3)
+            assert row.falling_factorial == str(trivial)
+            verdict = certified_compare(
+                lambda dps: _d_intersecting_interval(n, row.d, 3, Fraction(C), dps + 15, log_base),
+                lambda dps: (Fraction(trivial), Fraction(trivial)),
+                digits=digits,
+            )
+            smaller = {"<": "d-intersecting", ">": "falling-factorial", "=": "equal"}[verdict]
+            assert row.smaller == smaller
+
+
+def _record_intervals(monkeypatch, widen=None):
+    """Log every (d, dps) the crossover evaluates; `widen(d, dps, interval)`
+    may replace an interval before the report sees it."""
+    from sunflowers import bounds
+
+    real = bounds._d_intersecting_interval
+    calls = []
+
+    def recording(n, d, r, C, dps, log_base):
+        calls.append((d, dps))
+        interval = real(n, d, r, C, dps, log_base)
+        return widen(d, dps, interval) if widen else interval
+
+    monkeypatch.setattr(bounds, "_d_intersecting_interval", recording)
+    return calls
+
+
+def test_crossover_evaluates_each_row_once(monkeypatch):
+    for n, digits in ((12, 50), (30, 1)):
+        calls = _record_intervals(monkeypatch)
+        crossover_report(n, 3, digits=digits)
+        assert calls == [(d, digits + 15) for d in range(1, n + 1)]
+
+
+def test_crossover_overlapping_row_doubles_but_keeps_first_decimal(monkeypatch):
+    from sunflowers.bounds import _real_value
+
+    n, r, digits, forced = 10, 3, 20, 4
+    trivial = Fraction(falling_factorial_bound(n, forced, r))
+    widened = {}
+
+    def widen(d, dps, interval):
+        if d != forced or dps != digits + 15:
+            return interval
+        widened["interval"] = (min(interval[0], trivial) - 1, max(interval[1], trivial) + 1)
+        return widened["interval"]
+
+    plain = crossover_report(n, r, digits=digits).rows[forced - 1]
+    calls = _record_intervals(monkeypatch, widen)
+    row = crossover_report(n, r, digits=digits).rows[forced - 1]
+    expected = [(d, digits + 15) for d in range(1, n + 1)]
+    expected.insert(forced, (forced, 2 * digits + 15))
+    assert calls == expected
+    assert row.d_intersecting == _real_value(widened["interval"], digits).decimal
+    assert row.d_intersecting != plain.d_intersecting
+    assert row.smaller == plain.smaller
 
 
 def test_crossover_columns_monotone():

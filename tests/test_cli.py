@@ -154,6 +154,35 @@ def test_bounds_missing_params_error(capsys):
     assert code == 3 and "needs parameters" in err
 
 
+@pytest.mark.parametrize("argv, unread", [
+    (["crossover", "-n", "4", "-r", "3", "-d", "2", "-s", "5", "--L", "0,1"], "-s, --L, -d"),
+    (["erdos-rado", "-n", "4", "-r", "3", "-d", "7"], "-d"),
+    (["pigeonhole-limit", "-n", "4", "-r", "3", "-s", "2"], "-s"),
+    (["l-multinomial", "-n", "4", "-r", "3", "--L", "0", "-s", "1"], "-s"),
+    (["l-intersecting", "-n", "4", "-r", "3", "-s", "2", "--L", "0,1"], "--L"),
+    (["three-sunflower", "-n", "4", "-r", "3", "-s", "2"], "-r"),
+    (["three-sunflower", "-n", "4", "-s", "2", "--L", "0,1"], "--L"),
+    (["rlogn", "-n", "4", "-r", "3", "--L", "0"], "--L"),
+    (["d-intersecting", "-n", "4", "-r", "3", "-d", "2", "-s", "1"], "-s"),
+    (["falling-factorial", "-n", "4", "-r", "3", "-d", "2", "--L", "1"], "--L"),
+])
+def test_bounds_refuses_unread_flags(capsys, argv, unread):
+    code, out, err = run(capsys, "bounds", "--which", *argv)
+    assert code == 3 and out == ""
+    assert f"--which {argv[0]} does not read {unread}" in err
+
+
+def test_bounds_reads_every_flag_it_is_given(capsys):
+    for argv in (["l-intersecting", "-n", "4", "-r", "3", "--L", "0,1"],
+                 ["three-sunflower", "-n", "4", "--L", "0,1"],
+                 ["three-sunflower", "-n", "4", "-s", "2"],
+                 ["all", "-n", "4", "-r", "3", "-s", "2", "--L", "0,1", "-d", "2"]):
+        code, report, _ = run_json(capsys, "bounds", "--which", *argv)
+        assert code == 0, argv
+        if argv[0] != "all":
+            assert report["outputs"]["bound"]["params"]["s"] == 2
+
+
 def test_bounds_text_format(capsys):
     code, out, err = run(capsys, "bounds", "--which", "erdos-rado", "-n", "3", "-r", "3",
                          "--format", "text")

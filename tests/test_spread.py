@@ -355,16 +355,21 @@ def test_sample_validation():
 
 @st.composite
 def sampling_cases(draw):
-    """(x, sets, trials) for x in [0, 130]; for x >= 13 the trials may
-    straddle the 65536 // x rows of one draw block."""
+    """(x, sets, trials) for x in [0, 130] and up to 80 members; for
+    x >= 13 the trials may straddle the 65536 // max(x, |F| * words) rows
+    of one draw block, which the member count sets once |F| * words > x."""
     x = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129, 130]), st.integers(0, 130)))
     members = st.frozensets(st.integers(0, x - 1), max_size=min(x, 5)) if x else st.just(frozenset())
-    sets = [sorted(s) for s in draw(st.sets(members, max_size=10))]
+    max_sets = draw(st.sampled_from([10, 80]))
+    sets = [sorted(s) for s in draw(st.sets(members, max_size=max_sets))]
     trials = st.integers(1, 60)
     if x >= 13:
-        block = 65536 // x
+        block = 65536 // max(x, len(sets) * -(-x // 64))
         trials = st.one_of(trials, st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
     return x, sets, draw(trials)
+
+
+PAIRS_OF_12 = [list(p) for p in combinations(range(12), 2)]  # 66 members, one word
 
 
 @given(sampling_cases(), st.floats(min_value=0.05, max_value=0.95),
@@ -374,10 +379,23 @@ def sampling_cases(draw):
 @example((65, [[0, 64], [63]], 1009), 0.9, 2)
 @example((129, [[], [128]], 509), 0.3, 3)
 @example((20, [], 3277), 0.5, 4)
+@example((16, PAIRS_OF_12, 65536 // 66 + 1), 0.5, 5)
+@example((100, PAIRS_OF_12[:60], 65536 // 120 * 2 + 1), 0.7, 6)
 def test_sample_successes_match_replay_oracle(case, alpha, seed):
     x, sets, trials = case
     est = sample_satisfying(SetFamily(x, sets), alpha, trials, seed)
     assert est.successes == satisfying_successes_by_replay(x, sets, alpha, trials, seed)
+
+
+@pytest.mark.parametrize("x, sets", [(16, PAIRS_OF_12), (100, [[0, 99], [5], [64, 65, 70]])])
+def test_sample_successes_do_not_depend_on_block_size(monkeypatch, x, sets):
+    from sunflowers import spread
+
+    fam = SetFamily(x, sets)
+    expected = sample_satisfying(fam, 0.4, 3001, seed=8)
+    for budget in (1, 7, 200):  # blocks of 1 to 3 rows
+        monkeypatch.setattr(spread, "_SAMPLE_BLOCK", budget)
+        assert sample_satisfying(fam, 0.4, 3001, seed=8) == expected
 
 
 def test_sample_converges_across_seeds():
