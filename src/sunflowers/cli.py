@@ -224,36 +224,45 @@ def cmd_find(args) -> int:
 
 # The parameter flags each single bound reads besides -n; --which all reads
 # every flag.  l-intersecting and three-sunflower take s from --L only when
-# -s is not given.
+# -s is not given.  Of the real-valued bounds, three-sunflower has no free
+# constant and no logarithm, so it reads only --digits of _REAL_FLAGS.
+_REAL_FLAGS = ("-C", "--digits", "--log-base")
 _BOUND_FLAGS = {
     "erdos-rado": ("-r",),
     "pigeonhole-limit": ("-r",),
     "l-intersecting": ("-r", "-s", "--L"),
     "l-multinomial": ("-r", "--L"),
-    "three-sunflower": ("-s", "--L"),
-    "rlogn": ("-r",),
-    "d-intersecting": ("-r", "-d"),
+    "three-sunflower": ("-s", "--L", "--digits"),
+    "rlogn": ("-r", *_REAL_FLAGS),
+    "d-intersecting": ("-r", "-d", *_REAL_FLAGS),
     "falling-factorial": ("-r", "-d"),
-    "crossover": ("-r",),
+    "crossover": ("-r", *_REAL_FLAGS),
 }
 
 
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
+    if args.digits is not None:
+        bounds_mod._check_digits(args.digits)
     if args.which != "all":
         reads = set(_BOUND_FLAGS[args.which])
         if args.s is not None and "-s" in reads:
             reads.discard("--L")
-        given = {"-r": args.r, "-s": args.s, "--L": args.L, "-d": args.d}
+        given = {"-r": args.r, "-s": args.s, "--L": args.L, "-d": args.d, "-C": args.C,
+                 "--digits": args.digits, "--log-base": args.log_base}
         unread = [flag for flag, value in given.items() if value is not None and flag not in reads]
         _require(not unread, f"--which {args.which} does not read {', '.join(unread)}")
+    # the parameters echo the defaults of the flags not given
+    C = Fraction(1) if args.C is None else args.C
+    digits = 50 if args.digits is None else args.digits
+    log_base = "e" if args.log_base is None else args.log_base
     L = _parse_int_list(args.L) if args.L is not None else None
     common = dict(n=args.n, r=args.r, s=args.s, L=L, d=args.d,
-                  C=args.C, digits=args.digits, log_base=args.log_base)
+                  C=C, digits=digits, log_base=log_base)
     params = {"which": args.which, **common}
 
     def crossover():
-        return bounds_mod.crossover_report(args.n, args.r, args.C, args.digits, args.log_base)
+        return bounds_mod.crossover_report(args.n, args.r, C, digits, log_base)
 
     if args.which == "crossover":
         _require(args.n is not None and args.r is not None, "crossover needs -n and -r")
@@ -425,10 +434,10 @@ def build_parser() -> _Parser:
     p.add_argument("-s", type=int)
     p.add_argument("--L", help="comma-separated intersection sizes")
     p.add_argument("-d", type=int)
-    p.add_argument("-C", type=_parse_fraction, default=Fraction(1),
+    p.add_argument("-C", type=_parse_fraction,
                    help="free constant (rational, default 1)")
-    p.add_argument("--digits", type=int, default=50)
-    p.add_argument("--log-base", default="e",
+    p.add_argument("--digits", type=int, help="significant digits (default 50)")
+    p.add_argument("--log-base",
                    help="logarithm base: e (default) or a rational like 2")
     add_common(p)
     p.set_defaults(func=cmd_bounds)

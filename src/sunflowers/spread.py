@@ -7,15 +7,20 @@ profile entry s_|T|.  All spreadness predicates use exact rational
 cross-multiplication; no floating-point comparisons decide anything.
 
 Satisfying probabilities P(some member is contained in a random
-alpha-density subset R) are computed two independent ways: an exact
-subset-lattice sum for ground sizes up to 24, over the lattice stored as
+alpha-density subset R) are computed two ways: an exact subset-lattice
+sum for ground sizes up to 24, over the members' up-closure stored as
 packed bits (2^x / 8 bytes), and a seeded Monte Carlo estimator whose
 trials are rows of uniforms from a counter-based PRNG stream (numpy
 Philox, keyed by the seed).  The rows are drawn in blocks that together
 are exactly one `random((trials, x))` draw, so the estimate does not
 depend on the block size; each block is packed into uint64 words before
-the containment test.  A block holds `_SAMPLE_BLOCK // max(x, |F| * words)`
-rows, so its uniforms and its member word tests each take at most 512 KiB.
+the containment test.  That test reads the same up-closure, one lookup
+per trial, when x <= 24 and building it costs no more than the
+trials * |F| member tests it replaces; a block then holds
+`_SAMPLE_BLOCK // x` rows.  Otherwise the members are tested word by
+word, member-major, and a block holds `_SAMPLE_BLOCK // max(x, |F| * words)`
+rows.  Either way a block's uniforms and its word tests each take at
+most 512 KiB.
 """
 
 from __future__ import annotations
@@ -114,7 +119,10 @@ def spread_kappa(family: SetFamily) -> float:
     """The spreadness supremum: min(|F|^(1/n), min_T (|F|/|F_T|)^(1/|T|)).
 
     The exact predicate holds for rationals below this value and fails
-    above it (up to the float rounding of the return value).
+    above it (up to the float rounding of the return value).  Since
+    (|F|/c)^(1/t) falls as c grows, only the largest |F_T| of each size
+    |T| = t is raised to a power, which gives the same float as the
+    minimum over every T.
     """
     n = family.uniformity
     if n is None or len(family) == 0:
@@ -122,11 +130,12 @@ def spread_kappa(family: SetFamily) -> float:
     size = len(family)
     if n == 0:
         return 1.0
-    best = size ** (1.0 / n)
+    largest: dict[int, int] = {}  # |T| -> the largest |F_T| at that size
     for tmask, count in _link_counts(family.masks).items():
         t = tmask.bit_count()
-        best = min(best, (size / count) ** (1.0 / t))
-    return best
+        if count > largest.get(t, 0):
+            largest[t] = count
+    return min([size ** (1.0 / n)] + [(size / c) ** (1.0 / t) for t, c in largest.items()])
 
 
 def is_profile_spread(weighted: WeightedFamily, profile: SpreadProfile) -> bool:
@@ -230,12 +239,22 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     keeps each ground element independently with probability alpha.
 
     Deterministic for a fixed seed: trial i is row i of the Philox
-    stream's `random((trials, x)) < alpha`, drawn
-    `max(1, _SAMPLE_BLOCK // max(x, |F| * words))` rows at a time, where
-    words = ceil(x / 64), so that a block's uniforms and its word tests
-    each take at most 8 * _SAMPLE_BLOCK bytes.  Each block is packed into
-    little-endian uint64 words (element e is bit e % 64 of word e // 64),
-    and member M is contained in R iff M & ~R is zero in every word.
+    stream's `random((trials, x)) < alpha`, drawn in blocks of rows and
+    packed into little-endian uint64 words (element e is bit e % 64 of
+    word e // 64).  Each trial is tested one of two ways, chosen from x,
+    |F| and trials alone; both count the same successes.
+
+    - Lattice: when x <= 24 and building the members' up-closure
+      (`_upward_lattice`, about x * 2^(x - 6) word operations) costs no
+      more than the trials * |F| member tests it replaces, the packed row
+      is the subset index R and one lookup of bit R answers the trial.
+      A block holds `_SAMPLE_BLOCK // x` rows.
+    - Words: otherwise member M is contained in R iff M & ~R is zero in
+      every word, tested member-major.  A block holds
+      `_SAMPLE_BLOCK // max(x, |F| * words)` rows, words = ceil(x / 64).
+
+    Either way a block's uniforms, and its word tests, each take at most
+    8 * _SAMPLE_BLOCK bytes.
     """
     alpha = float(alpha)
     if not 0 < alpha < 1:
@@ -252,23 +271,36 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
         successes = trials  # only possible member is the empty set
     else:
         words = -(-x // 64)
-        memb = np.frombuffer(
-            b"".join(m.to_bytes(8 * words, "little") for m in family.masks), dtype="<u8"
-        ).reshape(-1, words)
+        if x <= _EXACT_GROUND_LIMIT and x << max(x - 6, 0) <= trials * len(family):
+            lattice = _upward_lattice(family.masks, x)
+            block = max(1, _SAMPLE_BLOCK // x)
+        else:
+            lattice = None
+            memb = np.frombuffer(
+                b"".join(m.to_bytes(8 * words, "little") for m in family.masks), dtype="<u8"
+            ).reshape(-1, words)
+            block = max(1, _SAMPLE_BLOCK // max(x, len(memb) * words))
         successes = 0
-        block = max(1, _SAMPLE_BLOCK // max(x, len(memb) * words))
+        nbytes = -(-x // 8)
+        # rows padded to whole bytes pack as one flat bit string
+        kept = np.zeros((min(block, trials), 8 * nbytes), dtype=bool)
         packed = np.zeros((min(block, trials), 8 * words), dtype=np.uint8)
         done = 0
         while done < trials:
             rows = min(block, trials - done)
-            packed[:rows, : -(-x // 8)] = np.packbits(
-                rng.random((rows, x)) < alpha, axis=1, bitorder="little"
-            )
-            missing = ~packed[:rows].view("<u8")
-            outside = missing[:, 0, None] & memb[:, 0]
-            for w in range(1, words):
-                outside |= missing[:, w, None] & memb[:, w]
-            successes += int(np.count_nonzero(outside.min(axis=1) == 0))
+            np.less(rng.random((rows, x)), alpha, out=kept[:rows, :x])
+            packed[:rows, :nbytes] = np.packbits(kept[:rows], bitorder="little").reshape(rows, nbytes)
+            if lattice is not None:
+                subset = packed[:rows].view("<u8")[:, 0]
+                hit = lattice[subset >> np.uint64(6)] >> (subset & np.uint64(63))
+                successes += int(np.count_nonzero(hit & np.uint64(1)))
+            else:
+                missing = ~packed[:rows].view("<u8")
+                outside = memb[:, 0, None] & missing[:, 0]
+                for w in range(1, words):
+                    outside |= memb[:, w, None] & missing[:, w]
+                successes += int(np.count_nonzero(outside.min(axis=0) == 0))
+                del outside  # so that two blocks' tests never coexist
             done += rows
     estimate = successes / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
@@ -309,15 +341,39 @@ def _popcount64(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _upward_lattice(masks: Sequence[int], x: int) -> np.ndarray:
+    """The up-closure of the members in the subset lattice of a ground set
+    of size x, as 2^max(x - 6, 0) uint64 words: bit R % 64 of word R // 64
+    is set iff some member is a subset of R.  The closure runs by shift-or
+    inside the words that hold a member, then by word blocks across words:
+    at most x * 2^(x - 6) word operations."""
+    high = max(x - 6, 0)  # ground elements that index words, not bits
+    lattice = np.zeros(1 << high, dtype=np.uint64)
+    members = np.array(masks, dtype=np.uint64)
+    index = (members >> np.uint64(6)).astype(np.intp)
+    np.bitwise_or.at(lattice, index, np.left_shift(np.uint64(1), members & np.uint64(63)))
+    # closing inside words commutes with closing across them, so it runs
+    # first, on the words that hold a member
+    index = np.unique(index)
+    held = lattice[index]
+    for bit in range(min(x, 6)):
+        held |= (held << np.uint64(1 << bit)) & _SPREAD_MASKS[bit]
+    lattice[index] = held
+    for bit in range(high):
+        step = 1 << bit
+        h = lattice.reshape(-1, 2 * step)
+        h[:, step:] |= h[:, :step]
+    return lattice
+
+
 def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
     """Exact P(some member is a subset of R) at rational alpha, by the
-    full 2^x subset sum.  The oracle for sample_satisfying; x <= 24.
+    full 2^x subset sum; x <= 24.
 
-    The subset lattice is a bit array in uint64 words (2^x / 8 bytes):
-    subset R is bit R % 64 of word R // 64.  Its upward closure runs by
-    shift-or inside each word and by word blocks across words; the hit
-    sets are then counted by size |R| = popcount(R // 64) + popcount(R % 64),
-    in integers, before the exact rational sum."""
+    The hit sets are the members' up-closure `_upward_lattice`, a bit array
+    of 2^x / 8 bytes.  They are counted by size
+    |R| = popcount(R // 64) + popcount(R % 64), in integers, before the
+    exact rational sum."""
     a = _exact_fraction(alpha, "alpha")
     if not 0 <= a <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -326,17 +382,8 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
         raise ValueError(f"ground size {x} exceeds exhaustive budget {_EXACT_GROUND_LIMIT}")
     if len(family) == 0:
         return Fraction(0)
+    lattice = _upward_lattice(family.masks, x)
     high = max(x - 6, 0)  # ground elements that index words, not bits
-    lattice = np.zeros(1 << high, dtype=np.uint64)
-    masks = np.array(family.masks, dtype=np.uint64)
-    np.bitwise_or.at(lattice, (masks >> np.uint64(6)).astype(np.intp),
-                     np.left_shift(np.uint64(1), masks & np.uint64(63)))
-    for bit in range(min(x, 6)):
-        lattice |= (lattice << np.uint64(1 << bit)) & _SPREAD_MASKS[bit]
-    for bit in range(high):
-        step = 1 << bit
-        h = lattice.reshape(-1, 2 * step)
-        h[:, step:] |= h[:, :step]
     word_sizes = np.zeros(1, dtype=np.uint8)
     for _ in range(high):
         word_sizes = np.concatenate((word_sizes, word_sizes + 1))

@@ -165,6 +165,10 @@ def test_bounds_missing_params_error(capsys):
     (["rlogn", "-n", "4", "-r", "3", "--L", "0"], "--L"),
     (["d-intersecting", "-n", "4", "-r", "3", "-d", "2", "-s", "1"], "-s"),
     (["falling-factorial", "-n", "4", "-r", "3", "-d", "2", "--L", "1"], "--L"),
+    (["erdos-rado", "-n", "4", "-r", "3", "-C", "5", "--log-base", "2", "--digits", "7"],
+     "-C, --digits, --log-base"),
+    (["three-sunflower", "-n", "4", "-s", "2", "--log-base", "2", "-C", "5"], "-C, --log-base"),
+    (["falling-factorial", "-n", "4", "-r", "3", "-d", "2", "--digits", "9"], "--digits"),
 ])
 def test_bounds_refuses_unread_flags(capsys, argv, unread):
     code, out, err = run(capsys, "bounds", "--which", *argv)
@@ -181,6 +185,22 @@ def test_bounds_reads_every_flag_it_is_given(capsys):
         assert code == 0, argv
         if argv[0] != "all":
             assert report["outputs"]["bound"]["params"]["s"] == 2
+
+
+def test_bounds_echoes_real_flags_given_or_defaulted(capsys):
+    for argv, echoed in (
+        (["rlogn", "-n", "4", "-r", "3", "-C", "5", "--log-base", "2", "--digits", "7"],
+         {"C": "5", "digits": 7, "log_base": "2"}),
+        (["crossover", "-n", "4", "-r", "3", "--digits", "9"], {"C": "1", "digits": 9, "log_base": "e"}),
+        (["three-sunflower", "-n", "4", "-s", "2", "--digits", "9"],
+         {"C": "1", "digits": 9, "log_base": "e"}),
+        (["erdos-rado", "-n", "4", "-r", "3"], {"C": "1", "digits": 50, "log_base": "e"}),
+        (["all", "-n", "4", "-r", "3", "-C", "1/2", "--log-base", "2"],
+         {"C": "1/2", "digits": 50, "log_base": "2"}),
+    ):
+        code, report, _ = run_json(capsys, "bounds", "--which", *argv)
+        assert code == 0, argv
+        assert {k: report["parameters"][k] for k in echoed} == echoed, argv
 
 
 def test_bounds_text_format(capsys):

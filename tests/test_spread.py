@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -101,6 +102,19 @@ def test_spread_kappa_transversal_closed_form():
                     if cnt:
                         best = min(best, (size / cnt) ** (1 / t_len))
             assert got == pytest.approx(best, abs=1e-12)
+
+
+def test_spread_kappa_equals_minimum_over_every_link():
+    # one power per size |T| must give the float of the minimum over every T
+    for x, n, m in ((8, 2, 12), (12, 3, 40), (40, 3, 100), (100, 4, 180), (9, 5, 60)):
+        for seed in range(4):
+            fam = gen_random_uniform(x, n, m, seed=seed)
+            links = Counter(t for s in fam.members for k in range(1, n + 1)
+                            for t in combinations(s.elements, k))
+            size = len(fam)
+            reference = min([size ** (1.0 / n)]
+                            + [(size / c) ** (1.0 / len(t)) for t, c in links.items()])
+            assert spread_kappa(fam) == reference, (x, n, m, seed)
 
 
 def test_spread_kappa_consistent_with_predicate():
@@ -355,21 +369,37 @@ def test_sample_validation():
 
 @st.composite
 def sampling_cases(draw):
-    """(x, sets, trials) for x in [0, 130] and up to 80 members; for
-    x >= 13 the trials may straddle the 65536 // max(x, |F| * words) rows
-    of one draw block, which the member count sets once |F| * words > x."""
-    x = draw(st.one_of(st.sampled_from([0, 1, 63, 64, 65, 128, 129, 130]), st.integers(0, 130)))
+    """(x, sets, trials) for x in [0, 130] and up to 80 members.  For
+    x >= 13 the trials may straddle the rows of one draw block of either
+    kernel -- 65536 // x on the lattice, 65536 // max(x, |F| * words) on
+    words, which the member count sets once |F| * words > x -- or the
+    fewest trials, ceil(x * 2^(x - 6) / |F|) at x <= 24, that take the
+    lattice."""
+    x = draw(st.one_of(st.sampled_from([0, 1, 13, 16, 20, 24, 63, 64, 65, 128, 129, 130]),
+                       st.integers(0, 130)))
     members = st.frozensets(st.integers(0, x - 1), max_size=min(x, 5)) if x else st.just(frozenset())
     max_sets = draw(st.sampled_from([10, 80]))
     sets = [sorted(s) for s in draw(st.sets(members, max_size=max_sets))]
     trials = st.integers(1, 60)
     if x >= 13:
-        block = 65536 // max(x, len(sets) * -(-x // 64))
-        trials = st.one_of(trials, st.sampled_from([block - 1, block, block + 1, 2 * block + 1]))
+        edges = []
+        for block in (65536 // x, 65536 // max(x, len(sets) * -(-x // 64))):
+            edges += [block - 1, block, block + 1, 2 * block + 1]
+        if sets and x <= 24:
+            first = -(-(x << (x - 6)) // len(sets))
+            edges += [first - 1, first]
+        trials = st.one_of(trials, st.sampled_from([t for t in edges if 1 <= t <= 12_000]))
     return x, sets, draw(trials)
 
 
 PAIRS_OF_12 = [list(p) for p in combinations(range(12), 2)]  # 66 members, one word
+PAIRS_OF_20 = [list(p) for p in combinations(range(20), 2)]  # 190 members
+PAIRS_OF_24 = [list(p) for p in combinations(range(24), 2)]  # 276 members
+
+# The fewest trials on which these families take the lattice,
+# ceil(x * 2^(x - 6) / |F|); one trial fewer stays on words.  At x = 16 the
+# 256 trials of 64 members cost exactly the 16 * 2^10 of the build.
+LATTICE_EDGES = [(16, PAIRS_OF_12[:64], 256), (20, PAIRS_OF_20, 1725), (24, PAIRS_OF_24, 22796)]
 
 
 @given(sampling_cases(), st.floats(min_value=0.05, max_value=0.95),
@@ -379,23 +409,66 @@ PAIRS_OF_12 = [list(p) for p in combinations(range(12), 2)]  # 66 members, one w
 @example((65, [[0, 64], [63]], 1009), 0.9, 2)
 @example((129, [[], [128]], 509), 0.3, 3)
 @example((20, [], 3277), 0.5, 4)
-@example((16, PAIRS_OF_12, 65536 // 66 + 1), 0.5, 5)
+@example((24, PAIRS_OF_12, 65536 // 66 + 1), 0.5, 5)
 @example((100, PAIRS_OF_12[:60], 65536 // 120 * 2 + 1), 0.7, 6)
+@example((16, PAIRS_OF_12, 65536 // 16 + 1), 0.3, 7)
+@example((16, [[0, 1], [2], [3, 4, 15]], 65536 // 16 + 1), 0.3, 8)
+@example((16, PAIRS_OF_12[:64], 255), 0.2, 9)
+@example((16, PAIRS_OF_12[:64], 256), 0.2, 9)
+@example((20, PAIRS_OF_20, 1724), 0.1, 10)
+@example((20, PAIRS_OF_20, 1725), 0.1, 10)
+@example((24, PAIRS_OF_24, 22795), 0.1, 11)
+@example((24, PAIRS_OF_24, 22796), 0.1, 11)
 def test_sample_successes_match_replay_oracle(case, alpha, seed):
     x, sets, trials = case
     est = sample_satisfying(SetFamily(x, sets), alpha, trials, seed)
     assert est.successes == satisfying_successes_by_replay(x, sets, alpha, trials, seed)
 
 
-@pytest.mark.parametrize("x, sets", [(16, PAIRS_OF_12), (100, [[0, 99], [5], [64, 65, 70]])])
+@pytest.mark.parametrize("x, sets, first", LATTICE_EDGES)
+def test_sample_takes_the_lattice_once_it_costs_no_more(monkeypatch, x, sets, first):
+    from sunflowers import spread
+
+    built = []
+    upward = spread._upward_lattice
+    monkeypatch.setattr(spread, "_upward_lattice", lambda masks, g: built.append(g) or upward(masks, g))
+    fam = SetFamily(x, sets)
+    sample_satisfying(fam, 0.5, first - 1, seed=0)
+    assert built == []
+    sample_satisfying(fam, 0.5, first, seed=0)
+    assert built == [x]
+
+
+@pytest.mark.parametrize("x, sets", [(16, PAIRS_OF_12), (100, [[0, 99], [5], [64, 65, 70]]),
+                                     (24, [[0, 23], [5], [6, 7, 8]])])
 def test_sample_successes_do_not_depend_on_block_size(monkeypatch, x, sets):
+    # x = 16 runs on the lattice, x = 24 and x = 100 on words
     from sunflowers import spread
 
     fam = SetFamily(x, sets)
     expected = sample_satisfying(fam, 0.4, 3001, seed=8)
-    for budget in (1, 7, 200):  # blocks of 1 to 3 rows
+    for budget in (1, 7, 200):  # blocks of 1 to 12 rows
         monkeypatch.setattr(spread, "_SAMPLE_BLOCK", budget)
         assert sample_satisfying(fam, 0.4, 3001, seed=8) == expected
+
+
+def test_sample_memory_at_ground_24_within_one_lattice_and_one_block():
+    import tracemalloc
+
+    from sunflowers import spread
+
+    fam = SetFamily(24, PAIRS_OF_24)
+    sample_satisfying(SetFamily(16, PAIRS_OF_12), 0.3, 300, seed=0)  # first-use allocations
+    lattice_bytes = (1 << 24) // 8
+    block_bytes = 2 * 8 * spread._SAMPLE_BLOCK  # a block's uniforms and its word tests
+    for trials, on_lattice in ((22795, False), (22796, True), (200_000, True), (500, False)):
+        tracemalloc.start()
+        try:
+            sample_satisfying(fam, 0.3, trials, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= lattice_bytes * on_lattice + block_bytes, (trials, peak)
 
 
 def test_sample_converges_across_seeds():
