@@ -10,17 +10,18 @@ Satisfying probabilities P(some member is contained in a random
 alpha-density subset R) are computed two ways: an exact subset-lattice
 sum for ground sizes up to 24, over the members' up-closure stored as
 packed bits (2^x / 8 bytes), and a seeded Monte Carlo estimator whose
-trials are rows of uniforms from a counter-based PRNG stream (numpy
-Philox, keyed by the seed).  The rows are drawn in blocks that together
-are exactly one `random((trials, x))` draw, so the estimate does not
-depend on the block size; each block is packed into uint64 words before
-the containment test.  That test reads the same up-closure, one lookup
-per trial, when x <= 24 and building it costs no more than the
-trials * |F| member tests it replaces; a block then holds
-`_SAMPLE_BLOCK // x` rows.  Otherwise the members are tested word by
-word, member-major, and a block holds `_SAMPLE_BLOCK // max(x, |F| * words)`
-rows.  Either way a block's uniforms and its word tests each take at
-most 512 KiB.
+trials are rows of raw 64-bit words from a counter-based PRNG stream
+(numpy Philox, keyed by the seed): element e is kept when its word is
+below ceil(alpha * 2^53) << 11, exactly `random() < alpha`.  The rows
+are drawn in blocks that together are one `random_raw(trials * x)` draw,
+so the estimate does not depend on the block size.  When x <= 24 and
+building the up-closure costs no more than the trials * |F| member
+tests it replaces, one lookup of the packed row answers a trial, in
+blocks of `_SAMPLE_BLOCK // x` rows.  Otherwise the test is sliced by
+trials: each element gets a bitset over the block's trials and each
+member ANDs its elements' bitsets, in blocks of a multiple of 64 trials
+(at least 64) with rows <= `_SAMPLE_BLOCK // x` and |F| * rows / 8 <=
+8 * `_SAMPLE_BLOCK` bytes.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .families import (
     WeightedFamily,
     _exact_fraction,
     _positive_fraction,
+    elements_of,
     find_r_disjoint,
     link,
     submasks,
@@ -239,21 +241,27 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     keeps each ground element independently with probability alpha.
 
     Deterministic for a fixed seed: trial i is row i of the Philox
-    stream's `random((trials, x)) < alpha`, drawn in blocks of rows and
-    packed into little-endian uint64 words (element e is bit e % 64 of
-    word e // 64).  Each trial is tested one of two ways, chosen from x,
-    |F| and trials alone; both count the same successes.
+    stream's `random_raw((trials, x)) < ceil(alpha * 2^53) << 11`, drawn
+    in blocks of rows.  Since Philox's `random()` is (raw >> 11) * 2^-53,
+    that is exactly `random((trials, x)) < alpha`, with no float
+    conversion; for alpha < 1 the threshold fits in a uint64.  Each trial
+    is tested one of two ways, chosen from x, |F| and trials alone; both
+    count the same successes, and an empty member answers every trial.
 
     - Lattice: when x <= 24 and building the members' up-closure
       (`_upward_lattice`, about x * 2^(x - 6) word operations) costs no
-      more than the trials * |F| member tests it replaces, the packed row
-      is the subset index R and one lookup of bit R answers the trial.
-      A block holds `_SAMPLE_BLOCK // x` rows.
-    - Words: otherwise member M is contained in R iff M & ~R is zero in
-      every word, tested member-major.  A block holds
-      `_SAMPLE_BLOCK // max(x, |F| * words)` rows, words = ceil(x / 64).
+      more than the trials * |F| member tests it replaces, the row packed
+      into little-endian bits is the subset index R, and one lookup of
+      bit R answers the trial.  A block holds `_SAMPLE_BLOCK // x` rows.
+    - Sliced: otherwise the block is kept element-major, packed along the
+      trials into one uint64 bitset per element, and each member's
+      bitsets are ANDed through an |F| x max|M| index table (short
+      members are padded with an all-ones row x); the members' OR counts
+      the successes.  A block is a multiple of 64 trials, with rows <=
+      `_SAMPLE_BLOCK // x` and |F| * rows / 8 <= 8 * _SAMPLE_BLOCK bytes,
+      and at least 64 trials.
 
-    Either way a block's uniforms, and its word tests, each take at most
+    Unless a block is the 64-trial minimum, its raw words take at most
     8 * _SAMPLE_BLOCK bytes.
     """
     alpha = float(alpha)
@@ -264,43 +272,51 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     x = family.ground_size
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    if len(family) == 0:
+    masks = family.masks
+    bitgen = np.random.Philox(key=seed)
+    threshold = np.uint64(math.ceil(alpha * 2**53) << 11)
+    if not masks:
         successes = 0
-    elif x == 0:
-        successes = trials  # only possible member is the empty set
+    elif 0 in masks:
+        successes = trials  # the empty member lies inside every R
     else:
-        words = -(-x // 64)
-        if x <= _EXACT_GROUND_LIMIT and x << max(x - 6, 0) <= trials * len(family):
-            lattice = _upward_lattice(family.masks, x)
+        size = len(masks)
+        if x <= _EXACT_GROUND_LIMIT and x << max(x - 6, 0) <= trials * size:
+            lattice = _upward_lattice(masks, x)
             block = max(1, _SAMPLE_BLOCK // x)
+            nbytes = -(-x // 8)
+            # rows padded to whole bytes pack as one flat bit string
+            kept = np.zeros((min(block, trials), 8 * nbytes), dtype=bool)
+            packed = np.zeros((min(block, trials), 8), dtype=np.uint8)
         else:
             lattice = None
-            memb = np.frombuffer(
-                b"".join(m.to_bytes(8 * words, "little") for m in family.masks), dtype="<u8"
-            ).reshape(-1, words)
-            block = max(1, _SAMPLE_BLOCK // max(x, len(memb) * words))
+            widest = max(m.bit_count() for m in masks)
+            index = np.full((size, widest), x, dtype=np.intp)  # row x of kept is all ones
+            for row, mask in zip(index, masks):
+                row[: mask.bit_count()] = elements_of(mask)
+            block = 64 * max(1, min(_SAMPLE_BLOCK // x, 64 * _SAMPLE_BLOCK // size) // 64)
+            kept = np.ones((x + 1, min(block, -(-trials // 64) * 64)), dtype=bool)
         successes = 0
-        nbytes = -(-x // 8)
-        # rows padded to whole bytes pack as one flat bit string
-        kept = np.zeros((min(block, trials), 8 * nbytes), dtype=bool)
-        packed = np.zeros((min(block, trials), 8 * words), dtype=np.uint8)
         done = 0
         while done < trials:
             rows = min(block, trials - done)
-            np.less(rng.random((rows, x)), alpha, out=kept[:rows, :x])
-            packed[:rows, :nbytes] = np.packbits(kept[:rows], bitorder="little").reshape(rows, nbytes)
+            in_r = bitgen.random_raw(rows * x).reshape(rows, x) < threshold  # row i: trial i's R
             if lattice is not None:
+                kept[:rows, :x] = in_r
+                packed[:rows, :nbytes] = np.packbits(kept[:rows], bitorder="little").reshape(rows, nbytes)
                 subset = packed[:rows].view("<u8")[:, 0]
                 hit = lattice[subset >> np.uint64(6)] >> (subset & np.uint64(63))
                 successes += int(np.count_nonzero(hit & np.uint64(1)))
             else:
-                missing = ~packed[:rows].view("<u8")
-                outside = memb[:, 0, None] & missing[:, 0]
-                for w in range(1, words):
-                    outside |= memb[:, w, None] & missing[:, w]
-                successes += int(np.count_nonzero(outside.min(axis=0) == 0))
-                del outside  # so that two blocks' tests never coexist
+                width = -(-rows // 64) * 64
+                kept[:x, :rows] = in_r.T
+                kept[:x, rows:width] = False  # trials past the last are misses
+                bits = np.packbits(kept[:, :width], axis=1, bitorder="little").view("<u8")
+                held = bits[index[:, 0]]
+                for j in range(1, widest):
+                    held &= bits[index[:, j]]
+                successes += int(_popcount64(np.bitwise_or.reduce(held, axis=0)).sum())
+                del held  # so that two blocks' bitsets never coexist
             done += rows
     estimate = successes / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
@@ -395,6 +411,7 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
         hits = _popcount64(lattice & size_mask)
         for k, n in enumerate(np.add.reduceat(hits, starts).tolist()):
             counts[k + c] += n
+        del hits  # so that two sizes' counts never coexist
     total = Fraction(0)
     for size in range(x + 1):
         c = int(counts[size])

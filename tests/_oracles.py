@@ -47,8 +47,10 @@ def satisfying_by_subset_loop(ground_size, sets, alpha):
 def satisfying_successes_by_replay(ground_size, sets, alpha, trials, seed):
     """Monte Carlo successes by replaying the seeded draws in one call
     and testing frozenset containment row by row.  It shares only numpy's
-    Philox stream with the library, which draws the same numbers in
-    blocks of rows."""
+    Philox stream with the library, which draws the same words in blocks
+    of rows.  It compares `Generator.random` uniforms with alpha, where
+    the library compares the raw words with ceil(alpha * 2^53) << 11, so
+    it checks that threshold independently."""
     import numpy as np
 
     rng = np.random.Generator(np.random.Philox(key=seed))

@@ -314,6 +314,23 @@ def test_exact_lattice_memory_at_ground_24():
     assert int(grown_kib) < 32 * 1024
 
 
+def test_exact_memory_at_ground_24_within_three_and_a_quarter_lattices():
+    # the lattice, its size-sorted copy and one size's counts; two sizes'
+    # counts must never be alive at once
+    import tracemalloc
+
+    fam = SetFamily(24, PAIRS_OF_24)
+    exact_satisfying(SetFamily(8, [[0, 1]]), Fraction(1, 3))  # first-use allocations
+    lattice_bytes = (1 << 24) // 8
+    tracemalloc.start()
+    try:
+        exact_satisfying(fam, Fraction(1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 13 * lattice_bytes // 4, peak
+
+
 def test_exact_monotone_in_alpha_and_members():
     fam = gen_random_uniform(8, 3, 6, seed=2)
     grid = [Fraction(k, 8) for k in range(1, 8)]
@@ -371,10 +388,10 @@ def test_sample_validation():
 def sampling_cases(draw):
     """(x, sets, trials) for x in [0, 130] and up to 80 members.  For
     x >= 13 the trials may straddle the rows of one draw block of either
-    kernel -- 65536 // x on the lattice, 65536 // max(x, |F| * words) on
-    words, which the member count sets once |F| * words > x -- or the
-    fewest trials, ceil(x * 2^(x - 6) / |F|) at x <= 24, that take the
-    lattice."""
+    kernel -- 65536 // x on the lattice, and on the sliced test
+    64 * max(1, min(65536 // x, 64 * 65536 // |F|) // 64), a multiple of
+    64 trials -- or the fewest trials, ceil(x * 2^(x - 6) / |F|) at
+    x <= 24, that take the lattice."""
     x = draw(st.one_of(st.sampled_from([0, 1, 13, 16, 20, 24, 63, 64, 65, 128, 129, 130]),
                        st.integers(0, 130)))
     members = st.frozensets(st.integers(0, x - 1), max_size=min(x, 5)) if x else st.just(frozenset())
@@ -383,7 +400,8 @@ def sampling_cases(draw):
     trials = st.integers(1, 60)
     if x >= 13:
         edges = []
-        for block in (65536 // x, 65536 // max(x, len(sets) * -(-x // 64))):
+        sliced = 64 * max(1, min(65536 // x, 64 * 65536 // max(len(sets), 1)) // 64)
+        for block in (65536 // x, sliced):
             edges += [block - 1, block, block + 1, 2 * block + 1]
         if sets and x <= 24:
             first = -(-(x << (x - 6)) // len(sets))
@@ -419,7 +437,19 @@ LATTICE_EDGES = [(16, PAIRS_OF_12[:64], 256), (20, PAIRS_OF_20, 1725), (24, PAIR
 @example((20, PAIRS_OF_20, 1725), 0.1, 10)
 @example((24, PAIRS_OF_24, 22795), 0.1, 11)
 @example((24, PAIRS_OF_24, 22796), 0.1, 11)
+@example((100, [[], [99]], 130), 0.5, 12)
+@example((65, [[0], [3, 64], [1, 2, 63, 64]], 961), 0.6, 13)
+@example((16, PAIRS_OF_12[:64], 256), math.nextafter(1, 0), 14)
+@example((16, PAIRS_OF_12[:64], 256), 5e-324, 14)
+@example((16, PAIRS_OF_12[:64], 256), 0.5, 14)
+@example((16, PAIRS_OF_12[:64], 256), 0.25, 14)
+@example((65, [[0, 64], [63], [1, 2, 3]], 1009), math.nextafter(1, 0), 15)
+@example((65, [[0, 64], [63], [1, 2, 3]], 1009), 5e-324, 15)
+@example((65, [[0, 64], [63], [1, 2, 3]], 1009), 0.5, 15)
+@example((65, [[0, 64], [63], [1, 2, 3]], 1009), 0.25, 15)
 def test_sample_successes_match_replay_oracle(case, alpha, seed):
+    # alpha*2^53 is an integer at 0.5 and 0.25, where the strict `<` of the
+    # raw threshold decides; nextafter(1, 0) and 5e-324 are its extremes
     x, sets, trials = case
     est = sample_satisfying(SetFamily(x, sets), alpha, trials, seed)
     assert est.successes == satisfying_successes_by_replay(x, sets, alpha, trials, seed)
@@ -439,15 +469,29 @@ def test_sample_takes_the_lattice_once_it_costs_no_more(monkeypatch, x, sets, fi
     assert built == [x]
 
 
+# the sliced block at x = 65 and x = 100 with few members: 64 * (65536 // x // 64)
+SLICED_BLOCKS = {65: 960, 100: 640}
+
+
+@pytest.mark.parametrize("x, trials", [(x, t) for x, block in SLICED_BLOCKS.items()
+                                       for t in (63, 64, 65, block - 1, block, block + 1)])
+def test_sample_sliced_word_edges_match_replay_oracle(x, trials):
+    sets = [[0], [1, x - 1], [2, 63, 64], [5, 6, 7, x - 2]]
+    est = sample_satisfying(SetFamily(x, sets), 0.55, trials, seed=x)
+    assert est.successes == satisfying_successes_by_replay(x, sets, 0.55, trials, x)
+
+
 @pytest.mark.parametrize("x, sets", [(16, PAIRS_OF_12), (100, [[0, 99], [5], [64, 65, 70]]),
-                                     (24, [[0, 23], [5], [6, 7, 8]])])
+                                     (24, [[0, 23], [5], [6, 7, 8]]),
+                                     (65, [[0], [3, 64], [1, 2, 63, 64]])])
 def test_sample_successes_do_not_depend_on_block_size(monkeypatch, x, sets):
-    # x = 16 runs on the lattice, x = 24 and x = 100 on words
+    # x = 16 runs on the lattice, the others on the sliced test, whose
+    # block rounds up to 64 trials under the three small budgets
     from sunflowers import spread
 
     fam = SetFamily(x, sets)
     expected = sample_satisfying(fam, 0.4, 3001, seed=8)
-    for budget in (1, 7, 200):  # blocks of 1 to 12 rows
+    for budget in (1, 7, 200, 20_000):  # lattice blocks of 1 to 1250 rows
         monkeypatch.setattr(spread, "_SAMPLE_BLOCK", budget)
         assert sample_satisfying(fam, 0.4, 3001, seed=8) == expected
 
@@ -460,7 +504,7 @@ def test_sample_memory_at_ground_24_within_one_lattice_and_one_block():
     fam = SetFamily(24, PAIRS_OF_24)
     sample_satisfying(SetFamily(16, PAIRS_OF_12), 0.3, 300, seed=0)  # first-use allocations
     lattice_bytes = (1 << 24) // 8
-    block_bytes = 2 * 8 * spread._SAMPLE_BLOCK  # a block's uniforms and its word tests
+    block_bytes = 2 * 8 * spread._SAMPLE_BLOCK  # a block's raw words and its bitsets
     for trials, on_lattice in ((22795, False), (22796, True), (200_000, True), (500, False)):
         tracemalloc.start()
         try:
@@ -469,6 +513,29 @@ def test_sample_memory_at_ground_24_within_one_lattice_and_one_block():
         finally:
             tracemalloc.stop()
         assert peak <= lattice_bytes * on_lattice + block_bytes, (trials, peak)
+
+
+@pytest.mark.parametrize("x, n, trials", [(64, 2, 5000), (30, 3, 3000)])
+def test_sample_memory_of_a_sliced_call_within_one_block(x, n, trials):
+    # a block's raw words and its members' gathered bitsets.  All 2016 pairs
+    # of 64 take blocks of 65536 // 64 = 1024 trials; all 4060 triples of
+    # 30 take 1024 too, where the |F| rule binds (65536 // 30 would be 2184)
+    import tracemalloc
+
+    from sunflowers import spread
+
+    fam = SetFamily(x, [list(p) for p in combinations(range(x), n)])
+    sample_satisfying(SetFamily(100, [[0, 99], [5]]), 0.3, 300, seed=0)  # first-use allocations
+    rows = 64 * (min(spread._SAMPLE_BLOCK // x, 64 * spread._SAMPLE_BLOCK // len(fam)) // 64)
+    raw_bytes = 8 * rows * x
+    gathered_bytes = len(fam) * n * rows // 8
+    tracemalloc.start()
+    try:
+        sample_satisfying(fam, 0.3, trials, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= raw_bytes + gathered_bytes, (rows, peak)
 
 
 def test_sample_converges_across_seeds():
