@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 #: Exact rational input: int, str (like "1/3") or Fraction; floats are refused.
 Rational = Union[int, str, Fraction]
@@ -171,9 +171,16 @@ class SetFamily:
     element lists); duplicates are rejected.  `uniformity` is n when every
     member has exactly n elements -- either declared (and then validated,
     which also pins the uniformity of an empty family) or auto-detected.
+
+    Tables derived from the masks (the ElementSet members and their
+    element tuples, and `spread`'s link counts, subset-lattice up-closure
+    with its counts by size, and Monte Carlo index table) are built on
+    first use and kept in a private slot of this object, so they live
+    exactly as long as the family and no longer: a new family, even an
+    equal one, builds its own.  Cached arrays and mappings are read-only.
     """
 
-    __slots__ = ("_ground_size", "_masks", "_members", "_uniformity")
+    __slots__ = ("_ground_size", "_masks", "_tables", "_uniformity")
 
     def __init__(self, ground_size: int, sets: Iterable = (), uniform: Optional[int] = None):
         if ground_size < 0:
@@ -201,13 +208,55 @@ class SetFamily:
             sizes = {len(s) for s in members}
             uniformity = sizes.pop() if len(sizes) == 1 else None
         object.__setattr__(self, "_ground_size", ground_size)
-        object.__setattr__(self, "_members", tuple(members))
         object.__setattr__(self, "_masks", tuple(s.mask for s in members))
         object.__setattr__(self, "_uniformity", uniformity)
+        object.__setattr__(self, "_tables", {"members": tuple(members)})
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[int], uniform: Optional[int] = None) -> "SetFamily":
         return cls(ground_size, (ElementSet.from_mask(m) for m in masks), uniform=uniform)
+
+    @classmethod
+    def _canonical(cls, ground_size: int, elements: Sequence[tuple[int, ...]]) -> "SetFamily":
+        """The family of `elements`, ascending tuples of nonnegative
+        integers that are already in canonical order, as the parsers
+        produce them.  One linear check of order (which also excludes
+        duplicates) and range replaces the sort; the tuples become the
+        family's element table, and the ElementSet members are made on
+        first use."""
+        if ground_size < 0:
+            raise FamilyError(f"ground size must be >= 0, got {ground_size}")
+        elements = tuple(elements)
+        for prev, cur in zip(elements, elements[1:]):
+            if prev >= cur:
+                problem = "duplicate member" if prev == cur else "members out of canonical order at"
+                raise FamilyError(f"{problem} {list(cur)}")
+        masks = tuple(sum(map((1).__lshift__, t)) for t in elements)
+        if masks and max(masks) >> ground_size:
+            bad = [e for t in elements for e in t if e >= ground_size]
+            raise FamilyError(f"elements {bad} out of range for ground size {ground_size}")
+        sizes = set(map(len, elements))
+        family = cls.__new__(cls)
+        object.__setattr__(family, "_ground_size", ground_size)
+        object.__setattr__(family, "_masks", masks)
+        object.__setattr__(family, "_uniformity", sizes.pop() if len(sizes) == 1 else None)
+        object.__setattr__(family, "_tables", {"elements": elements})
+        return family
+
+    def _table(self, name: str, build: Optional[Callable[[], Any]] = None) -> Any:
+        """The derived table `name`: made by `build()` on first use and
+        kept as long as this family.  Without `build`, the table if it is
+        already made, else None.  A build that raises stores nothing."""
+        tables = self._tables
+        if name not in tables:
+            if build is None:
+                return None
+            tables[name] = build()
+        return tables[name]
+
+    def _element_tuples(self) -> tuple[tuple[int, ...], ...]:
+        """Each member's ascending elements, in member order."""
+        return self._table("elements", lambda: tuple(map(elements_of, self._masks)))
 
     def __setattr__(self, name, value):
         raise AttributeError("SetFamily is immutable")
@@ -218,7 +267,7 @@ class SetFamily:
 
     @property
     def members(self) -> tuple[ElementSet, ...]:
-        return self._members
+        return self._table("members", lambda: tuple(map(ElementSet.from_mask, self._masks)))
 
     @property
     def masks(self) -> tuple[int, ...]:
@@ -229,10 +278,10 @@ class SetFamily:
         return self._uniformity
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._masks)
 
     def __iter__(self) -> Iterator[ElementSet]:
-        return iter(self._members)
+        return iter(self.members)
 
     def __contains__(self, s) -> bool:
         return _coerce_set(s).mask in set(self._masks)
@@ -248,7 +297,7 @@ class SetFamily:
         return hash((self._ground_size, self._masks))
 
     def __repr__(self) -> str:
-        return f"SetFamily(x={self._ground_size}, members={len(self._members)}, uniform={self._uniformity})"
+        return f"SetFamily(x={self._ground_size}, members={len(self._masks)}, uniform={self._uniformity})"
 
 
 class WeightedFamily:
@@ -365,11 +414,14 @@ def link(family: SetFamily, t: ElementSet) -> SetFamily:
     """The link at t: { F - t : F in family, t subset of F }.
 
     The link of an n-uniform family is (n - |t|)-uniform; members stay
-    distinct because a common t is removed from supersets of t.
+    distinct because a common t is removed from supersets of t.  The link
+    at the empty set is the family itself.
     """
     tm = t.mask
     if tm & ~((1 << family.ground_size) - 1):
         raise FamilyError("link set is outside the ground set")
+    if tm == 0:
+        return family
     masks = [m & ~tm for m in family.masks if tm & ~m == 0]
     uniform = None
     if family.uniformity is not None:

@@ -3,7 +3,11 @@
 Text format: a header line ``x=<ground_size>``, then one set per line as
 ascending space-separated integers; ``#`` starts a comment.  Blank lines
 are skipped, so the text format cannot express the empty set -- use the
-JSON format (``[]``) for families containing it.
+JSON format (``[]``) for families containing it.  An integer is ASCII
+digits with an optional leading ``-``: ``+1``, ``1_2`` and other
+scripts' digits, which ``int()`` would take, are refused.  Any whitespace
+that ``str.split`` reads as whitespace, a no-break space among it,
+separates the integers.
 
 JSON format::
 
@@ -18,9 +22,10 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Optional, Union
+from operator import eq, ge
+from typing import NoReturn, Optional, Union
 
-from .families import ElementSet, FamilyError, SetFamily, WeightedFamily
+from .families import FamilyError, SetFamily, WeightedFamily
 
 
 class ParseError(FamilyError):
@@ -28,50 +33,87 @@ class ParseError(FamilyError):
 
 
 def parse_family_text(text: str) -> SetFamily:
+    """The family in a text file, read in one pass: each set line becomes
+    its element tuple by one strictly ascending scan with a range check,
+    and the rows, sorted by their tuples (the canonical order), make the
+    family without a second sort.  A line that fails the scan gets the
+    per-line diagnostics of `_line_error`."""
     ground_size = None
-    rows: list[tuple[int, list[int]]] = []
+    rows: list[tuple[tuple[int, ...], int]] = []  # (elements, line number)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if ground_size is None:
-            if not line.startswith("x="):
-                raise ParseError(f"line {lineno}: expected header 'x=<ground_size>', got {raw!r}")
-            try:
-                ground_size = int(line[2:])
-            except ValueError:
-                raise ParseError(f"line {lineno}: bad ground size in {raw!r}") from None
-            if ground_size < 0:
-                raise ParseError(f"line {lineno}: ground size must be >= 0")
+            ground_size = _header(line, raw, lineno)
             continue
         try:
-            elems = [int(tok) for tok in line.split()]
+            elems = _integers(line)
         except ValueError:
-            raise ParseError(f"line {lineno}: non-integer element in {raw!r}") from None
-        if sorted(elems) != elems:
-            raise ParseError(f"line {lineno}: elements must be ascending in {raw!r}")
-        if len(set(elems)) != len(elems):
-            raise ParseError(f"line {lineno}: duplicate element in {raw!r}")
-        if any(e < 0 or e >= ground_size for e in elems):
-            raise ParseError(f"line {lineno}: element out of range [0, {ground_size}) in {raw!r}")
-        rows.append((lineno, elems))
+            _line_error(line, raw, lineno, ground_size)
+        if elems[0] < 0 or elems[-1] >= ground_size or any(map(ge, elems, elems[1:])):
+            _line_error(line, raw, lineno, ground_size)
+        rows.append((elems, lineno))
     if ground_size is None:
         raise ParseError("missing header line 'x=<ground_size>'")
-    seen: dict[tuple[int, ...], int] = {}
-    for lineno, elems in rows:
-        key = tuple(elems)
-        if key in seen:
-            raise ParseError(f"line {lineno}: duplicate set (first seen on line {seen[key]})")
-        seen[key] = lineno
-    return SetFamily(ground_size, (ElementSet(elems) for _, elems in rows))
+    rows.sort()
+    if any(a[0] == b[0] for a, b in zip(rows, rows[1:])):
+        seen: dict[tuple[int, ...], int] = {}
+        for elems, lineno in sorted(rows, key=lambda row: row[1]):
+            if elems in seen:
+                raise ParseError(f"line {lineno}: duplicate set (first seen on line {seen[elems]})")
+            seen[elems] = lineno
+    return SetFamily._canonical(ground_size, [elems for elems, _ in rows])
+
+
+def _integers(text: str) -> tuple[int, ...]:
+    """The whitespace-separated integers of `text`, each ASCII digits with
+    an optional leading '-': no '+', '_' or other scripts' digits, which
+    int() would take.  Raises ValueError otherwise (and, as int() does,
+    past its digit limit).  The one token rule of the text format."""
+    tokens = text.split()
+    elems = tuple(map(int, tokens))
+    # int() took every token, so tokens of ASCII text without '+' or '_'
+    # hold only ASCII digits and leading '-' signs (an ASCII text is the
+    # common case: its tokens need no join)
+    if "+" in text or "_" in text or not (text.isascii() or "".join(tokens).isascii()):
+        raise ValueError("not an ASCII integer")
+    return elems
+
+
+def _header(line: str, raw: str, lineno: int) -> int:
+    if not line.startswith("x="):
+        raise ParseError(f"line {lineno}: expected header 'x=<ground_size>', got {raw!r}")
+    try:
+        (ground_size,) = _integers(line[2:])
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad ground size in {raw!r}") from None
+    if ground_size < 0:
+        raise ParseError(f"line {lineno}: ground size must be >= 0")
+    return ground_size
+
+
+def _line_error(line: str, raw: str, lineno: int, ground_size: int) -> NoReturn:
+    """Raise the diagnostic of a set line that failed the one-pass scan,
+    checking in order: integer tokens, ascending, distinct, in range.  A
+    line of strictly ascending integers failed the scan on its range."""
+    try:
+        elems = list(_integers(line))
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer element in {raw!r}") from None
+    if sorted(elems) != elems:
+        raise ParseError(f"line {lineno}: elements must be ascending in {raw!r}")
+    if len(set(elems)) != len(elems):
+        raise ParseError(f"line {lineno}: duplicate element in {raw!r}")
+    raise ParseError(f"line {lineno}: element out of range [0, {ground_size}) in {raw!r}")
 
 
 def dump_family_text(family: SetFamily) -> str:
     lines = [f"x={family.ground_size}"]
-    for s in family.members:
-        if len(s) == 0:
+    for elems in family._element_tuples():
+        if not elems:
             raise FamilyError("text format cannot express the empty set; use JSON")
-        lines.append(" ".join(str(e) for e in s.elements))
+        lines.append(" ".join(map(str, elems)))
     return "\n".join(lines) + "\n"
 
 
@@ -88,27 +130,29 @@ def parse_family_json(text: str) -> Union[SetFamily, WeightedFamily]:
     raw_sets = obj["sets"]
     if not isinstance(raw_sets, list):
         raise ParseError("'sets' must be a list of element lists")
-    sets = []
+    rows = []  # (ascending elements, position in the file)
     for i, row in enumerate(raw_sets):
         if not isinstance(row, list) or not all(_is_int(e) for e in row):
             raise ParseError(f"set #{i}: must be a list of integers")
-        if len(set(row)) != len(row):
+        elems = tuple(sorted(row))
+        if any(map(eq, elems, elems[1:])):
             raise ParseError(f"set #{i}: duplicate element in {row}")
-        if any(e < 0 or e >= ground_size for e in row):
+        if elems and (elems[0] < 0 or elems[-1] >= ground_size):
             raise ParseError(f"set #{i}: element out of range [0, {ground_size})")
-        sets.append(ElementSet(row))
+        rows.append((elems, i))
     weights = obj.get("weights")
-    if weights is not None and (not isinstance(weights, list) or len(weights) != len(sets)):
+    if weights is not None and (not isinstance(weights, list) or len(weights) != len(rows)):
         raise ParseError("'weights' must align one-to-one with 'sets'")
+    rows.sort()
     try:
-        family = SetFamily(ground_size, sets)
+        family = SetFamily._canonical(ground_size, [elems for elems, _ in rows])
     except FamilyError as exc:
         raise ParseError(str(exc)) from None
     if weights is None:
         return family
     try:
-        by_set = {s: Fraction(str(w)) for s, w in zip(sets, weights)}
-        return WeightedFamily(family, [by_set[s] for s in family.members])
+        exact = [Fraction(str(w)) for w in weights]
+        return WeightedFamily(family, [exact[i] for _, i in rows])
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad weight: {exc}") from None
 
@@ -124,7 +168,7 @@ def _family_object(family: Union[SetFamily, WeightedFamily]) -> dict:
         return {**_family_object(family.family), "weights": [str(w) for w in family.weights]}
     return {
         "ground_size": family.ground_size,
-        "sets": [list(s.elements) for s in family.members],
+        "sets": [list(elems) for elems in family._element_tuples()],
     }
 
 

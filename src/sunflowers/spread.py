@@ -22,15 +22,22 @@ trials: each element gets a bitset over the block's trials and each
 member ANDs its elements' bitsets, in blocks of a multiple of 64 trials
 (at least 64) with rows <= `_SAMPLE_BLOCK // x` and |F| * rows / 8 <=
 8 * `_SAMPLE_BLOCK` bytes.
+
+The tables these read -- the link counts |F_T|, the up-closure and its
+counts by size, and the Monte Carlo index table -- are built once per
+family object and kept on it (`SetFamily._table`), so one call that asks
+several questions of a family pays for each table once.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from typing import Iterable, Optional, Sequence, Union
+from itertools import chain
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -43,7 +50,6 @@ from .families import (
     WeightedFamily,
     _exact_fraction,
     _positive_fraction,
-    elements_of,
     find_r_disjoint,
     link,
     submasks,
@@ -52,26 +58,47 @@ from .families import (
 _ENUMERATION_LIMIT = 1 << 22
 _EXACT_GROUND_LIMIT = 24
 _SAMPLE_BLOCK = 1 << 16
+_SIZE_CHUNK = 1 << 12  # lattice words counted by size at a time
 
 
-def _link_counts(
-    masks: Sequence[int], weights: Optional[Iterable] = None, max_size: Optional[int] = None
-) -> dict:
-    """Total weight of the members containing T, for every nonempty T of
-    size at most `max_size` contained in at least one member.  Without
-    `weights` every member weighs 1, which gives |F_T|."""
+def _link_counts(masks: Sequence[int], weights: Optional[Iterable] = None) -> dict:
+    """Total weight of the members containing T, for every nonempty T
+    contained in at least one member.  Without `weights` every member
+    weighs 1, which gives |F_T|, counted by one `Counter` pass over every
+    member's submasks: about a seventh faster than the weighted loop,
+    which the unweighted table feeding every spreadness call is worth."""
     budget = sum(1 << m.bit_count() for m in masks)
     if budget > _ENUMERATION_LIMIT:
         raise ValueError(f"link enumeration needs {budget} submask visits, over budget")
-    totals: dict = {}
-    for mask, w in zip(masks, repeat(1) if weights is None else weights):
+    if weights is None:
+        totals = Counter(chain.from_iterable(map(submasks, masks)))
+        del totals[0]
+        return totals
+    totals = {}
+    for mask, w in zip(masks, weights):
         for sub in submasks(mask):
-            if sub == 0:
-                continue
-            if max_size is not None and sub.bit_count() > max_size:
-                continue
-            totals[sub] = totals.get(sub, 0) + w
+            if sub:
+                totals[sub] = totals.get(sub, 0) + w
     return totals
+
+
+def _links(family: SetFamily) -> Mapping[int, int]:
+    """The family's link table: |F_T| for every nonempty T inside a
+    member, built once per family object."""
+    return family._table("links", lambda: MappingProxyType(_link_counts(family.masks)))
+
+
+def _largest_links(family: SetFamily) -> Mapping[int, int]:
+    """|T| -> the largest |F_T| at that size, read off the link table."""
+    def build():
+        largest: dict[int, int] = {}
+        for tmask, count in _links(family).items():
+            t = tmask.bit_count()
+            if count > largest.get(t, 0):
+                largest[t] = count
+        return MappingProxyType(largest)
+
+    return family._table("largest_links", build)
 
 
 @dataclass(frozen=True)
@@ -101,7 +128,8 @@ class SpreadProfile:
 def is_kappa_spread(family: SetFamily, kappa: Rational) -> bool:
     """Exact spreadness test: |F| >= kappa^n and |F_T| <= kappa^-|T| |F|
     for every T up to size n (sets outside all members give |F_T| = 0 and
-    pass vacuously, as does T = empty)."""
+    pass vacuously, as does T = empty).  Only the largest |F_T| of each
+    size |T| can break the bound, so only those are tested."""
     k = _positive_fraction(kappa, "kappa")
     n = family.uniformity
     if n is None:
@@ -110,11 +138,7 @@ def is_kappa_spread(family: SetFamily, kappa: Rational) -> bool:
     size = len(family)
     if size * b**n < a**n:
         return False
-    for tmask, count in _link_counts(family.masks).items():
-        t = tmask.bit_count()
-        if count * a**t > size * b**t:
-            return False
-    return True
+    return all(count * a**t <= size * b**t for t, count in _largest_links(family).items())
 
 
 def spread_kappa(family: SetFamily) -> float:
@@ -132,11 +156,7 @@ def spread_kappa(family: SetFamily) -> float:
     size = len(family)
     if n == 0:
         return 1.0
-    largest: dict[int, int] = {}  # |T| -> the largest |F_T| at that size
-    for tmask, count in _link_counts(family.masks).items():
-        t = tmask.bit_count()
-        if count > largest.get(t, 0):
-            largest[t] = count
+    largest = _largest_links(family)
     return min([size ** (1.0 / n)] + [(size / c) ** (1.0 / t) for t, c in largest.items()])
 
 
@@ -179,7 +199,9 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
 
     By maximality, no T' with |T| + |T'| <= d can qualify inside the link
     (asserted); whether the link resists *all* nonempty T' -- and whether
-    it meets the spreadness size clause -- is reported, not assumed.
+    it meets the spreadness size clause -- is reported, not assumed.  The
+    candidates T are the family's link table filtered to |T| <= d; when
+    T = empty the link is the family itself and its table is reused.
     """
     k = _positive_fraction(kappa, "kappa")
     n = family.uniformity
@@ -190,14 +212,15 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
     a, b = k.numerator, k.denominator
     size = len(family)
 
-    def qualifying(counts: dict[int, int], total: int) -> list[int]:
+    def qualifying(fam: SetFamily, most: int) -> list[int]:
+        total = len(fam)
         return [
             tmask
-            for tmask, count in counts.items()
-            if count * a ** tmask.bit_count() >= total * b ** tmask.bit_count()
+            for tmask, count in _links(fam).items()
+            if (t := tmask.bit_count()) <= most and count * a**t >= total * b**t
         ]
 
-    quals = qualifying(_link_counts(family.masks, max_size=d), size)
+    quals = qualifying(family, d)
     best_mask = 0
     if quals:
         best_size = max(t.bit_count() for t in quals)
@@ -211,7 +234,7 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
 
     residual_ok = True
     if link_size:
-        residual = qualifying(_link_counts(link_family.masks), link_size)
+        residual = qualifying(link_family, n)
         deep = d - len(t_set)
         if any(t.bit_count() <= deep for t in residual):
             raise InvariantError("spread link is not maximal")
@@ -251,15 +274,18 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     - Lattice: when x <= 24 and building the members' up-closure
       (`_upward_lattice`, about x * 2^(x - 6) word operations) costs no
       more than the trials * |F| member tests it replaces, the row packed
-      into little-endian bits is the subset index R, and one lookup of
-      bit R answers the trial.  A block holds `_SAMPLE_BLOCK // x` rows.
+      into little-endian bits is the subset index R, and one lookup of bit
+      R answers the trial.  The up-closure is the family's own
+      (`_lattice`), so a call that also asks `exact_satisfying` builds it
+      once.  A block holds `_SAMPLE_BLOCK // x` rows.
     - Sliced: otherwise the block is kept element-major, packed along the
       trials into one uint64 bitset per element, and each member's
-      bitsets are ANDed through an |F| x max|M| index table (short
-      members are padded with an all-ones row x); the members' OR counts
-      the successes.  A block is a multiple of 64 trials, with rows <=
-      `_SAMPLE_BLOCK // x` and |F| * rows / 8 <= 8 * _SAMPLE_BLOCK bytes,
-      and at least 64 trials.
+      bitsets are ANDed through an |F| x max|M| index table
+      (`_member_index`, built once per family; short members are padded
+      with an all-ones row x); the members' OR counts the successes.  A
+      block is a multiple of 64 trials, with rows <= `_SAMPLE_BLOCK // x`
+      and |F| * rows / 8 <= 8 * _SAMPLE_BLOCK bytes, and at least 64
+      trials.
 
     Unless a block is the 64-trial minimum, its raw words take at most
     8 * _SAMPLE_BLOCK bytes.
@@ -282,7 +308,7 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     else:
         size = len(masks)
         if x <= _EXACT_GROUND_LIMIT and x << max(x - 6, 0) <= trials * size:
-            lattice = _upward_lattice(masks, x)
+            lattice = _lattice(family)
             block = max(1, _SAMPLE_BLOCK // x)
             nbytes = -(-x // 8)
             # rows padded to whole bytes pack as one flat bit string
@@ -290,10 +316,9 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
             packed = np.zeros((min(block, trials), 8), dtype=np.uint8)
         else:
             lattice = None
-            widest = max(m.bit_count() for m in masks)
-            index = np.full((size, widest), x, dtype=np.intp)  # row x of kept is all ones
-            for row, mask in zip(index, masks):
-                row[: mask.bit_count()] = elements_of(mask)
+            index = family._table("member_index", lambda: _read_only(
+                _member_index(family._element_tuples(), x)))
+            widest = index.shape[1]
             block = 64 * max(1, min(_SAMPLE_BLOCK // x, 64 * _SAMPLE_BLOCK // size) // 64)
             kept = np.ones((x + 1, min(block, -(-trials // 64) * 64)), dtype=bool)
         successes = 0
@@ -326,11 +351,7 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     )
 
 
-# _SIZE_MASKS[c]: the bit positions 0..63 with exactly c set bits;
-# _SPREAD_MASKS[b]: the positions with bit b set (upward closure in a word)
-_SIZE_MASKS = tuple(
-    np.uint64(sum(1 << p for p in range(64) if p.bit_count() == c)) for c in range(7)
-)
+# _SPREAD_MASKS[b]: the bit positions 0..63 with bit b set (upward closure in a word)
 _SPREAD_MASKS = tuple(
     np.uint64(sum(1 << p for p in range(64) if p >> b & 1)) for b in range(6)
 )
@@ -382,14 +403,33 @@ def _upward_lattice(masks: Sequence[int], x: int) -> np.ndarray:
     return lattice
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _lattice(family: SetFamily) -> np.ndarray:
+    """The family's up-closure, built once per family object."""
+    return family._table("lattice", lambda: _read_only(
+        _upward_lattice(family.masks, family.ground_size)))
+
+
+def _member_index(elements: Sequence[tuple[int, ...]], x: int) -> np.ndarray:
+    """The |F| x max|M| table of the members' elements, short members
+    padded with x (the all-ones row of the sliced test)."""
+    widest = max(map(len, elements))
+    return np.array([t + (x,) * (widest - len(t)) for t in elements], dtype=np.intp)
+
+
 def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
     """Exact P(some member is a subset of R) at rational alpha, by the
     full 2^x subset sum; x <= 24.
 
     The hit sets are the members' up-closure `_upward_lattice`, a bit array
-    of 2^x / 8 bytes.  They are counted by size
-    |R| = popcount(R // 64) + popcount(R % 64), in integers, before the
-    exact rational sum."""
+    of 2^x / 8 bytes shared with `sample_satisfying`.  They are counted by
+    size in integers (`_hit_sizes`, once per family), and the sum over the
+    sizes is taken in integers over the common denominator q^x of
+    alpha = p/q."""
     a = _exact_fraction(alpha, "alpha")
     if not 0 <= a <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -398,26 +438,49 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
         raise ValueError(f"ground size {x} exceeds exhaustive budget {_EXACT_GROUND_LIMIT}")
     if len(family) == 0:
         return Fraction(0)
-    lattice = _upward_lattice(family.masks, x)
+    counts = family._table("hit_sizes", lambda: _hit_sizes(_lattice(family), x))
+    p, q = a.numerator, a.denominator  # a^s (1 - a)^(x - s) = p^s (q - p)^(x - s) / q^x
+    return Fraction(sum(c * p**size * (q - p) ** (x - size) for size, c in enumerate(counts) if c),
+                    q**x)
+
+
+# _BYTE_POPCOUNTS[j]: popcount(j) for the byte positions j of a word;
+# _BYTE_SIZES[4 v + s]: the set bits i of byte value v with popcount(i) = s,
+# where the bits i with popcount 0, 1, 2 and 3 are 0x01, 0x16, 0x68, 0x80.
+# Bytes, not arrays, so that importing the module builds no numpy array.
+_BYTE_POPCOUNTS = bytes(j.bit_count() for j in range(8))
+_BYTE_SIZES = bytes((v & bits).bit_count() for v in range(256) for bits in (0x01, 0x16, 0x68, 0x80))
+
+
+def _hit_sizes(lattice: np.ndarray, x: int) -> tuple[int, ...]:
+    """The number of sets R of each size 0..x in the up-closure `lattice`.
+
+    Bit i of little-endian byte j of word w is R = 64 w + 8 j + i, so
+    |R| = popcount(w) + popcount(j) + popcount(i).  The words are read in
+    aligned chunks of a power of two words, where popcount(w) is the
+    popcount of the chunk's start plus that of the word's offset: one
+    bincount per chunk over its bytes, keyed by popcount(offset) +
+    popcount(j) and the byte value, and `_BYTE_SIZES` splits each byte
+    value by popcount(i).  Nothing is sorted, and a chunk's byte keys take
+    64 * _SIZE_CHUNK bytes (256 KiB) at most, whatever x."""
     high = max(x - 6, 0)  # ground elements that index words, not bits
-    word_sizes = np.zeros(1, dtype=np.uint8)
-    for _ in range(high):
-        word_sizes = np.concatenate((word_sizes, word_sizes + 1))
-    # group the words by |R // 64|: C(high, k) words hold the subsets with k high elements
-    lattice = lattice[np.argsort(word_sizes, kind="stable")]
-    starts = np.cumsum([0] + [math.comb(high, k) for k in range(high)])
+    chunk = min(1 << high, _SIZE_CHUNK)
+    offsets = np.zeros(1, dtype=np.intp)  # popcount of each offset in a chunk
+    while len(offsets) < chunk:
+        offsets = np.concatenate((offsets, offsets + 1))
+    keys = int(offsets[-1]) + 4  # popcount(offset) + popcount(j) <= log2(chunk) + 3
+    key = ((offsets[:, None] + np.frombuffer(_BYTE_POPCOUNTS, dtype=np.uint8)) << 8).ravel()
+    byte_sizes = np.frombuffer(_BYTE_SIZES, dtype=np.uint8).reshape(256, 4)
+    data = lattice.astype("<u8", copy=False).view(np.uint8)
     counts = [0] * (x + 1)
-    for c, size_mask in enumerate(_SIZE_MASKS[: min(x, 6) + 1]):
-        hits = _popcount64(lattice & size_mask)
-        for k, n in enumerate(np.add.reduceat(hits, starts).tolist()):
-            counts[k + c] += n
-        del hits  # so that two sizes' counts never coexist
-    total = Fraction(0)
-    for size in range(x + 1):
-        c = int(counts[size])
-        if c:
-            total += c * a**size * (1 - a) ** (x - size)
-    return total
+    for start in range(0, 1 << high, chunk):
+        cells = np.bincount(key + data[8 * start:8 * (start + chunk)], minlength=keys << 8)
+        base = start.bit_count()
+        for k, row in enumerate((cells.reshape(keys, 256) @ byte_sizes).tolist()):
+            for size, n in enumerate(row, base + k):
+                if n:
+                    counts[size] += n
+    return tuple(counts)
 
 
 @dataclass(frozen=True)

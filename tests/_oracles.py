@@ -2,6 +2,9 @@
 
 Everything here works on plain Python frozensets and explicit loops, on
 purpose: these must not share code paths with the library under test.
+The two parser oracles return library families, so that results compare
+with `==`; they build them with the general `SetFamily` constructor,
+which sorts and checks the members itself, not with the parsers' path.
 """
 
 from fractions import Fraction
@@ -148,3 +151,97 @@ def greedy_L_masks_by_full_budget(x, n, allowed, target_count, seed, budget):
         if all((mask & m).bit_count() in allowed for m in kept):
             kept.append(mask)
     return kept
+
+
+def parse_family_text_line_by_line(text):
+    """The text-format parser as it was before the one-pass scan: every
+    line checked on its own, then every row made an ElementSet and sorted
+    by the general SetFamily constructor.  It reads tokens with int(),
+    so it also takes the '+1', '1_0' and non-ASCII digit tokens that the
+    library refuses; compare the two only on ASCII integer tokens."""
+    from sunflowers import ElementSet, ParseError, SetFamily
+
+    ground_size = None
+    rows = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ground_size is None:
+            if not line.startswith("x="):
+                raise ParseError(f"line {lineno}: expected header 'x=<ground_size>', got {raw!r}")
+            try:
+                ground_size = int(line[2:])
+            except ValueError:
+                raise ParseError(f"line {lineno}: bad ground size in {raw!r}") from None
+            if ground_size < 0:
+                raise ParseError(f"line {lineno}: ground size must be >= 0")
+            continue
+        try:
+            elems = [int(tok) for tok in line.split()]
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer element in {raw!r}") from None
+        if sorted(elems) != elems:
+            raise ParseError(f"line {lineno}: elements must be ascending in {raw!r}")
+        if len(set(elems)) != len(elems):
+            raise ParseError(f"line {lineno}: duplicate element in {raw!r}")
+        if any(e < 0 or e >= ground_size for e in elems):
+            raise ParseError(f"line {lineno}: element out of range [0, {ground_size}) in {raw!r}")
+        rows.append((lineno, elems))
+    if ground_size is None:
+        raise ParseError("missing header line 'x=<ground_size>'")
+    seen = {}
+    for lineno, elems in rows:
+        key = tuple(elems)
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate set (first seen on line {seen[key]})")
+        seen[key] = lineno
+    return SetFamily(ground_size, (ElementSet(elems) for _, elems in rows))
+
+
+def parse_family_json_row_by_row(text):
+    """The JSON parser as it was before the one-pass construction: rows
+    made ElementSets, sorted and checked by the general SetFamily
+    constructor, weights matched to the sorted members through a dict."""
+    import json
+
+    from sunflowers import ElementSet, FamilyError, ParseError, SetFamily, WeightedFamily
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    if not isinstance(obj, dict) or "ground_size" not in obj or "sets" not in obj:
+        raise ParseError("JSON family needs 'ground_size' and 'sets' keys")
+    ground_size = obj["ground_size"]
+    if not is_int(ground_size):
+        raise ParseError("'ground_size' must be an integer")
+    raw_sets = obj["sets"]
+    if not isinstance(raw_sets, list):
+        raise ParseError("'sets' must be a list of element lists")
+    sets = []
+    for i, row in enumerate(raw_sets):
+        if not isinstance(row, list) or not all(is_int(e) for e in row):
+            raise ParseError(f"set #{i}: must be a list of integers")
+        if len(set(row)) != len(row):
+            raise ParseError(f"set #{i}: duplicate element in {row}")
+        if any(e < 0 or e >= ground_size for e in row):
+            raise ParseError(f"set #{i}: element out of range [0, {ground_size})")
+        sets.append(ElementSet(row))
+    weights = obj.get("weights")
+    if weights is not None and (not isinstance(weights, list) or len(weights) != len(sets)):
+        raise ParseError("'weights' must align one-to-one with 'sets'")
+    try:
+        family = SetFamily(ground_size, sets)
+    except FamilyError as exc:
+        raise ParseError(str(exc)) from None
+    if weights is None:
+        return family
+    try:
+        by_set = {s: Fraction(str(w)) for s, w in zip(sets, weights)}
+        return WeightedFamily(family, [by_set[s] for s in family.members])
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad weight: {exc}") from None

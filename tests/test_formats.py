@@ -1,6 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sunflowers import (
     ParseError,
@@ -12,6 +14,9 @@ from sunflowers import (
     parse_family_json,
     parse_family_text,
 )
+from sunflowers.cli import main
+
+from _oracles import parse_family_json_row_by_row, parse_family_text_line_by_line
 
 
 def test_text_round_trip():
@@ -32,6 +37,9 @@ def test_text_duplicate_element_reports_line():
 def test_text_duplicate_set_reports_both_lines():
     with pytest.raises(ParseError, match="line 3.*line 2"):
         parse_family_text("x=4\n0 1\n0 1\n")
+    # the first repeat in file order, not in canonical order
+    with pytest.raises(ParseError, match=r"line 4: duplicate set \(first seen on line 2\)"):
+        parse_family_text("x=4\n2 3\n0 1\n2 3\n0 1\n")
 
 
 def test_text_out_of_range_reports_line():
@@ -52,6 +60,11 @@ def test_text_missing_header():
 def test_text_non_integer():
     with pytest.raises(ParseError, match="non-integer"):
         parse_family_text("x=4\n0 a\n")
+    # past int()'s digit limit a token is refused, not an uncaught ValueError
+    with pytest.raises(ParseError, match="line 2: non-integer"):
+        parse_family_text("x=4\n" + "1" * 5000 + "\n")
+    with pytest.raises(ParseError, match="line 1: bad ground size"):
+        parse_family_text("x=" + "1" * 5000 + "\n")
 
 
 def test_text_cannot_express_empty_set():
@@ -117,3 +130,173 @@ def test_json_weighted_duplicate_sets_reported_as_duplicates():
     with pytest.raises(ParseError, match="duplicate member") as exc:
         parse_family_json(text)
     assert "weight" not in str(exc.value)
+
+
+# -- ASCII integers only -------------------------------------------------------
+
+@pytest.mark.parametrize("text, lineno, kind", [
+    ("x=1_2\n0\n", 1, "bad ground size"),
+    ("x=+3\n0\n", 1, "bad ground size"),
+    ("x=\uff13\n0\n", 1, "bad ground size"),  # full-width 3
+    ("# c\nx=20\n1_0\n", 3, "non-integer element"),
+    ("x=3\n+1\n", 2, "non-integer element"),
+    ("x=3\n0 \uff12\n", 2, "non-integer element"),  # full-width 2
+    ("x=3\n\u0661\n", 2, "non-integer element"),  # Arabic-Indic 1
+    ("x=3\n0\u00a0\uff12\n", 2, "non-integer element"),  # after a no-break space
+    ("x=\u3000\uff13\n0\n", 1, "bad ground size"),  # after an ideographic space
+])
+def test_text_refuses_tokens_other_than_ascii_digits(text, lineno, kind):
+    # int() takes every one of these tokens
+    with pytest.raises(ParseError, match=f"line {lineno}: {kind}"):
+        parse_family_text(text)
+
+
+def test_text_negative_element_is_out_of_range():
+    with pytest.raises(ParseError, match="line 2: element out of range"):
+        parse_family_text("x=4\n-1 2\n")
+    with pytest.raises(ParseError, match="line 1: ground size must be >= 0"):
+        parse_family_text("x=-4\n")
+
+
+@pytest.mark.parametrize("gap", ["\u00a0", "\u2003", "\u3000", "\x1f"])
+def test_text_takes_ascii_integers_between_any_whitespace(capsys, tmp_path, gap):
+    # the rule is on the tokens: whitespace outside ASCII still separates them
+    text = f"x={gap}3\n0{gap}1\n{gap}2\n"
+    assert parse_family_text(text) == SetFamily(3, [[0, 1], [2]])
+    path = tmp_path / "gaps.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    for bad, kind in [(f"1{gap}0", "elements must be ascending"), (f"0{gap}3", "element out of range"),
+                      (f"1{gap}1", "duplicate element")]:
+        with pytest.raises(ParseError, match=f"line 2: {kind}"):
+            parse_family_text(f"x=3\n{bad}\n")
+    capsys.readouterr()
+
+
+def test_cli_refuses_a_non_ascii_digit_with_exit_three(capsys, tmp_path):
+    path = tmp_path / "wide.txt"
+    path.write_text("x=3\n0 \uff12\n", encoding="utf-8")
+    assert main(["check", str(path)]) == 3
+    assert "line 2: non-integer element" in capsys.readouterr().err
+
+
+# -- one-pass parsers against the line-by-line oracles --------------------------
+
+@st.composite
+def family_rows(draw, min_size=1):
+    x = draw(st.integers(1, 9))
+    member = st.lists(st.integers(0, x - 1), min_size=min_size, unique=True).map(sorted)
+    rows = draw(st.lists(member, unique_by=tuple, max_size=12))
+    return x, draw(st.permutations(rows))
+
+
+@st.composite
+def family_texts(draw):
+    """A valid text file with shuffled rows, spacing, comments and blank lines."""
+    x, rows = draw(family_rows())
+    gap = st.sampled_from([" ", "  ", "\t", " \t ", "\u00a0", " \u2003", "\u3000", "\x1f"])
+    lines = [draw(st.sampled_from(["", "# family", "   "])), f"x={x}"]
+    for row in rows:
+        line = draw(gap).join(map(str, row))
+        lines.append(draw(st.sampled_from(["", " ", "\t"])) + line
+                     + draw(st.sampled_from(["", "  # note", "#", " "])))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# between", " \t"])))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@given(family_texts())
+def test_text_parser_equals_line_by_line_oracle(text):
+    family = parse_family_text(text)
+    assert family == parse_family_text_line_by_line(text)
+    assert family.uniformity == parse_family_text_line_by_line(text).uniformity
+    assert family._element_tuples() == tuple(s.elements for s in family.members)
+
+
+def _corrupt(draw, text):
+    lines = text.split("\n")
+    rows = [i for i, line in enumerate(lines)
+            if line.split("#", 1)[0].strip() and not line.lstrip().startswith("x=")]
+    header = next(i for i, line in enumerate(lines) if line.lstrip().startswith("x="))
+    x = int(lines[header].split("=", 1)[1])
+    kind = draw(st.sampled_from(["descending", "duplicate element", "duplicate set",
+                                 "out of range", "non-integer", "missing header"]))
+    if kind == "missing header":
+        del lines[header]
+        return "\n".join(lines)
+    at = draw(st.integers(header + 1, len(lines)))
+    if kind == "duplicate set" and rows:
+        lines.insert(at, lines[draw(st.sampled_from(rows))])
+        return "\n".join(lines)
+    e = draw(st.integers(0, x - 1))
+    bad = {
+        "descending": f"{e + 1} {e}",
+        "duplicate element": f"{e} {e}",
+        "duplicate set": f"{e}\n{e}",
+        "out of range": " ".join(map(str, sorted({e, draw(st.sampled_from([x, x + 3, -1]))}))),
+        "non-integer": f"{e} " + draw(st.sampled_from(["a", "1.5", "0x1", "--1", "1-", "-", "1e3"])),
+    }[kind]
+    lines.insert(at, bad)
+    return "\n".join(lines)
+
+
+@given(family_texts(), st.data())
+def test_text_parser_errors_equal_line_by_line_oracle(text, data):
+    bad = _corrupt(data.draw, text)
+    with pytest.raises(ParseError) as expected:
+        parse_family_text_line_by_line(bad)
+    with pytest.raises(ParseError) as got:
+        parse_family_text(bad)
+    assert str(got.value) == str(expected.value)
+
+
+@st.composite
+def json_texts(draw):
+    """A JSON family with shuffled rows (the empty set allowed), rows in any
+    element order, and optional weights; or one of the malformed kinds."""
+    x, rows = draw(family_rows(min_size=0))
+    rows = [draw(st.permutations(row)) for row in rows]
+    obj = {"ground_size": x, "sets": rows}
+    if draw(st.booleans()):
+        obj["weights"] = [f"{draw(st.integers(0, 9))}/{draw(st.integers(1, 4))}" for _ in rows]
+    kind = draw(st.sampled_from(["valid", "valid", "duplicate element", "duplicate set",
+                                 "out of range", "non-integer", "bad weight", "misaligned",
+                                 "negative ground", "missing key"]))
+    e = draw(st.integers(0, x - 1))
+    at = draw(st.integers(0, len(rows)))
+    if kind == "duplicate element":
+        rows.insert(at, [e, e])
+    elif kind == "duplicate set" and rows:
+        rows.insert(at, list(reversed(draw(st.sampled_from(rows)))))
+    elif kind == "out of range":
+        rows.insert(at, [e, draw(st.sampled_from([x, -1]))])
+    elif kind == "non-integer":
+        rows.insert(at, [e, draw(st.sampled_from([1.5, "1", True, None]))])
+    elif kind == "bad weight" and rows:
+        obj["weights"] = ["1"] * len(rows)
+        obj["weights"][at % len(rows)] = draw(st.sampled_from(["x", "1/0", "-1"]))
+    elif kind == "negative ground":
+        obj = {"ground_size": -1, "sets": draw(st.sampled_from([[], [[]]]))}
+    elif kind == "missing key":
+        del obj["sets"]
+    if kind in ("duplicate element", "duplicate set", "out of range", "non-integer"):
+        obj.pop("weights", None)
+    elif kind == "misaligned":
+        obj["weights"] = ["1"] * (len(rows) + 1)
+    return json.dumps(obj)
+
+
+@given(json_texts())
+def test_json_parser_equals_row_by_row_oracle(text):
+    try:
+        expected = parse_family_json_row_by_row(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            parse_family_json(text)
+        assert str(got.value) == str(exc)
+        return
+    got = parse_family_json(text)
+    assert got == expected if isinstance(got, SetFamily) else (
+        (got.family, got.weights) == (expected.family, expected.weights))
+    family = got if isinstance(got, SetFamily) else got.family
+    assert family._element_tuples() == tuple(s.elements for s in family.members)
