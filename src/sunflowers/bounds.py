@@ -204,8 +204,7 @@ def l_multinomial_bound(n: int, L: Iterable[int], r: int) -> int:
     whose arguments sum to n, so the quotient is an exact multinomial
     coefficient times m^s.  Always at most l_intersecting_bound(n, |L|, r).
     """
-    if n < 1 or r < 2:
-        raise ValueError(f"need n >= 1 and r >= 2, got n={n}, r={r}")
+    m = pigeonhole_limit(n, r)  # checks n >= 1 and r >= 2
     ls = _validated_l(n, L)
     parts = [ls[0] + 1]
     parts += [b - a for a, b in zip(ls, ls[1:])]
@@ -216,7 +215,7 @@ def l_multinomial_bound(n: int, L: Iterable[int], r: int) -> int:
     multinomial, rem = divmod(math.factorial(n), denom)
     if rem:
         raise InvariantError("gap factorials do not divide n!")
-    value = multinomial * pigeonhole_limit(n, r) ** len(ls)
+    value = multinomial * m ** len(ls)
     if value > l_intersecting_bound(n, len(ls), r):
         raise InvariantError("multinomial bound exceeds the L-intersecting bound")
     return value
@@ -394,21 +393,27 @@ class BoundReport:
     error: Optional[str] = None
 
 
-def _report_exact(name: str, params: dict, value: int) -> BoundReport:
-    return BoundReport(name=name, params=params, value=str(value), exact=True)
+class MissingParameterError(ValueError):
+    """A bound was asked for without a parameter it reads."""
 
 
-def _report_real(name: str, params: dict, rv: RealBoundValue) -> BoundReport:
-    return BoundReport(
-        name=name,
-        params=params,
-        value=rv.decimal,
-        exact=False,
-        digits=rv.digits,
-        lower=rv.lower,
-        upper=rv.upper,
-        error=rv.error,
-    )
+#: name -> (function, the parameters it reads, in argument order): the one
+#: statement of them.  `bound_report` checks, passes and echoes them, and
+#: the CLI reads exactly the flags that give them.
+_BOUNDS = {
+    "erdos-rado": (erdos_rado_bound, ("n", "r")),
+    "pigeonhole-limit": (pigeonhole_limit, ("n", "r")),
+    "l-intersecting": (l_intersecting_bound, ("n", "s", "r")),
+    "l-multinomial": (l_multinomial_bound, ("n", "L", "r")),
+    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits")),
+    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base")),
+    "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base")),
+    "falling-factorial": (falling_factorial_bound, ("n", "d", "r")),
+}
+BOUND_NAMES = tuple(_BOUNDS)
+#: The parameters that each name of `BOUND_NAMES`, and "crossover", reads.
+PARAMETERS_READ = {**{name: reads for name, (_, reads) in _BOUNDS.items()},
+                   "crossover": ("n", "r", "C", "digits", "log_base")}
 
 
 def bound_report(
@@ -422,56 +427,26 @@ def bound_report(
     digits: int = 50,
     log_base: Rational = "e",
 ) -> BoundReport:
-    """Evaluate one named bound, echoing its parameters."""
+    """Evaluate one named bound, echoing every parameter it reads but
+    `digits` (`C` and `log_base` as strings).  s defaults to the number of
+    distinct sizes in L.  A missing parameter raises MissingParameterError."""
     _check_digits(digits)
     c = _exact_fraction(C, "C")
-
-    def need(**kw):
-        missing = [k for k, v in kw.items() if v is None]
-        if missing:
-            raise ValueError(f"bound '{which}' needs parameters: {', '.join(missing)}")
-
-    if which == "erdos-rado":
-        need(n=n, r=r)
-        return _report_exact(which, {"n": n, "r": r}, erdos_rado_bound(n, r))
-    if which == "pigeonhole-limit":
-        need(n=n, r=r)
-        return _report_exact(which, {"n": n, "r": r}, pigeonhole_limit(n, r))
-    if which == "l-intersecting":
-        if s is None and L is not None:
-            s = len(set(L))
-        need(n=n, s=s, r=r)
-        return _report_exact(which, {"n": n, "s": s, "r": r}, l_intersecting_bound(n, s, r))
-    if which == "l-multinomial":
-        need(n=n, L=L, r=r)
-        ls = sorted(set(L))
-        return _report_exact(which, {"n": n, "L": ls, "r": r}, l_multinomial_bound(n, ls, r))
-    if which == "three-sunflower":
-        if s is None and L is not None:
-            s = len(set(L))
-        need(n=n, s=s)
-        return _report_real(which, {"n": n, "s": s}, three_sunflower_bound(n, s, digits))
-    if which == "rlogn":
-        need(n=n, r=r)
-        params = {"n": n, "r": r, "C": str(c), "log_base": str(log_base)}
-        return _report_real(which, params, rlogn_bound(n, r, c, digits, log_base))
-    if which == "d-intersecting":
-        need(n=n, d=d, r=r)
-        params = {"n": n, "d": d, "r": r, "C": str(c), "log_base": str(log_base)}
-        return _report_real(which, params, d_intersecting_bound(n, d, r, c, digits, log_base))
-    if which == "falling-factorial":
-        need(n=n, d=d, r=r)
-        return _report_exact(which, {"n": n, "d": d, "r": r}, falling_factorial_bound(n, d, r))
-    raise ValueError(f"unknown bound {which!r}")
-
-
-BOUND_NAMES = (
-    "erdos-rado",
-    "pigeonhole-limit",
-    "l-intersecting",
-    "l-multinomial",
-    "three-sunflower",
-    "rlogn",
-    "d-intersecting",
-    "falling-factorial",
-)
+    if which not in _BOUNDS:
+        raise ValueError(f"unknown bound {which!r}")
+    bound, reads = _BOUNDS[which]
+    if L is not None:
+        L = sorted(set(L))
+        s = len(L) if s is None else s
+    given = {"n": n, "r": r, "s": s, "L": L, "d": d, "C": c, "digits": digits, "log_base": log_base}
+    missing = [p for p in reads if given[p] is None]
+    if missing:
+        raise MissingParameterError(f"bound '{which}' needs parameters: {', '.join(missing)}")
+    value = bound(*(given[p] for p in reads))
+    params = {p: str(given[p]) if p in ("C", "log_base") else given[p]
+              for p in reads if p != "digits"}
+    if isinstance(value, RealBoundValue):
+        return BoundReport(name=which, params=params, value=value.decimal, exact=False,
+                           digits=value.digits, lower=value.lower, upper=value.upper,
+                           error=value.error)
+    return BoundReport(name=which, params=params, value=str(value), exact=True)

@@ -208,9 +208,12 @@ def cmd_check(args) -> int:
 
 def cmd_find(args) -> int:
     started = time.perf_counter()
+    _require(args.budget is None or args.strategy != "recursive",
+             "--strategy recursive does not read --budget")
+    budget = 500_000 if args.budget is None else args.budget  # echoed when not given
     family, digest = _load(args.family)
-    outcome = find_any(family, args.r, strategy=args.strategy, budget=args.budget)
-    params = {"r": args.r, "strategy": args.strategy, "budget": args.budget}
+    outcome = find_any(family, args.r, strategy=args.strategy, budget=budget)
+    params = {"r": args.r, "strategy": args.strategy, "budget": budget}
     outputs = {
         "status": outcome.status,
         "method": outcome.method,
@@ -222,22 +225,10 @@ def cmd_find(args) -> int:
     return {"found": EXIT_TRUE, "absent": EXIT_FALSE, "unknown": EXIT_UNKNOWN}[outcome.status]
 
 
-# The parameter flags each single bound reads besides -n; --which all reads
-# every flag.  l-intersecting and three-sunflower take s from --L only when
-# -s is not given.  Of the real-valued bounds, three-sunflower has no free
-# constant and no logarithm, so it reads only --digits of _REAL_FLAGS.
-_REAL_FLAGS = ("-C", "--digits", "--log-base")
-_BOUND_FLAGS = {
-    "erdos-rado": ("-r",),
-    "pigeonhole-limit": ("-r",),
-    "l-intersecting": ("-r", "-s", "--L"),
-    "l-multinomial": ("-r", "--L"),
-    "three-sunflower": ("-s", "--L", "--digits"),
-    "rlogn": ("-r", *_REAL_FLAGS),
-    "d-intersecting": ("-r", "-d", *_REAL_FLAGS),
-    "falling-factorial": ("-r", "-d"),
-    "crossover": ("-r", *_REAL_FLAGS),
-}
+# The flag that gives each bound parameter; which parameters a bound reads
+# is `bounds.PARAMETERS_READ`, and --which all reads every flag.
+_FLAGS = {"n": "-n", "r": "-r", "s": "-s", "L": "--L", "d": "-d", "C": "-C",
+          "digits": "--digits", "log_base": "--log-base"}
 
 
 def cmd_bounds(args) -> int:
@@ -245,12 +236,11 @@ def cmd_bounds(args) -> int:
     if args.digits is not None:
         bounds_mod._check_digits(args.digits)
     if args.which != "all":
-        reads = set(_BOUND_FLAGS[args.which])
-        if args.s is not None and "-s" in reads:
-            reads.discard("--L")
-        given = {"-r": args.r, "-s": args.s, "--L": args.L, "-d": args.d, "-C": args.C,
-                 "--digits": args.digits, "--log-base": args.log_base}
-        unread = [flag for flag, value in given.items() if value is not None and flag not in reads]
+        reads = bounds_mod.PARAMETERS_READ[args.which]
+        if "s" in reads and args.s is None:
+            reads += ("L",)  # s is then the number of distinct sizes in --L
+        unread = [flag for p, flag in _FLAGS.items()
+                  if getattr(args, p) is not None and p not in reads]
         _require(not unread, f"--which {args.which} does not read {', '.join(unread)}")
     # the parameters echo the defaults of the flags not given
     C = Fraction(1) if args.C is None else args.C
@@ -260,24 +250,19 @@ def cmd_bounds(args) -> int:
     common = dict(n=args.n, r=args.r, s=args.s, L=L, d=args.d,
                   C=C, digits=digits, log_base=log_base)
     params = {"which": args.which, **common}
-
-    def crossover():
-        return bounds_mod.crossover_report(args.n, args.r, C, digits, log_base)
-
-    if args.which == "crossover":
-        _require(args.n is not None and args.r is not None, "crossover needs -n and -r")
-        outputs = {"crossover": crossover()}
-    elif args.which == "all":
-        _require(args.n is not None and args.r is not None, "--which all needs -n and -r")
-        reports = []
-        for name in bounds_mod.BOUND_NAMES:
-            try:
-                reports.append(bounds_mod.bound_report(name, **common))
-            except ValueError:
-                continue  # bound not evaluable from the given parameters
-        outputs = {"bounds": reports, "crossover": crossover()}
-    else:
+    if args.which in bounds_mod.BOUND_NAMES:
         outputs = {"bound": bounds_mod.bound_report(args.which, **common)}
+    else:
+        _require(args.n is not None and args.r is not None, f"--which {args.which} needs -n and -r")
+        outputs = {}
+        if args.which == "all":
+            outputs["bounds"] = []
+            for name in bounds_mod.BOUND_NAMES:
+                try:
+                    outputs["bounds"].append(bounds_mod.bound_report(name, **common))
+                except bounds_mod.MissingParameterError:
+                    continue  # a parameter the bound reads was not given
+        outputs["crossover"] = bounds_mod.crossover_report(args.n, args.r, C, digits, log_base)
     _emit(args, _report("bounds", params, outputs, started))
     return EXIT_TRUE
 
@@ -290,9 +275,9 @@ def cmd_spread(args) -> int:
     _require(args.trials is not None or args.seed is None, "--seed needs --trials")
     _require(args.kappa is not None or args.d is None, "--d needs --kappa")
     family, digest = _load(args.family)
-    _require(args.alpha is not None or args.trials is None
-             or family.ground_size > spread_mod._EXACT_GROUND_LIMIT,
-             f"--trials needs --alpha at ground size <= {spread_mod._EXACT_GROUND_LIMIT}, "
+    exact = spread_mod.exact_fits(family)
+    _require(args.alpha is not None or args.trials is None or not exact,
+             f"--trials needs --alpha at ground size {family.ground_size}, "
              f"where --r is evaluated exactly")
     params = {"kappa": args.kappa, "d": args.d, "alpha": args.alpha,
               "trials": args.trials, "r": args.r}
@@ -306,7 +291,7 @@ def cmd_spread(args) -> int:
         d = args.d if args.d is not None else family.uniformity
         outputs["spread_link"] = spread_mod.find_spread_link(family, args.kappa, d)
     if args.alpha is not None:
-        if family.ground_size <= spread_mod._EXACT_GROUND_LIMIT:
+        if exact:
             outputs["exact_satisfying"] = spread_mod.exact_satisfying(family, args.alpha)
         if args.trials is not None:
             _require(args.seed is not None, "sampling requires an explicit --seed")
@@ -332,7 +317,7 @@ def cmd_experiment(args) -> int:
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"--alpha-grid must look like 0.1:0.9:0.1, got {args.alpha_grid!r}")
     _require(step > 0 and 0 < lo <= hi < 1, "need 0 < start <= stop < 1 and step > 0")
-    exact_available = family.ground_size <= spread_mod._EXACT_GROUND_LIMIT
+    exact_available = spread_mod.exact_fits(family)
     _write("alpha,estimate,stderr,exact\n")
     alpha = lo
     trial_seed = args.seed
@@ -420,9 +405,10 @@ def build_parser() -> _Parser:
     p.add_argument("family")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--strategy", choices=("auto", "recursive", "brute"), default="auto")
-    p.add_argument("--budget", type=int, default=500_000,
+    p.add_argument("--budget", type=int,
                    help="cap on C(|F|, r), the most r-subsets the exact search "
-                        "(method \"brute-force\") can examine; above it the status is unknown")
+                        "(method \"brute-force\") can examine, default 500000; above it "
+                        "the status is unknown (not read by --strategy recursive)")
     add_common(p)
     p.set_defaults(func=cmd_find)
 

@@ -131,9 +131,8 @@ def bad_pair_members(family: SetFamily, w_set: ElementSet, d: int) -> tuple[Elem
 
 
 def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction, int]:
-    """Check an audit's input and return (n, p, num_w).  The checks run on
-    every call, outside the memo of `_bad_members_by_w`: an empty family
-    equals any other on its ground set, whatever uniformity it declares."""
+    """Check an audit's input and return (n, p, num_w), on every call,
+    whether or not the family keeps its W pass (`_kept_pass`)."""
     x = family.ground_size
     if not 0 < w_size < x:
         raise ValueError(f"need 0 < w_size < x = {x}, got {w_size}")
@@ -145,7 +144,6 @@ def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction,
     return n, Fraction(w_size, x), math.comb(x, w_size)
 
 
-@functools.lru_cache(maxsize=1)
 def _bad_members_by_w(
     family: SetFamily, w_size: int, d: int
 ) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
@@ -159,8 +157,7 @@ def _bad_members_by_w(
     of the elements of S' each W misses, at most d + 1 bitsets).  The first
     AND alone, ORed over S' other than S, is the collision bitset.  Memory:
     x + 2|F| bitsets of C(x, w_size) bits, a few count planes and the W
-    masks.  The last pass is kept, so an encoding audit and the Markov
-    audits that follow it at any deltas enumerate W once."""
+    masks."""
     x = family.ground_size
     masks = family.masks
     w_masks = tuple(_subset_masks(x, w_size))
@@ -190,6 +187,16 @@ def _bad_members_by_w(
         bad.append(full ^ good)
         collide.append(hit)
     return w_masks, tuple(bad), tuple(collide), _bit_planes(bad)
+
+
+def _kept_pass(family: SetFamily, w_size: int, d: int) -> tuple:
+    """`_bad_members_by_w`, kept on the family for the last (w_size, d)
+    asked: an encoding audit and the Markov audits that follow it at any
+    deltas enumerate W once, and the pass goes when the family does."""
+    kept = family._table("bad_by_w")
+    if kept is None or kept[0] != (w_size, d):
+        kept = family._tables["bad_by_w"] = ((w_size, d), _bad_members_by_w(family, w_size, d))
+    return kept[1]
 
 
 @functools.lru_cache(maxsize=4)
@@ -320,7 +327,7 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     x = family.ground_size
     bound = (2 / p) ** n * num_w
 
-    w_masks, bad, collide, planes = _bad_members_by_w(family, w_size, d)
+    w_masks, bad, collide, planes = _kept_pass(family, w_size, d)
     total = sum(bits.bit_count() for bits in bad)
     per_w_max, worst = _plane_max(planes, (1 << num_w) - 1)
     worst_w = ElementSet.from_mask(w_masks[worst])
@@ -394,7 +401,7 @@ def audit_markov_step(family: SetFamily, w_size: int, delta: Rational, d: int) -
     n, p, num_w = _audit_setup(family, w_size, d)
     # an integer count reaches delta |F| iff it reaches its ceiling
     cutoff = math.ceil(dlt * len(family))
-    *_, planes = _bad_members_by_w(family, w_size, d)
+    *_, planes = _kept_pass(family, w_size, d)
     exceed = _at_least(planes, cutoff, (1 << num_w) - 1).bit_count()
     fraction = Fraction(exceed, num_w)
     rhs = (2 / p) ** n / (dlt * len(family))

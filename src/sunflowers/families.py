@@ -172,76 +172,62 @@ class SetFamily:
     member has exactly n elements -- either declared (and then validated,
     which also pins the uniformity of an empty family) or auto-detected.
 
-    Tables derived from the masks (the ElementSet members and their
-    element tuples, and `spread`'s link counts, subset-lattice up-closure
-    with its counts by size, and Monte Carlo index table) are built on
-    first use and kept in a private slot of this object, so they live
-    exactly as long as the family and no longer: a new family, even an
-    equal one, builds its own.  Cached arrays and mappings are read-only.
+    The members' element tuples are kept from construction.  Tables
+    derived from them (the ElementSet members, `spread`'s link counts,
+    subset-lattice up-closure with its counts by size, and Monte Carlo
+    index table, and `encoding`'s last W pass) are built on first use and
+    kept in a private slot of this object, so they live exactly as long as
+    the family and no longer: a new family, even an equal one, builds its
+    own.  Cached arrays and mappings are read-only.
     """
 
     __slots__ = ("_ground_size", "_masks", "_tables", "_uniformity")
 
     def __init__(self, ground_size: int, sets: Iterable = (), uniform: Optional[int] = None):
-        if ground_size < 0:
-            raise FamilyError(f"ground size must be >= 0, got {ground_size}")
-        members = sorted((_coerce_set(s) for s in sets), key=lambda s: s.elements)
-        full = (1 << ground_size) - 1
-        seen = set()
-        for s in members:
-            if s.mask & ~full:
-                bad = [e for e in s.elements if e >= ground_size]
-                raise FamilyError(f"elements {bad} out of range for ground size {ground_size}")
-            if s.mask in seen:
-                raise FamilyError(f"duplicate member {list(s.elements)}")
-            seen.add(s.mask)
-        if uniform is not None:
-            if uniform < 0:
-                raise FamilyError("uniformity must be >= 0")
-            for s in members:
-                if len(s) != uniform:
-                    raise FamilyError(
-                        f"member {list(s.elements)} has size {len(s)}, declared uniformity {uniform}"
-                    )
-            uniformity = uniform
-        else:
-            sizes = {len(s) for s in members}
-            uniformity = sizes.pop() if len(sizes) == 1 else None
-        object.__setattr__(self, "_ground_size", ground_size)
-        object.__setattr__(self, "_masks", tuple(s.mask for s in members))
-        object.__setattr__(self, "_uniformity", uniformity)
-        object.__setattr__(self, "_tables", {"members": tuple(members)})
+        self._build(ground_size, sorted(_coerce_set(s).elements for s in sets), uniform)
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[int], uniform: Optional[int] = None) -> "SetFamily":
-        return cls(ground_size, (ElementSet.from_mask(m) for m in masks), uniform=uniform)
+        masks = tuple(masks)
+        if masks and min(masks) < 0:
+            raise FamilyError("negative bitmask")
+        return cls.__new__(cls)._build(ground_size, sorted(map(elements_of, masks)), uniform)
 
     @classmethod
     def _canonical(cls, ground_size: int, elements: Sequence[tuple[int, ...]]) -> "SetFamily":
-        """The family of `elements`, ascending tuples of nonnegative
-        integers that are already in canonical order, as the parsers
-        produce them.  One linear check of order (which also excludes
-        duplicates) and range replaces the sort; the tuples become the
-        family's element table, and the ElementSet members are made on
-        first use."""
+        """The family of `elements`, the members' ascending element tuples
+        already in canonical order, as the parsers make them: no sort."""
+        return cls.__new__(cls)._build(ground_size, elements, None)
+
+    def _build(self, ground_size: int, elements: Sequence, uniform: Optional[int]) -> "SetFamily":
+        """The one validation path: a linear check of order (which excludes
+        duplicates), range and declared uniformity of the canonical element
+        tuples, which become the element table; members are made on first use."""
         if ground_size < 0:
             raise FamilyError(f"ground size must be >= 0, got {ground_size}")
         elements = tuple(elements)
-        for prev, cur in zip(elements, elements[1:]):
-            if prev >= cur:
+        prev = None
+        for cur in elements:
+            if cur and cur[-1] >= ground_size:
+                bad = [e for e in cur if e >= ground_size]
+                raise FamilyError(f"elements {bad} out of range for ground size {ground_size}")
+            if prev is not None and prev >= cur:
                 problem = "duplicate member" if prev == cur else "members out of canonical order at"
                 raise FamilyError(f"{problem} {list(cur)}")
-        masks = tuple(sum(map((1).__lshift__, t)) for t in elements)
-        if masks and max(masks) >> ground_size:
-            bad = [e for t in elements for e in t if e >= ground_size]
-            raise FamilyError(f"elements {bad} out of range for ground size {ground_size}")
+            prev = cur
         sizes = set(map(len, elements))
-        family = cls.__new__(cls)
-        object.__setattr__(family, "_ground_size", ground_size)
-        object.__setattr__(family, "_masks", masks)
-        object.__setattr__(family, "_uniformity", sizes.pop() if len(sizes) == 1 else None)
-        object.__setattr__(family, "_tables", {"elements": elements})
-        return family
+        if uniform is None:
+            uniform = sizes.pop() if len(sizes) == 1 else None
+        elif uniform < 0:
+            raise FamilyError("uniformity must be >= 0")
+        elif sizes - {uniform}:
+            wrong = next(t for t in elements if len(t) != uniform)
+            raise FamilyError(f"member {list(wrong)} has size {len(wrong)}, declared uniformity {uniform}")
+        object.__setattr__(self, "_ground_size", ground_size)
+        object.__setattr__(self, "_masks", tuple(sum(map((1).__lshift__, t)) for t in elements))
+        object.__setattr__(self, "_uniformity", uniform)
+        object.__setattr__(self, "_tables", {"elements": elements})
+        return self
 
     def _table(self, name: str, build: Optional[Callable[[], Any]] = None) -> Any:
         """The derived table `name`: made by `build()` on first use and
@@ -256,7 +242,7 @@ class SetFamily:
 
     def _element_tuples(self) -> tuple[tuple[int, ...], ...]:
         """Each member's ascending elements, in member order."""
-        return self._table("elements", lambda: tuple(map(elements_of, self._masks)))
+        return self._tables["elements"]
 
     def __setattr__(self, name, value):
         raise AttributeError("SetFamily is immutable")

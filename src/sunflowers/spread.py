@@ -421,6 +421,12 @@ def _member_index(elements: Sequence[tuple[int, ...]], x: int) -> np.ndarray:
     return np.array([t + (x,) * (widest - len(t)) for t in elements], dtype=np.intp)
 
 
+def exact_fits(family: SetFamily) -> bool:
+    """The one rule for whether a satisfying probability of `family` is
+    exact or sampled: exact when the 2^x subset sum fits, x <= 24."""
+    return family.ground_size <= _EXACT_GROUND_LIMIT
+
+
 def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
     """Exact P(some member is a subset of R) at rational alpha, by the
     full 2^x subset sum; x <= 24.
@@ -434,7 +440,7 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
     if not 0 <= a <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     x = family.ground_size
-    if x > _EXACT_GROUND_LIMIT:
+    if not exact_fits(family):
         raise ValueError(f"ground size {x} exceeds exhaustive budget {_EXACT_GROUND_LIMIT}")
     if len(family) == 0:
         return Fraction(0)
@@ -518,7 +524,7 @@ def check_satisfying_disjoint(
         raise FamilyError("the empty set must not be a member")
     alpha = Fraction(1, r)
     threshold = 1 - alpha
-    if family.ground_size <= _EXACT_GROUND_LIMIT:
+    if exact_fits(family):
         prob: Union[Fraction, float] = exact_satisfying(family, alpha)
         satisfying = prob > threshold
         method = "exact"

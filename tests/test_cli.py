@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import sunflowers
+from sunflowers import bounds
 from sunflowers.cli import main
 
 
@@ -96,6 +97,16 @@ def test_find_budget_unknown_exit_two(capsys, tmp_path):
     assert report["outputs"]["status"] == "unknown"
 
 
+def test_find_recursive_refuses_a_budget_it_never_reads(capsys, triangle):
+    code, out, err = run(capsys, "find", triangle, "--r", "3", "--strategy", "recursive",
+                         "--budget", "7")
+    assert code == 3 and out == ""
+    assert "--strategy recursive does not read --budget" in err
+    # without --budget the default is still echoed
+    code, report, _ = run_json(capsys, "find", triangle, "--r", "3", "--strategy", "recursive")
+    assert code == 2 and report["parameters"]["budget"] == 500_000
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 def test_find_digests_the_bytes_it_parses_from_a_pipe(capsys):
     # as `find <(printf ...) --r 3` passes it: a pipe can be read only once
@@ -174,6 +185,43 @@ def test_bounds_refuses_unread_flags(capsys, argv, unread):
     code, out, err = run(capsys, "bounds", "--which", *argv)
     assert code == 3 and out == ""
     assert f"--which {argv[0]} does not read {unread}" in err
+
+
+# one valid value for each bound parameter, keyed by its flag
+BOUND_FLAG_VALUES = {"-n": "4", "-r": "3", "-s": "2", "--L": "0,1", "-d": "2", "-C": "1/2",
+                     "--digits": "9", "--log-base": "2"}
+PARAMETER_FLAGS = dict(zip(("n", "r", "s", "L", "d", "C", "digits", "log_base"), BOUND_FLAG_VALUES))
+
+
+@pytest.mark.parametrize("which", [*bounds._BOUNDS, "crossover"])
+def test_bounds_reads_exactly_the_flags_of_its_table_row(capsys, which):
+    reads = [PARAMETER_FLAGS[p] for p in bounds.PARAMETERS_READ[which]]
+    argv = ["bounds", "--which", which]
+    for flag in reads:
+        argv += [flag, BOUND_FLAG_VALUES[flag]]
+    code, report, _ = run_json(capsys, *argv)
+    assert code == 0
+    if which != "crossover":
+        echoed = [p for p in bounds.PARAMETERS_READ[which] if p != "digits"]
+        assert list(report["outputs"]["bound"]["params"]) == sorted(echoed)
+    for flag in BOUND_FLAG_VALUES.keys() - set(reads):
+        code, out, err = run(capsys, *argv, flag, BOUND_FLAG_VALUES[flag])
+        assert code == 3 and out == "", flag
+        assert f"--which {which} does not read {flag}" in err
+
+
+def test_bounds_all_refuses_a_parameter_outside_a_bounds_domain(capsys):
+    # -d 0 is read by falling-factorial but outside d-intersecting's d >= 1
+    code, out, err = run(capsys, "bounds", "--which", "all", "-n", "6", "-r", "3", "-d", "0")
+    assert code == 3 and out == "" and "d >= 1" in err
+    code, out, err = run(capsys, "bounds", "--which", "all", "-n", "6", "-r", "3",
+                         "-s", "0", "--L", "0,9")
+    assert code == 3 and out == ""
+    # a bound whose parameters are not all given is skipped
+    code, report, _ = run_json(capsys, "bounds", "--which", "all", "-n", "6", "-r", "3")
+    assert code == 0
+    names = [b["name"] for b in report["outputs"]["bounds"]]
+    assert names == ["erdos-rado", "pigeonhole-limit", "rlogn"]
 
 
 def test_bounds_reads_every_flag_it_is_given(capsys):

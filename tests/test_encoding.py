@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -367,19 +369,44 @@ def test_pair_checks_fail_on_forged_pairs():
     assert encoding._check_bad_pairs(masks, 1, 2, [too_wide]) == (True, True, False)
 
 
-def test_negative_d_is_refused_after_a_memo_hit():
+def test_negative_d_is_refused_after_a_memo_hit(monkeypatch):
     fam = seeded_d_intersecting(9, 3, 1, 10, 3)
-    audits = (lambda d: audit_encoding_bound(fam, 3, d),
-              lambda d: audit_markov_step(fam, 3, Fraction(1, 2), d))
-    for run in audits:
-        audit_encoding_bound(fam, 3, 1)
-        hits = encoding._bad_members_by_w.cache_info().hits
-        run(1)
-        assert encoding._bad_members_by_w.cache_info().hits == hits + 1
+    calls = count_w_passes(monkeypatch)
+    audit_encoding_bound(fam, 3, 1)
+    for run in (lambda d: audit_encoding_bound(fam, 3, d),
+                lambda d: audit_markov_step(fam, 3, Fraction(1, 2), d)):
+        run(1)  # served by the pass the family keeps
         with pytest.raises(FamilyError, match="d must be >= 0"):
             run(-1)
+    assert calls == [(9, 3)]
     with pytest.raises(FamilyError, match="d must be >= 0"):
         audit_encoding_bound(SetFamily(5, [], uniform=2), 2, -1)
+
+
+def test_a_family_keeps_only_its_last_w_pass(monkeypatch):
+    fam = seeded_d_intersecting(9, 3, 1, 10, 3)
+    calls = count_w_passes(monkeypatch)
+    for w_size, d in ((3, 1), (3, 1), (4, 1), (3, 1), (3, 2), (3, 2)):
+        audit_encoding_bound(fam, w_size, d)
+    assert calls == [(9, 3), (9, 4), (9, 3), (9, 3)]
+
+
+def test_the_w_pass_goes_with_its_family():
+    audit_encoding_bound(MATCHING, 2, 1)  # any pass held elsewhere is now a small one
+    fam = seeded_d_intersecting(14, 3, 1, 20, 1)
+    encoding._w_table(14, 5)  # the element bitsets are a cache of their own
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        audit_encoding_bound(fam, 5, 1)
+        held = tracemalloc.get_traced_memory()[0] - before
+        del fam
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held > 50_000  # the pass: 14 + 2 * 20 bitsets of C(14, 5) = 2002 bits, and the W masks
+    assert kept < held / 10
 
 
 # -- which pairs are decoded -----------------------------------------------------
