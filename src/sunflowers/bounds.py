@@ -29,6 +29,9 @@ EQUALITY_REL_TOL = Fraction(1, 10**30)
 
 _MAX_COMPARE_DIGITS = 4096
 
+#: The defaults of the free constant C, the significant digits and the log base.
+DEFAULT_C, DEFAULT_DIGITS, DEFAULT_LOG_BASE = Fraction(1), 50, "e"
+
 
 @contextmanager
 def _ivdps(dps: int):
@@ -65,16 +68,22 @@ def _iv_fraction(q: Fraction):
     return iv.mpf(q.numerator) / iv.mpf(q.denominator)
 
 
-def _iv_log(value, log_base: Rational = "e"):
-    from mpmath import iv
-
-    ln = iv.log(value)
+def _log_base(log_base: Rational) -> Rational:
+    """The log base as every public function here reads it: "e", or an
+    exact rational above 1."""
     if log_base == "e":
-        return ln
+        return log_base
     base = _exact_fraction(log_base, "log_base")
     if base <= 1:
         raise ValueError(f"log base must exceed 1, got {log_base}")
-    return ln / iv.log(_iv_fraction(base))
+    return base
+
+
+def _iv_log(value, log_base: Rational):
+    """The log of `value` to a base that `_log_base` has coerced."""
+    from mpmath import iv
+
+    return iv.log(value) if log_base == "e" else iv.log(value) / iv.log(_iv_fraction(log_base))
 
 
 FracInterval = tuple[Fraction, Fraction]
@@ -90,7 +99,7 @@ def _check_digits(digits: int) -> None:
 def certified_compare(
     make_a: Callable[[int], FracInterval],
     make_b: Callable[[int], FracInterval],
-    digits: int = 50,
+    digits: int = DEFAULT_DIGITS,
 ) -> str:
     """Compare two interval-valued quantities: '<', '>', or '=' (certified).
 
@@ -243,7 +252,7 @@ def _three_sunflower_interval(n: int, s: int, dps: int) -> FracInterval:
     return exact * lo, exact * hi
 
 
-def three_sunflower_bound(n: int, s: int, digits: int = 50) -> RealBoundValue:
+def three_sunflower_bound(n: int, s: int, digits: int = DEFAULT_DIGITS) -> RealBoundValue:
     """(n^2-n+1) * 8^(s-1) * 2^((1+sqrt(5)/5)*n*(s-1)).
 
     The previously known threshold above which an n-uniform family with s
@@ -264,13 +273,14 @@ def _rlogn_interval(n: int, r: int, C: Fraction, dps: int, log_base: Rational) -
         return _iv_endpoints(base ** n)
 
 
-def rlogn_bound(n: int, r: int, C: Rational = 1, digits: int = 50, log_base: Rational = "e") -> RealBoundValue:
+def rlogn_bound(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_DIGITS,
+                log_base: Rational = DEFAULT_LOG_BASE) -> RealBoundValue:
     """(C * r * log n)^n, the improved unrestricted sunflower threshold form."""
     if n < 2 or r < 2:
         raise ValueError(f"need n >= 2 (so log n > 0) and r >= 2, got n={n}, r={r}")
     c = _positive_fraction(C, "C")
     _check_digits(digits)
-    return _real_value(_rlogn_interval(n, r, c, digits + 15, log_base), digits)
+    return _real_value(_rlogn_interval(n, r, c, digits + 15, _log_base(log_base)), digits)
 
 
 def _d_intersecting_interval(
@@ -286,9 +296,9 @@ def _d_intersecting_interval(
     return exact * lo, exact * hi
 
 
-def d_intersecting_bound(
-    n: int, d: int, r: int, C: Rational = 1, digits: int = 50, log_base: Rational = "e"
-) -> RealBoundValue:
+def d_intersecting_bound(n: int, d: int, r: int, C: Rational = DEFAULT_C,
+                         digits: int = DEFAULT_DIGITS,
+                         log_base: Rational = DEFAULT_LOG_BASE) -> RealBoundValue:
     """(4r)^n * (C * r * log(rd))^d, the threshold for families whose
     pairwise intersections have size at most d; the (4r)^n factor is exact."""
     if n < 1 or d < 1 or r < 2:
@@ -297,7 +307,8 @@ def d_intersecting_bound(
         raise ValueError(f"need r*d >= 2 so log(rd) is positive, got r*d={r * d}")
     c = _positive_fraction(C, "C")
     _check_digits(digits)
-    return _real_value(_d_intersecting_interval(n, d, r, c, digits + 15, log_base), digits)
+    interval = _d_intersecting_interval(n, d, r, c, digits + 15, _log_base(log_base))
+    return _real_value(interval, digits)
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +334,8 @@ class CrossoverReport:
     first_improvement: Optional[int]  # smallest d with d_intersecting < falling_factorial
 
 
-def crossover_report(
-    n: int, r: int, C: Rational = 1, digits: int = 50, log_base: Rational = "e"
-) -> CrossoverReport:
+def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_DIGITS,
+                     log_base: Rational = DEFAULT_LOG_BASE) -> CrossoverReport:
     """Row-by-row certified comparison of the two d-restricted thresholds
     for d = 1..n, reporting the first d (if any) where the log-form bound
     drops below the factorial one.
@@ -339,6 +349,7 @@ def crossover_report(
         raise ValueError(f"need n >= 2 and r >= 2, got n={n}, r={r}")
     c = _positive_fraction(C, "C")
     _check_digits(digits)
+    log_base = _log_base(log_base)
     rows = []
     first = None
     for d in range(1, n + 1):
@@ -417,28 +428,23 @@ PARAMETERS_READ = {**{name: reads for name, (_, reads) in _BOUNDS.items()},
 
 
 def bound_report(
-    which: str,
-    n: Optional[int] = None,
-    r: Optional[int] = None,
-    s: Optional[int] = None,
-    L: Optional[Iterable[int]] = None,
-    d: Optional[int] = None,
-    C: Rational = 1,
-    digits: int = 50,
-    log_base: Rational = "e",
+    which: str, n: Optional[int] = None, r: Optional[int] = None, s: Optional[int] = None,
+    L: Optional[Iterable[int]] = None, d: Optional[int] = None, C: Rational = DEFAULT_C,
+    digits: int = DEFAULT_DIGITS, log_base: Rational = DEFAULT_LOG_BASE,
 ) -> BoundReport:
     """Evaluate one named bound, echoing every parameter it reads but
     `digits` (`C` and `log_base` as strings).  s defaults to the number of
     distinct sizes in L.  A missing parameter raises MissingParameterError."""
     _check_digits(digits)
     c = _exact_fraction(C, "C")
+    base = _log_base(log_base)
     if which not in _BOUNDS:
         raise ValueError(f"unknown bound {which!r}")
     bound, reads = _BOUNDS[which]
     if L is not None:
         L = sorted(set(L))
         s = len(L) if s is None else s
-    given = {"n": n, "r": r, "s": s, "L": L, "d": d, "C": c, "digits": digits, "log_base": log_base}
+    given = {"n": n, "r": r, "s": s, "L": L, "d": d, "C": c, "digits": digits, "log_base": base}
     missing = [p for p in reads if given[p] is None]
     if missing:
         raise MissingParameterError(f"bound '{which}' needs parameters: {', '.join(missing)}")

@@ -36,7 +36,7 @@ from .families import (
     _d_sizes,
     intersection_profile,
 )
-from .finders import find_any
+from .finders import DEFAULT_BUDGET, STRATEGIES, find_any
 from .formats import _family_object, dump_family_json, dump_family_text, load_family
 
 EXIT_TRUE = 0
@@ -172,11 +172,20 @@ def _parse_int_list(text: str) -> list[int]:
         raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _rational(text: str) -> Fraction:
+    """The one parser of rational flags: argparse names the flag."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected a rational like 2, 1/3, or 0.25, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a rational like 2, 1/3, or 0.25, got {text!r}") from None
+
+
+def _alpha_grid(text: str) -> tuple[Fraction, ...]:
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"expected start:stop:step, got {text!r}")
+    return tuple(map(_rational, parts))
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +219,7 @@ def cmd_find(args) -> int:
     started = time.perf_counter()
     _require(args.budget is None or args.strategy != "recursive",
              "--strategy recursive does not read --budget")
-    budget = 500_000 if args.budget is None else args.budget  # echoed when not given
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget  # echoed when not given
     family, digest = _load(args.family)
     outcome = find_any(family, args.r, strategy=args.strategy, budget=budget)
     params = {"r": args.r, "strategy": args.strategy, "budget": budget}
@@ -242,10 +251,10 @@ def cmd_bounds(args) -> int:
         unread = [flag for p, flag in _FLAGS.items()
                   if getattr(args, p) is not None and p not in reads]
         _require(not unread, f"--which {args.which} does not read {', '.join(unread)}")
-    # the parameters echo the defaults of the flags not given
-    C = Fraction(1) if args.C is None else args.C
-    digits = 50 if args.digits is None else args.digits
-    log_base = "e" if args.log_base is None else args.log_base
+    # the parameters echo the library's defaults for the flags not given
+    C = bounds_mod.DEFAULT_C if args.C is None else args.C
+    digits = bounds_mod.DEFAULT_DIGITS if args.digits is None else args.digits
+    log_base = bounds_mod.DEFAULT_LOG_BASE if args.log_base is None else args.log_base
     L = _parse_int_list(args.L) if args.L is not None else None
     common = dict(n=args.n, r=args.r, s=args.s, L=L, d=args.d,
                   C=C, digits=digits, log_base=log_base)
@@ -294,9 +303,8 @@ def cmd_spread(args) -> int:
         if exact:
             outputs["exact_satisfying"] = spread_mod.exact_satisfying(family, args.alpha)
         if args.trials is not None:
-            _require(args.seed is not None, "sampling requires an explicit --seed")
             outputs["sampled_satisfying"] = spread_mod.sample_satisfying(
-                family, float(args.alpha), args.trials, args.seed
+                family, args.alpha, args.trials, _seed(args, "sampling")
             )
     if args.r is not None:
         outputs["disjointness"] = spread_mod.check_satisfying_disjoint(
@@ -309,24 +317,16 @@ def cmd_spread(args) -> int:
 
 def cmd_experiment(args) -> int:
     family, _ = _load(args.family)
-    _require(args.seed is not None, "sampling requires an explicit --seed")
-    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
-    _require(args.trials >= 1, f"--trials must be >= 1, got {args.trials}")
-    try:
-        lo, hi, step = (Fraction(part) for part in args.alpha_grid.split(":"))
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"--alpha-grid must look like 0.1:0.9:0.1, got {args.alpha_grid!r}")
+    seed = _seed(args, "sampling")
+    lo, hi, step = args.alpha_grid
     _require(step > 0 and 0 < lo <= hi < 1, "need 0 < start <= stop < 1 and step > 0")
-    exact_available = spread_mod.exact_fits(family)
-    _write("alpha,estimate,stderr,exact\n")
-    alpha = lo
-    trial_seed = args.seed
-    while alpha <= hi:
-        est = spread_mod.sample_satisfying(family, float(alpha), args.trials, trial_seed)
-        exact = str(spread_mod.exact_satisfying(family, alpha)) if exact_available else ""
-        _write(f"{float(alpha)!r},{est.estimate!r},{est.stderr!r},{exact}\n")
-        alpha += step
-        trial_seed += 1
+    rows = []  # all made before the header is written, so a refusal writes nothing
+    for i in range((hi - lo) // step + 1):
+        alpha = lo + i * step
+        est = spread_mod.sample_satisfying(family, alpha, args.trials, seed + i)
+        exact = spread_mod.exact_satisfying(family, alpha) if spread_mod.exact_fits(family) else ""
+        rows.append(f"{est.alpha!r},{est.estimate!r},{est.stderr!r},{exact}\n")
+    _write("alpha,estimate,stderr,exact\n" + "".join(rows))
     return EXIT_TRUE
 
 
@@ -347,31 +347,24 @@ def cmd_encode_audit(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    kind = args.kind
-    if kind == "sunflower":
-        family = gen_mod.gen_sunflower(args.core, args.petal, args.r)
-    elif kind == "transversal":
-        family = gen_mod.gen_transversal(args.blocks, args.block_size)
-    elif kind == "all-subsets":
-        family = gen_mod.gen_all_k_subsets(args.x, args.k)
-    elif kind == "single-intersection":
-        family = gen_mod.gen_single_intersection(args.n, args.t, args.count)
-    elif kind == "random-uniform":
-        _require(args.seed is not None, "random generation requires an explicit --seed")
-        family = gen_mod.gen_random_uniform(args.x, args.n, args.count, args.seed)
-    elif kind == "random-l":
-        _require(args.seed is not None, "random generation requires an explicit --seed")
-        stops: list[str] = []
-        family = gen_mod.gen_random_L_intersecting(
-            args.x, args.n, _parse_int_list(args.L), args.count, args.seed, args.budget,
-            on_stop=stops.append,
-        )
-        print(f"note: reached {len(family)} of {args.count} sets; stopped: {stops[0]}",
-              file=sys.stderr)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown generator {kind!r}")
+    family = args.make(args)  # each generator's subparser carries its call
     _write(dump_family_json(family) if args.format == "json" else dump_family_text(family))
     return EXIT_TRUE
+
+
+def _seed(args, use: str = "random generation") -> int:
+    _require(args.seed is not None, f"{use} requires an explicit --seed")
+    return args.seed
+
+
+def _gen_random_l(args) -> SetFamily:
+    stops: list[str] = []
+    family = gen_mod.gen_random_L_intersecting(
+        args.x, args.n, _parse_int_list(args.L), args.count, _seed(args), args.budget,
+        on_stop=stops.append)
+    print(f"note: reached {len(family)} of {args.count} sets; stopped: {stops[0]}",
+          file=sys.stderr)
+    return family
 
 
 def _require(condition: bool, message: str) -> None:
@@ -387,8 +380,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="sunflowers", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
 
-    def add_common(p):
-        p.add_argument("--format", choices=("json", "text"), default="json",
+    def add_common(p, default="json"):
+        p.add_argument("--format", choices=("json", "text"), default=default,
                        help="report rendering (text is rendered from the same JSON)")
 
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -404,10 +397,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("find", help="search for an r-sunflower")
     p.add_argument("family")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--strategy", choices=("auto", "recursive", "brute"), default="auto")
+    p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGIES[0])
     p.add_argument("--budget", type=int,
                    help="cap on C(|F|, r), the most r-subsets the exact search "
-                        "(method \"brute-force\") can examine, default 500000; above it "
+                        f"(method \"brute-force\") can examine, default {DEFAULT_BUDGET}; above it "
                         "the status is unknown (not read by --strategy recursive)")
     add_common(p)
     p.set_defaults(func=cmd_find)
@@ -420,19 +413,21 @@ def build_parser() -> _Parser:
     p.add_argument("-s", type=int)
     p.add_argument("--L", help="comma-separated intersection sizes")
     p.add_argument("-d", type=int)
-    p.add_argument("-C", type=_parse_fraction,
-                   help="free constant (rational, default 1)")
-    p.add_argument("--digits", type=int, help="significant digits (default 50)")
-    p.add_argument("--log-base",
-                   help="logarithm base: e (default) or a rational like 2")
+    p.add_argument("-C", type=_rational,
+                   help=f"free constant (rational, default {bounds_mod.DEFAULT_C})")
+    p.add_argument("--digits", type=int,
+                   help=f"significant digits (default {bounds_mod.DEFAULT_DIGITS})")
+    p.add_argument("--log-base", type=lambda text: text if text == "e" else _rational(text),
+                   help=f"logarithm base: e or a rational like 2 "
+                        f"(default {bounds_mod.DEFAULT_LOG_BASE})")
     add_common(p)
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("spread", help="spreadness and satisfying probability")
     p.add_argument("family")
-    p.add_argument("--kappa", type=_parse_fraction, help="exact rational spread parameter")
+    p.add_argument("--kappa", type=_rational, help="exact rational spread parameter")
     p.add_argument("--d", type=int, help="max link set size for the spread link search")
-    p.add_argument("--alpha", type=_parse_fraction, help="density for satisfying probability")
+    p.add_argument("--alpha", type=_rational, help="density for satisfying probability")
     p.add_argument("--trials", type=int, help="Monte Carlo trials (needs --seed)")
     p.add_argument("--seed", type=int)
     p.add_argument("--r", type=int, help="run the r-disjointness consistency report")
@@ -441,7 +436,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("experiment", help="alpha-grid satisfying sweep (CSV)")
     p.add_argument("family")
-    p.add_argument("--alpha-grid", required=True, help="start:stop:step, e.g. 0.1:0.9:0.1")
+    p.add_argument("--alpha-grid", required=True, type=_alpha_grid,
+                   help="start:stop:step, e.g. 0.1:0.9:0.1")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_experiment)
@@ -450,7 +446,7 @@ def build_parser() -> _Parser:
     p.add_argument("family")
     p.add_argument("--px", type=int, required=True, help="|W|, the exact size of the W sets")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--delta", type=_parse_fraction,
+    p.add_argument("--delta", type=_rational,
                    help="also audit the Markov tail at this rational delta")
     add_common(p)
     p.set_defaults(func=cmd_encode_audit)
@@ -458,49 +454,30 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen", help="generate fixture families")
     gensub = p.add_subparsers(dest="kind", required=True)
 
-    g = gensub.add_parser("sunflower")
-    g.add_argument("core", type=int)
-    g.add_argument("petal", type=int)
-    g.add_argument("r", type=int)
-    add_common(g)
-    g.set_defaults(func=cmd_gen, seed=None, format="text")
+    def add_gen(name, make, *ints):
+        g = gensub.add_parser(name)
+        for arg in ints:
+            g.add_argument(arg, type=int)
+        g.set_defaults(func=cmd_gen, make=make)
+        return g
 
-    g = gensub.add_parser("transversal")
-    g.add_argument("blocks", type=int)
-    g.add_argument("block_size", type=int)
-    add_common(g)
-    g.set_defaults(func=cmd_gen, seed=None, format="text")
-
-    g = gensub.add_parser("all-subsets")
-    g.add_argument("x", type=int)
-    g.add_argument("k", type=int)
-    add_common(g)
-    g.set_defaults(func=cmd_gen, seed=None, format="text")
-
-    g = gensub.add_parser("single-intersection")
-    g.add_argument("n", type=int)
-    g.add_argument("t", type=int)
-    g.add_argument("count", type=int)
-    add_common(g)
-    g.set_defaults(func=cmd_gen, seed=None, format="text")
-
-    g = gensub.add_parser("random-uniform")
-    g.add_argument("x", type=int)
-    g.add_argument("n", type=int)
-    g.add_argument("count", type=int)
+    add_gen("sunflower", lambda a: gen_mod.gen_sunflower(a.core, a.petal, a.r), "core", "petal", "r")
+    add_gen("transversal", lambda a: gen_mod.gen_transversal(a.blocks, a.block_size),
+            "blocks", "block_size")
+    add_gen("all-subsets", lambda a: gen_mod.gen_all_k_subsets(a.x, a.k), "x", "k")
+    add_gen("single-intersection",
+            lambda a: gen_mod.gen_single_intersection(a.n, a.t, a.count), "n", "t", "count")
+    g = add_gen("random-uniform", lambda a: gen_mod.gen_random_uniform(a.x, a.n, a.count, _seed(a)),
+                "x", "n", "count")
     g.add_argument("--seed", type=int)
-    add_common(g)
-    g.set_defaults(func=cmd_gen, format="text")
-
-    g = gensub.add_parser("random-l")
-    g.add_argument("x", type=int)
-    g.add_argument("n", type=int)
+    g = add_gen("random-l", _gen_random_l, "x", "n")
     g.add_argument("--L", required=True)
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--seed", type=int)
-    g.add_argument("--budget", type=int, default=100_000)
-    add_common(g)
-    g.set_defaults(func=cmd_gen, format="text")
+    g.add_argument("--budget", type=int, default=gen_mod.DEFAULT_DRAW_BUDGET,
+                   help="most draws (default %(default)s)")
+    for g in gensub.choices.values():
+        add_common(g, default="text")
 
     return parser
 

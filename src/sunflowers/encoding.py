@@ -12,10 +12,11 @@ Both audits, the Markov one at every delta, read one pass that finds, for
 every W of a size, the bad pairs and the pairs whose union W u S holds a
 member other than S, on Python-int bitsets indexed by W's position:
 x + 2|F| bitsets of C(x, px) bits, about (x + 2|F|) C(x, px) / 8 bytes,
-beside the W masks and a few bit planes of the per-W bad counts.  The x
-element bitsets come from the lex-order recursion on W, without strings,
-and the last few tables are kept.  The audits read the total, the
-largest count and the Markov tail off the planes, with no per-W loop.
+beside a few bit planes of the per-W bad counts.  The x element bitsets,
+the one enumeration of W (the few W an audit names are read off them),
+come from the lex-order recursion, and the last few tables are kept.
+The audits read the total, the largest count and the Markov tail off
+the planes, with no per-W loop.
 Only a bad pair in both sets can break the encoding, so the encoding
 audit encodes, decodes and checks just those on masks (for a
 d-intersecting family there are none), and both audits verify their
@@ -36,7 +37,6 @@ from .families import (
     Rational,
     SetFamily,
     _positive_fraction,
-    _subset_masks,
     elements_of,
     is_d_intersecting,
 )
@@ -146,22 +146,21 @@ def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction,
 
 def _bad_members_by_w(
     family: SetFamily, w_size: int, d: int
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """(W masks in `_subset_masks` order, per member S the bitset of the W
-    numbers i where (W_i, S) is bad at threshold d, per member S the bitset
-    of the W_i where another member lies inside W_i u S, the bit planes of
-    the per-W bad counts as `_bit_planes` returns them).
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(per member S the bitset of the W numbers i, in `_w_table` order,
+    where (W_i, S) is bad at threshold d, per member S the bitset of the
+    W_i where another member lies inside W_i u S, the bit planes of the
+    per-W bad counts as `_bit_planes` returns them).
 
     (W, S) is good iff some S' has S' \\ S inside W (an AND of the bitsets
     of the W holding each element) and |S' \\ W| <= d (a saturating count
     of the elements of S' each W misses, at most d + 1 bitsets).  The first
     AND alone, ORed over S' other than S, is the collision bitset.  Memory:
-    x + 2|F| bitsets of C(x, w_size) bits, a few count planes and the W
-    masks."""
+    the x element bitsets of C(x, w_size) bits that `_w_table` keeps, and
+    2|F| more and a few count planes that the pass returns."""
     x = family.ground_size
     masks = family.masks
-    w_masks = tuple(_subset_masks(x, w_size))
-    full = (1 << len(w_masks)) - 1
+    full = (1 << math.comb(x, w_size)) - 1
     holding = _w_table(x, w_size)
     near = []  # per member S': the W with |S' \ W| <= d
     for s in masks:
@@ -186,7 +185,7 @@ def _bad_members_by_w(
                 hit |= inside
         bad.append(full ^ good)
         collide.append(hit)
-    return w_masks, tuple(bad), tuple(collide), _bit_planes(bad)
+    return tuple(bad), tuple(collide), _bit_planes(bad)
 
 
 def _kept_pass(family: SetFamily, w_size: int, d: int) -> tuple:
@@ -201,8 +200,8 @@ def _kept_pass(family: SetFamily, w_size: int, d: int) -> tuple:
 
 @functools.lru_cache(maxsize=4)
 def _w_table(x: int, k: int) -> tuple[int, ...]:
-    """Per element e < x, the bitset of the numbers i, in `_subset_masks(x,
-    k)` order, of the k-subsets W_i that hold e.
+    """Per element e < x, the bitset of the numbers i, in lex order (as
+    `_subset_masks(x, k)` lists them), of the k-subsets W_i that hold e.
 
     Built by the lex-order recursion, from lo = x - 1 down to 0: the
     j-subsets of {lo..x-1} are those that hold lo (lo joined to each
@@ -221,6 +220,11 @@ def _w_table(x: int, k: int) -> tuple[int, ...]:
             ])
         tables = new
     return tuple(tables[k])
+
+
+def _w_mask(x: int, k: int, i: int) -> int:
+    """The mask of W_i, read off the element bitsets `_w_table(x, k)`."""
+    return sum(1 << e for e, bits in enumerate(_w_table(x, k)) if bits >> i & 1)
 
 
 def _bit_planes(bitsets: Iterable[int]) -> tuple[int, ...]:
@@ -327,10 +331,10 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     x = family.ground_size
     bound = (2 / p) ** n * num_w
 
-    w_masks, bad, collide, planes = _kept_pass(family, w_size, d)
+    bad, collide, planes = _kept_pass(family, w_size, d)
     total = sum(bits.bit_count() for bits in bad)
     per_w_max, worst = _plane_max(planes, (1 << num_w) - 1)
-    worst_w = ElementSet.from_mask(w_masks[worst])
+    worst_w = ElementSet.from_mask(_w_mask(x, w_size, worst))
     # Only bad pairs whose union holds another member can fail a check:
     # - with S the only member inside W u S, the key decodes to (W, S);
     # - two pairs sharing a key (U, M) have distinct members (one member
@@ -341,7 +345,7 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     # goodness), so no pair is decoded; any that did would be checked here.
     injective, roundtrip_ok, union_sizes_ok = _check_bad_pairs(
         family.masks, w_size, n,
-        ((w_masks[i], s) for s, bits, hits in zip(family.masks, bad, collide)
+        ((_w_mask(x, w_size, i), s) for s, bits, hits in zip(family.masks, bad, collide)
          for i in elements_of(bits & hits)),
     )
 

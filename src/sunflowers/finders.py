@@ -33,6 +33,9 @@ from .families import (
     mask_of,
 )
 
+DEFAULT_BUDGET = 500_000  # find_any's default cap on C(|F|, r)
+STRATEGIES = ("auto", "recursive", "brute")  # find_any's strategies, the default first
+
 
 class FinderError(ValueError):
     """Precondition violation in a finder."""
@@ -147,7 +150,7 @@ def deza_extract(family: SetFamily, r: int) -> Sunflower:
             f"intersection profile {sorted(profile)} is not a single size"
         )
     (t,) = profile
-    threshold = max(r, n * n - n + 2)
+    threshold = pigeonhole_limit(n, r) + 1  # max(r, n^2-n+2)
     if len(family) < threshold:
         raise BelowDezaThresholdError(
             f"family size {len(family)} is below max(r, n^2-n+2) = {threshold}"
@@ -174,7 +177,7 @@ def _search(
         levels.append(TraceLevel(outcome="too-few-sets", **base))
         return None
     if len(sizes) == 1:
-        if len(family) >= max(r, n * n - n + 2):
+        if len(family) > pigeonhole_limit(n, r):
             flower = deza_extract(family, r)
             levels.append(TraceLevel(outcome="base-extracted", **base))
             return flower
@@ -300,7 +303,7 @@ def _extract(
 
 
 def find_any(
-    family: SetFamily, r: int, strategy: str = "auto", budget: int = 500_000
+    family: SetFamily, r: int, strategy: str = STRATEGIES[0], budget: int = DEFAULT_BUDGET
 ) -> SearchOutcome:
     """Strategy dispatcher over the finders.
 
@@ -315,7 +318,7 @@ def find_any(
         raise FinderError(f"need r >= 2, got {r}")
     if budget < 0:
         raise FinderError(f"budget must be >= 0, got {budget}")
-    if strategy not in ("auto", "recursive", "brute"):
+    if strategy not in STRATEGIES:
         raise FinderError(f"unknown strategy {strategy!r}")
     trace = None
     if strategy in ("auto", "recursive"):

@@ -37,10 +37,12 @@ def parse_family_text(text: str) -> SetFamily:
     its element tuple by one strictly ascending scan with a range check,
     and the rows, sorted by their tuples (the canonical order), make the
     family without a second sort.  A line that fails the scan gets the
-    per-line diagnostics of `_line_error`."""
+    per-line diagnostics of `_line_error`.  Lines end at LF, CR LF or CR, as
+    an editor counts them: a form feed or U+2028 stays in its line."""
     ground_size = None
     rows: list[tuple[tuple[int, ...], int]] = []  # (elements, line number)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

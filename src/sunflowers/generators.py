@@ -30,6 +30,7 @@ class GeneratorError(ValueError):
 
 
 DEFAULT_SIZE_BUDGET = 1_000_000
+DEFAULT_DRAW_BUDGET = 100_000  # gen_random_L_intersecting's default number of draws
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -198,7 +199,7 @@ def gen_random_L_intersecting(
     L: Iterable[int],
     target_count: int,
     seed: int,
-    budget: int = 100_000,
+    budget: int = DEFAULT_DRAW_BUDGET,
     *,
     on_stop: Optional[Callable[[str], None]] = None,
 ) -> SetFamily:

@@ -259,9 +259,11 @@ class SatisfyingEstimate:
     stderr: float
 
 
-def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -> SatisfyingEstimate:
+def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: int,
+                      seed: int) -> SatisfyingEstimate:
     """Monte Carlo estimate of P(some member is a subset of R) where R
-    keeps each ground element independently with probability alpha.
+    keeps each ground element independently with probability alpha, a
+    float or any rational form, read as `float(Fraction(alpha))`.
 
     Deterministic for a fixed seed: trial i is row i of the Philox
     stream's `random_raw((trials, x)) < ceil(alpha * 2^53) << 11`, drawn
@@ -290,7 +292,7 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
     Unless a block is the 64-trial minimum, its raw words take at most
     8 * _SAMPLE_BLOCK bytes.
     """
-    alpha = float(alpha)
+    alpha = float(Fraction(alpha))
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if trials < 1:
@@ -340,7 +342,8 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
                 held = bits[index[:, 0]]
                 for j in range(1, widest):
                     held &= bits[index[:, j]]
-                successes += int(_popcount64(np.bitwise_or.reduce(held, axis=0)).sum())
+                words = np.bitwise_or.reduce(held, axis=0)
+                successes += int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
                 del held  # so that two blocks' bitsets never coexist
             done += rows
     estimate = successes / trials
@@ -355,27 +358,6 @@ def sample_satisfying(family: SetFamily, alpha: float, trials: int, seed: int) -
 _SPREAD_MASKS = tuple(
     np.uint64(sum(1 << p for p in range(64) if p >> b & 1)) for b in range(6)
 )
-_M1, _M2, _M4, _H01 = (np.uint64(m) for m in (
-    0x5555555555555555, 0x3333333333333333, 0x0F0F0F0F0F0F0F0F, 0x0101010101010101))
-
-
-def _popcount64(v: np.ndarray) -> np.ndarray:
-    """Set bits of each uint64 word, computed in place in v (numpy's
-    `bitwise_count` needs numpy >= 2.0): sums over bit pairs, nibbles and
-    bytes, then one multiply adds the eight byte sums into the top byte."""
-    t = v >> np.uint64(1)
-    t &= _M1
-    v -= t
-    np.right_shift(v, np.uint64(2), out=t)
-    t &= _M2
-    v &= _M2
-    v += t
-    np.right_shift(v, np.uint64(4), out=t)
-    v += t
-    v &= _M4
-    v *= _H01
-    v >>= np.uint64(56)
-    return v
 
 
 def _upward_lattice(masks: Sequence[int], x: int) -> np.ndarray:
@@ -534,7 +516,7 @@ def check_satisfying_disjoint(
                 f"ground size {family.ground_size} exceeds the exact budget; "
                 f"trials and seed are required"
             )
-        est = sample_satisfying(family, float(alpha), trials, seed)
+        est = sample_satisfying(family, alpha, trials, seed)
         prob = est.estimate
         satisfying = prob > float(threshold)
         method = "sampled"

@@ -163,7 +163,8 @@ def parse_family_text_line_by_line(text):
 
     ground_size = None
     rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # universal newlines
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -251,6 +251,63 @@ def test_bounds_echoes_real_flags_given_or_defaulted(capsys):
         assert {k: report["parameters"][k] for k in echoed} == echoed, argv
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["bounds", "--which", "rlogn", "-n", "4", "-r", "3", "-C", "x"], "-C"),
+    (["bounds", "--which", "rlogn", "-n", "4", "-r", "3", "--log-base", "x"], "--log-base"),
+    (["spread", "{fam}", "--kappa", "x"], "--kappa"),
+    (["spread", "{fam}", "--alpha", "x"], "--alpha"),
+    (["encode-audit", "{fam}", "--px", "2", "--d", "1", "--delta", "x"], "--delta"),
+    (["experiment", "{fam}", "--alpha-grid", "0.1:x:0.1", "--trials", "10", "--seed", "1"],
+     "--alpha-grid"),
+    (["spread", "{fam}", "--alpha", "1/0"], "--alpha"),
+])
+def test_every_rational_flag_names_itself_when_refused(capsys, triangle, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([triangle if a == "{fam}" else a for a in argv])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: expected a rational like 2, 1/3, or 0.25, got " in captured.err
+    assert "invalid" not in captured.err
+
+
+def test_log_base_is_echoed_as_it_is_used(capsys):
+    for which, extra in (("rlogn", []), ("d-intersecting", ["-d", "2"]), ("crossover", [])):
+        code, report, _ = run_json(capsys, "bounds", "--which", which, "-n", "4", "-r", "3",
+                                   *extra, "--log-base", "2.0", "-C", "0.5")
+        assert code == 0
+        assert report["parameters"]["log_base"] == "2" and report["parameters"]["C"] == "1/2"
+        echoed = report["outputs"]["bound"]["params"] if which != "crossover" \
+            else report["outputs"]["crossover"]
+        assert echoed["log_base"] == "2" and echoed["C"] == "1/2"
+        code, same, _ = run_json(capsys, "bounds", "--which", which, "-n", "4", "-r", "3",
+                                 *extra, "--log-base", "2", "-C", "1/2")
+        assert same["outputs"] == report["outputs"]
+
+
+def test_echoed_defaults_are_the_librarys(capsys, triangle):
+    import inspect
+
+    from sunflowers import crossover_report, d_intersecting_bound, find_any, rlogn_bound
+    from sunflowers.cli import build_parser, jsonable
+    from sunflowers.generators import gen_random_L_intersecting
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    _, report, _ = run_json(capsys, "bounds", "--which", "all", "-n", "4", "-r", "3", "-d", "2")
+    for name in ("C", "digits", "log_base"):
+        for function in (bounds.bound_report, rlogn_bound, d_intersecting_bound, crossover_report):
+            assert report["parameters"][name] == jsonable(default(function, name)), (name, function)
+    assert default(bounds.three_sunflower_bound, "digits") == report["parameters"]["digits"]
+    assert default(bounds.certified_compare, "digits") == report["parameters"]["digits"]
+    _, report, _ = run_json(capsys, "find", triangle, "--r", "2")
+    assert report["parameters"]["budget"] == default(find_any, "budget")
+    assert report["parameters"]["strategy"] == default(find_any, "strategy")
+    args = build_parser().parse_args(["gen", "random-l", "6", "2", "--L", "0", "--count", "3"])
+    assert args.budget == default(gen_random_L_intersecting, "budget")
+
+
 def test_bounds_text_format(capsys):
     code, out, err = run(capsys, "bounds", "--which", "erdos-rado", "-n", "3", "-r", "3",
                          "--format", "text")

@@ -22,7 +22,7 @@ from sunflowers import (
 )
 from sunflowers import encoding
 from sunflowers.cli import main
-from sunflowers.families import mask_of
+from sunflowers.families import _subset_masks, mask_of
 from sunflowers.generators import gen_random_L_intersecting
 
 from _oracles import bad_members_by_witness_table, others_inside_unions
@@ -227,14 +227,15 @@ def test_audit_random_corpus_no_violations():
 # -- the one W pass ------------------------------------------------------------
 
 def count_w_passes(monkeypatch):
+    """The (x, |W|) of every W pass the audits run from now on."""
     calls = []
-    real = encoding._subset_masks
+    real = encoding._bad_members_by_w
 
-    def counting(x, k):
-        calls.append((x, k))
-        return real(x, k)
+    def counting(family, w_size, d):
+        calls.append((family.ground_size, w_size))
+        return real(family, w_size, d)
 
-    monkeypatch.setattr(encoding, "_subset_masks", counting)
+    monkeypatch.setattr(encoding, "_bad_members_by_w", counting)
     return calls
 
 
@@ -329,8 +330,9 @@ def test_bitset_pass_matches_the_witness_table_oracle(case):
     all_w = list(combinations(range(x), w_size))
     oracle = [bad_members_by_witness_table(x, [s.elements for s in fam.members], w, d)
               for w in all_w]
-    w_masks, bad, collide, planes = encoding._bad_members_by_w(fam, w_size, d)
-    assert w_masks == tuple(mask_of(w) for w in all_w)
+    bad, collide, planes = encoding._bad_members_by_w(fam, w_size, d)
+    assert [encoding._w_mask(x, w_size, i) for i in range(len(all_w))] == \
+        [mask_of(w) for w in all_w]
     for i, want in enumerate(oracle):
         assert [set(s.elements) for s, bits in zip(fam.members, bad) if bits >> i & 1] == \
             [set(s) for s in want]
@@ -405,7 +407,7 @@ def test_the_w_pass_goes_with_its_family():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held > 50_000  # the pass: 14 + 2 * 20 bitsets of C(14, 5) = 2002 bits, and the W masks
+    assert held > 10_000  # the pass: 2 * 20 bitsets of C(14, 5) = 2002 bits, and the count planes
     assert kept < held / 10
 
 
@@ -509,7 +511,7 @@ def test_markov_cutoff_at_and_beside_integer_thresholds(fam, w_size, d):
 def test_w_table_marks_the_subset_masks_holding_each_element():
     for x in range(14):
         for k in range(x + 1):
-            w_masks = list(encoding._subset_masks(x, k))
+            w_masks = list(_subset_masks(x, k))
             want = tuple(sum(1 << i for i, w in enumerate(w_masks) if w >> e & 1)
                          for e in range(x))
             assert encoding._w_table(x, k) == want, (x, k)

@@ -67,6 +67,23 @@ def test_text_non_integer():
         parse_family_text("x=" + "1" * 5000 + "\n")
 
 
+@pytest.mark.parametrize("mark", ["\u2028", "\f", "\x85", "\x1e"])
+def test_text_lines_end_only_at_universal_newlines(mark):
+    # splitlines() would end the comment at the mark and read 'b' as a set line
+    fam = parse_family_text(f"x=3\n0 1 # a{mark}b\n1 2\n")
+    assert [s.elements for s in fam.members] == [(0, 1), (1, 2)]
+    with pytest.raises(ParseError, match=r"^line 4: non-integer element in '0 x'$"):
+        parse_family_text(f"x=3\n0 1 # a{mark}b\n1 2\n0 x\n")
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_text_line_numbers_count_every_newline_form(newline):
+    text = newline.join(["x=3", "0 1 # a\u2028b", "", "1 2", "0 2 # \f", "2 1", ""])
+    assert len(parse_family_text(text.replace("2 1", "0"))) == 4
+    with pytest.raises(ParseError, match="^line 6: elements must be ascending"):
+        parse_family_text(text)
+
+
 def test_text_cannot_express_empty_set():
     fam = SetFamily(3, [[]])
     with pytest.raises(Exception, match="empty set"):
@@ -199,7 +216,7 @@ def family_texts(draw):
     for row in rows:
         line = draw(gap).join(map(str, row))
         lines.append(draw(st.sampled_from(["", " ", "\t"])) + line
-                     + draw(st.sampled_from(["", "  # note", "#", " "])))
+                     + draw(st.sampled_from(["", "  # note", "#", " ", " # a\u2028b\fc"])))
         if draw(st.booleans()):
             lines.append(draw(st.sampled_from(["", "# between", " \t"])))
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))

@@ -384,6 +384,16 @@ def test_sample_validation():
         sample_satisfying(TRIANGLE, 0.5, 0, seed=0)
 
 
+def test_sample_reads_alpha_in_any_rational_form():
+    fam = SetFamily(30, [[0, 1], [2, 3, 4], [5]])
+    want = sample_satisfying(fam, 1 / 3, 500, seed=2)
+    for alpha in ("1/3", Fraction(1, 3), 1 / 3):
+        assert sample_satisfying(fam, alpha, 500, seed=2) == want
+    assert sample_satisfying(fam, "0.25", 500, seed=2) == sample_satisfying(fam, 0.25, 500, seed=2)
+    with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\)"):
+        sample_satisfying(fam, "1", 10, seed=0)
+
+
 @st.composite
 def sampling_cases(draw):
     """(x, sets, trials) for x in [0, 130] and up to 80 members.  For
