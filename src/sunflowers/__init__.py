@@ -7,7 +7,6 @@ from .families import (
     InvariantError,
     SetFamily,
     Sunflower,
-    WeightedFamily,
     find_r_disjoint,
     intersection_profile,
     is_L_intersecting,
@@ -50,12 +49,10 @@ from .spread import (
     DisjointnessReport,
     SatisfyingEstimate,
     SpreadLinkResult,
-    SpreadProfile,
     check_satisfying_disjoint,
     exact_satisfying,
     find_spread_link,
     is_kappa_spread,
-    is_profile_spread,
     sample_satisfying,
     spread_kappa,
 )

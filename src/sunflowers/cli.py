@@ -32,7 +32,6 @@ from .families import (
     ElementSet,
     SetFamily,
     Sunflower,
-    WeightedFamily,
     _d_sizes,
     intersection_profile,
 )
@@ -65,7 +64,7 @@ def jsonable(obj):
             "core": list(obj.core.elements),
             "sets": [list(s.elements) for s in obj.petal_sets],
         }
-    if isinstance(obj, (SetFamily, WeightedFamily)):
+    if isinstance(obj, SetFamily):
         return _family_object(obj)
     if dataclasses.is_dataclass(obj):
         return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
@@ -146,10 +145,6 @@ def _load(path: str) -> tuple[SetFamily, str]:
     """
     data = Path(path).read_bytes()
     family = load_family(io.TextIOWrapper(io.BytesIO(data), encoding="locale").read())
-    if isinstance(family, WeightedFamily):
-        raise ValueError(
-            f"{path}: the CLI does not use weights; weighted families are for the library only"
-        )
     return family, "sha256:" + hashlib.sha256(data).hexdigest()
 
 
@@ -242,8 +237,6 @@ _FLAGS = {"n": "-n", "r": "-r", "s": "-s", "L": "--L", "d": "-d", "C": "-C",
 
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
-    if args.digits is not None:
-        bounds_mod._check_digits(args.digits)
     if args.which != "all":
         reads = bounds_mod.PARAMETERS_READ[args.which]
         if "s" in reads and args.s is None:

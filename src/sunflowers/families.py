@@ -286,58 +286,6 @@ class SetFamily:
         return f"SetFamily(x={self._ground_size}, members={len(self._masks)}, uniform={self._uniformity})"
 
 
-class WeightedFamily:
-    """A SetFamily with one nonnegative rational weight per member.
-
-    Multiset families are modeled this way: distinct sets with integer or
-    rational multiplicities.  Weights align with `family.members` (the
-    canonical order).  At least one weight must be nonzero.
-    """
-
-    __slots__ = ("_family", "_weights")
-
-    def __init__(self, family: SetFamily, weights: Iterable):
-        ws = tuple(_exact_fraction(w, "weight") for w in weights)
-        if len(ws) != len(family):
-            raise FamilyError(f"{len(ws)} weights for {len(family)} members")
-        if any(w < 0 for w in ws):
-            raise FamilyError("weights must be nonnegative")
-        if ws and all(w == 0 for w in ws):
-            raise FamilyError("at least one weight must be nonzero")
-        object.__setattr__(self, "_family", family)
-        object.__setattr__(self, "_weights", ws)
-
-    @classmethod
-    def uniform(cls, family: SetFamily, weight=1) -> "WeightedFamily":
-        return cls(family, [weight] * len(family))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WeightedFamily is immutable")
-
-    @property
-    def family(self) -> SetFamily:
-        return self._family
-
-    @property
-    def weights(self) -> tuple[Fraction, ...]:
-        return self._weights
-
-    def items(self) -> Iterator[tuple[ElementSet, Fraction]]:
-        return zip(self._family.members, self._weights)
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(self._weights, Fraction(0))
-
-    def superset_weight(self, t: ElementSet) -> Fraction:
-        """Total weight of members containing t."""
-        tm = t.mask
-        return sum((w for s, w in self.items() if tm & ~s.mask == 0), Fraction(0))
-
-    def __repr__(self) -> str:
-        return f"WeightedFamily({self._family!r}, total={self.total_weight})"
-
-
 @dataclass(frozen=True)
 class Sunflower:
     """r >= 2 distinct sets whose pairwise intersections all equal the core.

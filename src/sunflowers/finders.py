@@ -15,7 +15,7 @@ the extractor is guaranteed to succeed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 

@@ -11,21 +11,20 @@ separates the integers.
 
 JSON format::
 
-    {"ground_size": int, "sets": [[int, ...], ...], "weights": ["1/3", ...]?}
+    {"ground_size": int, "sets": [[int, ...], ...]}
 
-Weights are rational strings and align with ``sets`` in file order.  Both
-parsers reject duplicate sets, duplicate elements within a set, and
-out-of-range elements, reporting line numbers in the text format.
+A ``weights`` key is refused: weights are no longer read.  Both parsers
+reject duplicate sets, duplicate elements within a set, and out-of-range
+elements, reporting line numbers in the text format.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from operator import eq, ge
-from typing import NoReturn, Optional, Union
+from typing import NoReturn, Optional
 
-from .families import FamilyError, SetFamily, WeightedFamily
+from .families import FamilyError, SetFamily
 
 
 class ParseError(FamilyError):
@@ -119,7 +118,7 @@ def dump_family_text(family: SetFamily) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_family_json(text: str) -> Union[SetFamily, WeightedFamily]:
+def parse_family_json(text: str) -> SetFamily:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -132,7 +131,7 @@ def parse_family_json(text: str) -> Union[SetFamily, WeightedFamily]:
     raw_sets = obj["sets"]
     if not isinstance(raw_sets, list):
         raise ParseError("'sets' must be a list of element lists")
-    rows = []  # (ascending elements, position in the file)
+    rows = []  # each set's ascending elements
     for i, row in enumerate(raw_sets):
         if not isinstance(row, list) or not all(_is_int(e) for e in row):
             raise ParseError(f"set #{i}: must be a list of integers")
@@ -141,22 +140,15 @@ def parse_family_json(text: str) -> Union[SetFamily, WeightedFamily]:
             raise ParseError(f"set #{i}: duplicate element in {row}")
         if elems and (elems[0] < 0 or elems[-1] >= ground_size):
             raise ParseError(f"set #{i}: element out of range [0, {ground_size})")
-        rows.append((elems, i))
-    weights = obj.get("weights")
-    if weights is not None and (not isinstance(weights, list) or len(weights) != len(rows)):
-        raise ParseError("'weights' must align one-to-one with 'sets'")
+        rows.append(elems)
     rows.sort()
     try:
-        family = SetFamily._canonical(ground_size, [elems for elems, _ in rows])
+        family = SetFamily._canonical(ground_size, rows)
     except FamilyError as exc:
         raise ParseError(str(exc)) from None
-    if weights is None:
-        return family
-    try:
-        exact = [Fraction(str(w)) for w in weights]
-        return WeightedFamily(family, [exact[i] for _, i in rows])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad weight: {exc}") from None
+    if "weights" in obj:
+        raise ParseError("weights are no longer read; remove the 'weights' key")
+    return family
 
 
 def _is_int(value) -> bool:
@@ -164,21 +156,19 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _family_object(family: Union[SetFamily, WeightedFamily]) -> dict:
-    """The JSON object of a family: ground size, sets, and any weights."""
-    if isinstance(family, WeightedFamily):
-        return {**_family_object(family.family), "weights": [str(w) for w in family.weights]}
+def _family_object(family: SetFamily) -> dict:
+    """The JSON object of a family: ground size and sets."""
     return {
         "ground_size": family.ground_size,
         "sets": [list(elems) for elems in family._element_tuples()],
     }
 
 
-def dump_family_json(family: Union[SetFamily, WeightedFamily]) -> str:
+def dump_family_json(family: SetFamily) -> str:
     return json.dumps(_family_object(family), sort_keys=True) + "\n"
 
 
-def load_family(text: str, fmt: Optional[str] = None) -> Union[SetFamily, WeightedFamily]:
+def load_family(text: str, fmt: Optional[str] = None) -> SetFamily:
     """Parse a family file, sniffing JSON vs text when fmt is None."""
     if fmt == "json":
         return parse_family_json(text)

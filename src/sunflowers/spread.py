@@ -1,10 +1,9 @@
 """Spreadness analysis and satisfying-probability evaluation.
 
 A family is kappa-spread when it is large (|F| >= kappa^n) and no small
-set is too popular (|F_T| <= kappa^-|T| |F| for every T).  The weighted
-generalization bounds the weight mass of every T-superset subfamily by a
-profile entry s_|T|.  All spreadness predicates use exact rational
-cross-multiplication; no floating-point comparisons decide anything.
+set is too popular (|F_T| <= kappa^-|T| |F| for every T).  All
+spreadness predicates use exact rational cross-multiplication; no
+floating-point comparisons decide anything.
 
 Satisfying probabilities P(some member is contained in a random
 alpha-density subset R) are computed two ways: an exact subset-lattice
@@ -12,16 +11,10 @@ sum for ground sizes up to 24, over the members' up-closure stored as
 packed bits (2^x / 8 bytes), and a seeded Monte Carlo estimator whose
 trials are rows of raw 64-bit words from a counter-based PRNG stream
 (numpy Philox, keyed by the seed): element e is kept when its word is
-below ceil(alpha * 2^53) << 11, exactly `random() < alpha`.  The rows
-are drawn in blocks that together are one `random_raw(trials * x)` draw,
-so the estimate does not depend on the block size.  When x <= 24 and
-building the up-closure costs no more than the trials * |F| member
-tests it replaces, one lookup of the packed row answers a trial, in
-blocks of `_SAMPLE_BLOCK // x` rows.  Otherwise the test is sliced by
-trials: each element gets a bitset over the block's trials and each
-member ANDs its elements' bitsets, in blocks of a multiple of 64 trials
-(at least 64) with rows <= `_SAMPLE_BLOCK // x` and |F| * rows / 8 <=
-8 * `_SAMPLE_BLOCK` bytes.
+below ceil(alpha * 2^53) << 11, exactly `random() < alpha`.  The trials
+are drawn and tested in blocks, sliced by trials: each element gets a
+bitset over the block's trials and each member ANDs its elements'
+bitsets.
 
 The tables these read -- the link counts |F_T|, the up-closure and its
 counts by size, and the Monte Carlo index table -- are built once per
@@ -37,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,7 +40,6 @@ from .families import (
     InvariantError,
     Rational,
     SetFamily,
-    WeightedFamily,
     _exact_fraction,
     _positive_fraction,
     find_r_disjoint,
@@ -61,24 +53,15 @@ _SAMPLE_BLOCK = 1 << 16
 _SIZE_CHUNK = 1 << 12  # lattice words counted by size at a time
 
 
-def _link_counts(masks: Sequence[int], weights: Optional[Iterable] = None) -> dict:
-    """Total weight of the members containing T, for every nonempty T
-    contained in at least one member.  Without `weights` every member
-    weighs 1, which gives |F_T|, counted by one `Counter` pass over every
-    member's submasks: about a seventh faster than the weighted loop,
-    which the unweighted table feeding every spreadness call is worth."""
+def _link_counts(masks: Sequence[int]) -> Counter:
+    """|F_T|, the number of members containing T, for every nonempty T
+    contained in at least one member: one `Counter` pass over every
+    member's submasks."""
     budget = sum(1 << m.bit_count() for m in masks)
     if budget > _ENUMERATION_LIMIT:
         raise ValueError(f"link enumeration needs {budget} submask visits, over budget")
-    if weights is None:
-        totals = Counter(chain.from_iterable(map(submasks, masks)))
-        del totals[0]
-        return totals
-    totals = {}
-    for mask, w in zip(masks, weights):
-        for sub in submasks(mask):
-            if sub:
-                totals[sub] = totals.get(sub, 0) + w
+    totals = Counter(chain.from_iterable(map(submasks, masks)))
+    del totals[0]
     return totals
 
 
@@ -99,30 +82,6 @@ def _largest_links(family: SetFamily) -> Mapping[int, int]:
         return MappingProxyType(largest)
 
     return family._table("largest_links", build)
-
-
-@dataclass(frozen=True)
-class SpreadProfile:
-    """Weight-mass profile (s0; s1 >= s2 >= ... >= 0).
-
-    The tail must be nonincreasing and nonnegative; s0 >= s1 is NOT
-    required (profiles arising from halved-mass constructions can break
-    it, so only the stated tail monotonicity is enforced).
-    """
-
-    s0: Fraction
-    tail: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "s0", _exact_fraction(self.s0, "s0"))
-        object.__setattr__(
-            self, "tail", tuple(_exact_fraction(t, "tail entry") for t in self.tail)
-        )
-        for a, b in zip(self.tail, self.tail[1:]):
-            if b > a:
-                raise FamilyError(f"profile tail must be nonincreasing, got {a} < {b}")
-        if self.tail and self.tail[-1] < 0:
-            raise FamilyError("profile tail entries must be nonnegative")
 
 
 def is_kappa_spread(family: SetFamily, kappa: Rational) -> bool:
@@ -158,24 +117,6 @@ def spread_kappa(family: SetFamily) -> float:
         return 1.0
     largest = _largest_links(family)
     return min([size ** (1.0 / n)] + [(size / c) ** (1.0 / t) for t, c in largest.items()])
-
-
-def is_profile_spread(weighted: WeightedFamily, profile: SpreadProfile) -> bool:
-    """Exact test that (family, weights) is spread for the given profile:
-    total weight >= s0, and every nonempty T contained in some member has
-    T-superset weight mass <= tail[|T|-1]."""
-    members = weighted.family.members
-    max_size = max((len(s) for s in members), default=0)
-    if len(profile.tail) < max_size:
-        raise FamilyError(
-            f"profile tail has {len(profile.tail)} entries, members reach size {max_size}"
-        )
-    if weighted.total_weight < profile.s0:
-        return False
-    for tmask, total in _link_counts(weighted.family.masks, weighted.weights).items():
-        if total > profile.tail[tmask.bit_count() - 1]:
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -269,27 +210,17 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
     stream's `random_raw((trials, x)) < ceil(alpha * 2^53) << 11`, drawn
     in blocks of rows.  Since Philox's `random()` is (raw >> 11) * 2^-53,
     that is exactly `random((trials, x)) < alpha`, with no float
-    conversion; for alpha < 1 the threshold fits in a uint64.  Each trial
-    is tested one of two ways, chosen from x, |F| and trials alone; both
-    count the same successes, and an empty member answers every trial.
+    conversion; for alpha < 1 the threshold fits in a uint64.  An empty
+    member answers every trial.
 
-    - Lattice: when x <= 24 and building the members' up-closure
-      (`_upward_lattice`, about x * 2^(x - 6) word operations) costs no
-      more than the trials * |F| member tests it replaces, the row packed
-      into little-endian bits is the subset index R, and one lookup of bit
-      R answers the trial.  The up-closure is the family's own
-      (`_lattice`), so a call that also asks `exact_satisfying` builds it
-      once.  A block holds `_SAMPLE_BLOCK // x` rows.
-    - Sliced: otherwise the block is kept element-major, packed along the
-      trials into one uint64 bitset per element, and each member's
-      bitsets are ANDed through an |F| x max|M| index table
-      (`_member_index`, built once per family; short members are padded
-      with an all-ones row x); the members' OR counts the successes.  A
-      block is a multiple of 64 trials, with rows <= `_SAMPLE_BLOCK // x`
-      and |F| * rows / 8 <= 8 * _SAMPLE_BLOCK bytes, and at least 64
-      trials.
-
-    Unless a block is the 64-trial minimum, its raw words take at most
+    The test is sliced by trials: a block is kept element-major, packed
+    along the trials into one uint64 bitset per element, and each
+    member's bitsets are ANDed through an |F| x max|M| index table
+    (`_member_index`, built once per family; short members are padded
+    with an all-ones row x); the members' OR counts the successes.  A
+    block is a multiple of 64 trials, with rows <= `_SAMPLE_BLOCK // x`
+    and |F| * rows / 8 <= 8 * _SAMPLE_BLOCK bytes, and at least 64
+    trials.  Unless a block is that minimum, its raw words take at most
     8 * _SAMPLE_BLOCK bytes.
     """
     alpha = float(Fraction(alpha))
@@ -303,48 +234,28 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
     masks = family.masks
     bitgen = np.random.Philox(key=seed)
     threshold = np.uint64(math.ceil(alpha * 2**53) << 11)
-    if not masks:
-        successes = 0
-    elif 0 in masks:
+    successes = 0
+    if 0 in masks:
         successes = trials  # the empty member lies inside every R
-    else:
-        size = len(masks)
-        if x <= _EXACT_GROUND_LIMIT and x << max(x - 6, 0) <= trials * size:
-            lattice = _lattice(family)
-            block = max(1, _SAMPLE_BLOCK // x)
-            nbytes = -(-x // 8)
-            # rows padded to whole bytes pack as one flat bit string
-            kept = np.zeros((min(block, trials), 8 * nbytes), dtype=bool)
-            packed = np.zeros((min(block, trials), 8), dtype=np.uint8)
-        else:
-            lattice = None
-            index = family._table("member_index", lambda: _read_only(
-                _member_index(family._element_tuples(), x)))
-            widest = index.shape[1]
-            block = 64 * max(1, min(_SAMPLE_BLOCK // x, 64 * _SAMPLE_BLOCK // size) // 64)
-            kept = np.ones((x + 1, min(block, -(-trials // 64) * 64)), dtype=bool)
-        successes = 0
+    elif masks:
+        index = family._table("member_index", lambda: _read_only(
+            _member_index(family._element_tuples(), x)))
+        widest = index.shape[1]
+        block = 64 * max(1, min(_SAMPLE_BLOCK // x, 64 * _SAMPLE_BLOCK // len(masks)) // 64)
+        kept = np.ones((x + 1, min(block, -(-trials // 64) * 64)), dtype=bool)
         done = 0
         while done < trials:
             rows = min(block, trials - done)
-            in_r = bitgen.random_raw(rows * x).reshape(rows, x) < threshold  # row i: trial i's R
-            if lattice is not None:
-                kept[:rows, :x] = in_r
-                packed[:rows, :nbytes] = np.packbits(kept[:rows], bitorder="little").reshape(rows, nbytes)
-                subset = packed[:rows].view("<u8")[:, 0]
-                hit = lattice[subset >> np.uint64(6)] >> (subset & np.uint64(63))
-                successes += int(np.count_nonzero(hit & np.uint64(1)))
-            else:
-                width = -(-rows // 64) * 64
-                kept[:x, :rows] = in_r.T
-                kept[:x, rows:width] = False  # trials past the last are misses
-                bits = np.packbits(kept[:, :width], axis=1, bitorder="little").view("<u8")
-                held = bits[index[:, 0]]
-                for j in range(1, widest):
-                    held &= bits[index[:, j]]
-                words = np.bitwise_or.reduce(held, axis=0)
-                successes += int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
-                del held  # so that two blocks' bitsets never coexist
+            width = -(-rows // 64) * 64
+            kept[:x, :rows] = (bitgen.random_raw(rows * x).reshape(rows, x) < threshold).T
+            kept[:x, rows:width] = False  # trials past the last are misses
+            bits = np.packbits(kept[:, :width], axis=1, bitorder="little").view("<u8")
+            held = bits[index[:, 0]]
+            for j in range(1, widest):
+                held &= bits[index[:, j]]
+            words = np.bitwise_or.reduce(held, axis=0)
+            successes += int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+            del held  # so that two blocks' bitsets never coexist
             done += rows
     estimate = successes / trials
     stderr = math.sqrt(estimate * (1.0 - estimate) / trials)
@@ -414,10 +325,9 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
     full 2^x subset sum; x <= 24.
 
     The hit sets are the members' up-closure `_upward_lattice`, a bit array
-    of 2^x / 8 bytes shared with `sample_satisfying`.  They are counted by
-    size in integers (`_hit_sizes`, once per family), and the sum over the
-    sizes is taken in integers over the common denominator q^x of
-    alpha = p/q."""
+    of 2^x / 8 bytes.  They are counted by size in integers (`_hit_sizes`,
+    once per family), and the sum over the sizes is taken in integers over
+    the common denominator q^x of alpha = p/q."""
     a = _exact_fraction(alpha, "alpha")
     if not 0 <= a <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")

@@ -203,10 +203,10 @@ def parse_family_text_line_by_line(text):
 def parse_family_json_row_by_row(text):
     """The JSON parser as it was before the one-pass construction: rows
     made ElementSets, sorted and checked by the general SetFamily
-    constructor, weights matched to the sorted members through a dict."""
+    constructor; a 'weights' key is refused once the sets are read."""
     import json
 
-    from sunflowers import ElementSet, FamilyError, ParseError, SetFamily, WeightedFamily
+    from sunflowers import ElementSet, FamilyError, ParseError, SetFamily
 
     def is_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
@@ -232,17 +232,10 @@ def parse_family_json_row_by_row(text):
         if any(e < 0 or e >= ground_size for e in row):
             raise ParseError(f"set #{i}: element out of range [0, {ground_size})")
         sets.append(ElementSet(row))
-    weights = obj.get("weights")
-    if weights is not None and (not isinstance(weights, list) or len(weights) != len(sets)):
-        raise ParseError("'weights' must align one-to-one with 'sets'")
     try:
         family = SetFamily(ground_size, sets)
     except FamilyError as exc:
         raise ParseError(str(exc)) from None
-    if weights is None:
-        return family
-    try:
-        by_set = {s: Fraction(str(w)) for s, w in zip(sets, weights)}
-        return WeightedFamily(family, [by_set[s] for s in family.members])
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad weight: {exc}") from None
+    if "weights" in obj:
+        raise ParseError("weights are no longer read; remove the 'weights' key")
+    return family

@@ -530,7 +530,7 @@ def test_weighted_family_file_refused(capsys, tmp_path, argv):
     code, out, err = run(capsys, *(a.format(fam=fam) for a in argv))
     assert code == 3
     assert out == ""
-    assert "does not use weights" in err
+    assert "weights are no longer read; remove the 'weights' key" in err
 
 
 @pytest.mark.parametrize("argv,expected", [

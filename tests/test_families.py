@@ -9,7 +9,6 @@ from sunflowers import (
     FamilyError,
     SetFamily,
     Sunflower,
-    WeightedFamily,
     audit_markov_step,
     crossover_report,
     d_intersecting_bound,
@@ -187,9 +186,9 @@ def test_sunflower_type_validates_certificate():
     lambda: rlogn_bound(4, 3, C=0.5),
     lambda: d_intersecting_bound(3, 1, 3, log_base=2.0),
     lambda: audit_markov_step(SetFamily(6, [[0, 1], [2, 3], [4, 5]]), 3, 0.5, 1),
-    lambda: WeightedFamily(SetFamily(4, [[0, 1], [2, 3]]), [1, 0.5]),
     lambda: is_kappa_spread(gen_all_k_subsets(4, 2), 1.5),
-], ids=["rlogn-C", "d-intersecting-log-base", "markov-delta", "weights", "kappa"])
+    lambda: find_spread_link(gen_all_k_subsets(4, 2), 1.5, 1),
+], ids=["rlogn-C", "d-intersecting-log-base", "markov-delta", "kappa", "spread-link-kappa"])
 def test_floats_rejected_at_every_rational_entry_point(call):
     with pytest.raises(TypeError, match="not float"):
         call()
@@ -231,30 +230,6 @@ def test_find_r_disjoint_perfect_matching_witness():
 def test_find_r_disjoint_r1():
     fam = SetFamily(3, [[0, 1]])
     assert [s.elements for s in find_r_disjoint(fam, 1)] == [(0, 1)]
-
-
-# -- WeightedFamily -------------------------------------------------------------
-
-def test_weighted_family_validation():
-    from fractions import Fraction
-
-    fam = SetFamily(4, [[0, 1], [2, 3]])
-    wf = WeightedFamily(fam, [1, "1/2"])
-    assert wf.total_weight == Fraction(3, 2)
-    with pytest.raises(FamilyError):
-        WeightedFamily(fam, [1])
-    with pytest.raises(FamilyError):
-        WeightedFamily(fam, [1, -1])
-    with pytest.raises(FamilyError):
-        WeightedFamily(fam, [0, 0])
-
-
-def test_weighted_superset_mass():
-    fam = SetFamily(4, [[0, 1], [0, 2], [2, 3]])
-    wf = WeightedFamily(fam, [1, 2, 4])
-    assert wf.superset_weight(ElementSet([0])) == 3
-    assert wf.superset_weight(ElementSet([2])) == 6
-    assert wf.superset_weight(EMPTY_SET) == 7
 
 
 # -- properties ---------------------------------------------------------------

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +6,6 @@ from hypothesis import given, strategies as st
 from sunflowers import (
     ParseError,
     SetFamily,
-    WeightedFamily,
     dump_family_json,
     dump_family_text,
     load_family,
@@ -95,22 +93,6 @@ def test_json_round_trip():
     assert parse_family_json(dump_family_json(fam)) == fam
 
 
-def test_json_weights_round_trip():
-    fam = SetFamily(4, [[0, 1], [2, 3]])
-    wf = WeightedFamily(fam, [Fraction(1, 3), 2])
-    back = parse_family_json(dump_family_json(wf))
-    assert isinstance(back, WeightedFamily)
-    assert back.family == fam
-    assert back.weights == (Fraction(1, 3), Fraction(2))
-
-
-def test_json_weights_follow_canonical_reordering():
-    text = '{"ground_size": 4, "sets": [[2, 3], [0, 1]], "weights": ["5", "7"]}'
-    wf = parse_family_json(text)
-    assert [s.elements for s in wf.family.members] == [(0, 1), (2, 3)]
-    assert wf.weights == (Fraction(7), Fraction(5))
-
-
 def test_json_rejects_duplicates_and_range():
     with pytest.raises(ParseError):
         parse_family_json('{"ground_size": 4, "sets": [[0, 0]]}')
@@ -125,8 +107,9 @@ def test_json_rejects_malformed():
         parse_family_json("{nope")
     with pytest.raises(ParseError):
         parse_family_json('{"sets": [[0]]}')
-    with pytest.raises(ParseError, match="weight"):
-        parse_family_json('{"ground_size": 2, "sets": [[0]], "weights": ["x"]}')
+    for weights in ('["1"]', "[]", "null"):
+        with pytest.raises(ParseError, match="^weights are no longer read"):
+            parse_family_json(f'{{"ground_size": 2, "sets": [[0]], "weights": {weights}}}')
 
 
 def test_load_family_sniffs_format():
@@ -269,15 +252,14 @@ def test_text_parser_errors_equal_line_by_line_oracle(text, data):
 
 @st.composite
 def json_texts(draw):
-    """A JSON family with shuffled rows (the empty set allowed), rows in any
-    element order, and optional weights; or one of the malformed kinds."""
+    """A JSON family with shuffled rows (the empty set allowed) and rows in
+    any element order; or one of the malformed kinds, among them a family
+    that carries the refused 'weights' key."""
     x, rows = draw(family_rows(min_size=0))
     rows = [draw(st.permutations(row)) for row in rows]
     obj = {"ground_size": x, "sets": rows}
-    if draw(st.booleans()):
-        obj["weights"] = [f"{draw(st.integers(0, 9))}/{draw(st.integers(1, 4))}" for _ in rows]
     kind = draw(st.sampled_from(["valid", "valid", "duplicate element", "duplicate set",
-                                 "out of range", "non-integer", "bad weight", "misaligned",
+                                 "out of range", "non-integer", "weights",
                                  "negative ground", "missing key"]))
     e = draw(st.integers(0, x - 1))
     at = draw(st.integers(0, len(rows)))
@@ -289,17 +271,12 @@ def json_texts(draw):
         rows.insert(at, [e, draw(st.sampled_from([x, -1]))])
     elif kind == "non-integer":
         rows.insert(at, [e, draw(st.sampled_from([1.5, "1", True, None]))])
-    elif kind == "bad weight" and rows:
-        obj["weights"] = ["1"] * len(rows)
-        obj["weights"][at % len(rows)] = draw(st.sampled_from(["x", "1/0", "-1"]))
+    elif kind == "weights":
+        obj["weights"] = draw(st.sampled_from([["1"] * len(rows), ["x"], [], None]))
     elif kind == "negative ground":
         obj = {"ground_size": -1, "sets": draw(st.sampled_from([[], [[]]]))}
     elif kind == "missing key":
         del obj["sets"]
-    if kind in ("duplicate element", "duplicate set", "out of range", "non-integer"):
-        obj.pop("weights", None)
-    elif kind == "misaligned":
-        obj["weights"] = ["1"] * (len(rows) + 1)
     return json.dumps(obj)
 
 
@@ -313,7 +290,5 @@ def test_json_parser_equals_row_by_row_oracle(text):
         assert str(got.value) == str(exc)
         return
     got = parse_family_json(text)
-    assert got == expected if isinstance(got, SetFamily) else (
-        (got.family, got.weights) == (expected.family, expected.weights))
-    family = got if isinstance(got, SetFamily) else got.family
-    assert family._element_tuples() == tuple(s.elements for s in family.members)
+    assert got == expected
+    assert got._element_tuples() == tuple(s.elements for s in got.members)

@@ -15,13 +15,10 @@ from sunflowers import (
     ElementSet,
     FamilyError,
     SetFamily,
-    SpreadProfile,
-    WeightedFamily,
     check_satisfying_disjoint,
     exact_satisfying,
     find_spread_link,
     is_kappa_spread,
-    is_profile_spread,
     sample_satisfying,
     spread_kappa,
 )
@@ -129,47 +126,6 @@ def test_spread_kappa_consistent_with_predicate():
 def test_spread_kappa_empty_errors():
     with pytest.raises(FamilyError):
         spread_kappa(SetFamily(4, []))
-
-
-# -- profile spreadness -----------------------------------------------------------
-
-def test_profile_spread_slack():
-    fam = gen_all_k_subsets(5, 2)
-    wf = WeightedFamily.uniform(fam)
-    n = len(fam)
-    profile = SpreadProfile(Fraction(n), (Fraction(n), Fraction(n)))
-    assert is_profile_spread(wf, profile)
-
-
-def test_profile_spread_total_mass_failure():
-    fam = SetFamily(4, [[0, 1], [2, 3]])
-    wf = WeightedFamily(fam, [3, 0])
-    profile = SpreadProfile(Fraction(6), (Fraction(6), Fraction(6)))
-    assert not is_profile_spread(wf, profile)  # total weight 3 < 6
-
-
-def test_profile_spread_from_kappa_spread_construction():
-    # unit weights on a q-spread transversal: profile (|F|; |F|/q, |F|/q^2, 1)
-    fam = gen_transversal(3, 3)
-    wf = WeightedFamily.uniform(fam)
-    size = Fraction(len(fam))
-    profile = SpreadProfile(size, (size / 3, size / 9, Fraction(1)))
-    assert is_kappa_spread(fam, 3)
-    assert is_profile_spread(wf, profile)
-    tighter = SpreadProfile(size, (size / 3, size / 10, Fraction(1)))
-    assert not is_profile_spread(wf, tighter)
-
-
-def test_profile_validation():
-    with pytest.raises(FamilyError):
-        SpreadProfile(Fraction(1), (Fraction(1), Fraction(2)))  # increasing tail
-    with pytest.raises(FamilyError):
-        SpreadProfile(Fraction(1), (Fraction(1), Fraction(-1)))
-    with pytest.raises(FamilyError):
-        is_profile_spread(
-            WeightedFamily.uniform(gen_all_k_subsets(4, 3)),
-            SpreadProfile(Fraction(1), (Fraction(1),)),  # tail shorter than n
-        )
 
 
 # -- spread link --------------------------------------------------------------------
@@ -397,11 +353,9 @@ def test_sample_reads_alpha_in_any_rational_form():
 @st.composite
 def sampling_cases(draw):
     """(x, sets, trials) for x in [0, 130] and up to 80 members.  For
-    x >= 13 the trials may straddle the rows of one draw block of either
-    kernel -- 65536 // x on the lattice, and on the sliced test
+    x >= 13 the trials may straddle the rows of one draw block,
     64 * max(1, min(65536 // x, 64 * 65536 // |F|) // 64), a multiple of
-    64 trials -- or the fewest trials, ceil(x * 2^(x - 6) / |F|) at
-    x <= 24, that take the lattice."""
+    64 trials, or the rows 65536 // x that bound it."""
     x = draw(st.one_of(st.sampled_from([0, 1, 13, 16, 20, 24, 63, 64, 65, 128, 129, 130]),
                        st.integers(0, 130)))
     members = st.frozensets(st.integers(0, x - 1), max_size=min(x, 5)) if x else st.just(frozenset())
@@ -413,9 +367,6 @@ def sampling_cases(draw):
         sliced = 64 * max(1, min(65536 // x, 64 * 65536 // max(len(sets), 1)) // 64)
         for block in (65536 // x, sliced):
             edges += [block - 1, block, block + 1, 2 * block + 1]
-        if sets and x <= 24:
-            first = -(-(x << (x - 6)) // len(sets))
-            edges += [first - 1, first]
         trials = st.one_of(trials, st.sampled_from([t for t in edges if 1 <= t <= 12_000]))
     return x, sets, draw(trials)
 
@@ -423,11 +374,6 @@ def sampling_cases(draw):
 PAIRS_OF_12 = [list(p) for p in combinations(range(12), 2)]  # 66 members, one word
 PAIRS_OF_20 = [list(p) for p in combinations(range(20), 2)]  # 190 members
 PAIRS_OF_24 = [list(p) for p in combinations(range(24), 2)]  # 276 members
-
-# The fewest trials on which these families take the lattice,
-# ceil(x * 2^(x - 6) / |F|); one trial fewer stays on words.  At x = 16 the
-# 256 trials of 64 members cost exactly the 16 * 2^10 of the build.
-LATTICE_EDGES = [(16, PAIRS_OF_12[:64], 256), (20, PAIRS_OF_20, 1725), (24, PAIRS_OF_24, 22796)]
 
 
 @given(sampling_cases(), st.floats(min_value=0.05, max_value=0.95),
@@ -465,20 +411,6 @@ def test_sample_successes_match_replay_oracle(case, alpha, seed):
     assert est.successes == satisfying_successes_by_replay(x, sets, alpha, trials, seed)
 
 
-@pytest.mark.parametrize("x, sets, first", LATTICE_EDGES)
-def test_sample_takes_the_lattice_once_it_costs_no_more(monkeypatch, x, sets, first):
-    from sunflowers import spread
-
-    built = []
-    upward = spread._upward_lattice
-    monkeypatch.setattr(spread, "_upward_lattice", lambda masks, g: built.append(g) or upward(masks, g))
-    fam = SetFamily(x, sets)
-    sample_satisfying(fam, 0.5, first - 1, seed=0)
-    assert built == []
-    sample_satisfying(fam, 0.5, first, seed=0)
-    assert built == [x]
-
-
 # the sliced block at x = 65 and x = 100 with few members: 64 * (65536 // x // 64)
 SLICED_BLOCKS = {65: 960, 100: 640}
 
@@ -495,34 +427,32 @@ def test_sample_sliced_word_edges_match_replay_oracle(x, trials):
                                      (24, [[0, 23], [5], [6, 7, 8]]),
                                      (65, [[0], [3, 64], [1, 2, 63, 64]])])
 def test_sample_successes_do_not_depend_on_block_size(monkeypatch, x, sets):
-    # x = 16 runs on the lattice, the others on the sliced test, whose
-    # block rounds up to 64 trials under the three small budgets
+    # the block rounds up to 64 trials under the three small budgets
     from sunflowers import spread
 
     fam = SetFamily(x, sets)
     expected = sample_satisfying(fam, 0.4, 3001, seed=8)
-    for budget in (1, 7, 200, 20_000):  # lattice blocks of 1 to 1250 rows
+    for budget in (1, 7, 200, 20_000):
         monkeypatch.setattr(spread, "_SAMPLE_BLOCK", budget)
         assert sample_satisfying(fam, 0.4, 3001, seed=8) == expected
 
 
-def test_sample_memory_at_ground_24_within_one_lattice_and_one_block():
+def test_sample_memory_at_ground_24_within_one_block():
     import tracemalloc
 
     from sunflowers import spread
 
     fam = SetFamily(24, PAIRS_OF_24)
     sample_satisfying(SetFamily(16, PAIRS_OF_12), 0.3, 300, seed=0)  # first-use allocations
-    lattice_bytes = (1 << 24) // 8
     block_bytes = 2 * 8 * spread._SAMPLE_BLOCK  # a block's raw words and its bitsets
-    for trials, on_lattice in ((22795, False), (22796, True), (200_000, True), (500, False)):
+    for trials in (500, 20_000, 200_000):
         tracemalloc.start()
         try:
             sample_satisfying(fam, 0.3, trials, seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= lattice_bytes * on_lattice + block_bytes, (trials, peak)
+        assert peak <= block_bytes, (trials, peak)
 
 
 @pytest.mark.parametrize("x, n, trials", [(64, 2, 5000), (30, 3, 3000)])
