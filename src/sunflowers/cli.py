@@ -30,10 +30,12 @@ from . import generators as gen_mod
 from . import spread as spread_mod
 from .families import (
     ElementSet,
+    FamilyError,
     SetFamily,
     Sunflower,
-    _d_sizes,
     intersection_profile,
+    is_d_intersecting,
+    is_L_intersecting,
 )
 from .finders import DEFAULT_BUDGET, STRATEGIES, find_any
 from .formats import _family_object, dump_family_json, dump_family_text, load_family
@@ -191,12 +193,12 @@ def cmd_check(args) -> int:
     started = time.perf_counter()
     family, digest = _load(args.family)
     params = {"L": args.L, "d": args.d, "uniform": args.uniform}
-    profile = intersection_profile(family)  # one pass over the pairs decides every verdict
+    profile = intersection_profile(family)  # kept on the family: the verdicts read it again
     verdicts = {}
     if args.L is not None:
-        verdicts["L_intersecting"] = profile <= frozenset(_parse_int_list(args.L))
+        verdicts["L_intersecting"] = is_L_intersecting(family, _parse_int_list(args.L))
     if args.d is not None:
-        verdicts["d_intersecting"] = profile <= frozenset(_d_sizes(args.d))
+        verdicts["d_intersecting"] = is_d_intersecting(family, args.d)
     if args.uniform is not None:
         verdicts["uniform"] = family.uniformity == args.uniform
     outputs = {
@@ -283,7 +285,10 @@ def cmd_spread(args) -> int:
              f"where --r is evaluated exactly")
     params = {"kappa": args.kappa, "d": args.d, "alpha": args.alpha,
               "trials": args.trials, "r": args.r}
-    outputs: dict = {"spread_kappa": spread_mod.spread_kappa(family)}
+    try:
+        outputs: dict = {"spread_kappa": spread_mod.spread_kappa(family)}
+    except FamilyError:  # empty or not uniform: the other reports still apply
+        outputs = {"spread_kappa": None}
     seeds = {"seed": args.seed} if args.seed is not None else None
     verdict_ok = True
     if args.kappa is not None:

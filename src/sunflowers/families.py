@@ -173,12 +173,12 @@ class SetFamily:
     which also pins the uniformity of an empty family) or auto-detected.
 
     The members' element tuples are kept from construction.  Tables
-    derived from them (the ElementSet members, `spread`'s link counts,
-    subset-lattice up-closure with its counts by size, and Monte Carlo
-    index table, and `encoding`'s last W pass) are built on first use and
-    kept in a private slot of this object, so they live exactly as long as
-    the family and no longer: a new family, even an equal one, builds its
-    own.  Cached arrays and mappings are read-only.
+    derived from them (the ElementSet members, the intersection profile,
+    `spread`'s link counts, up-closure counts by size and Monte Carlo index
+    table, and `encoding`'s last W pass) are built on first use and kept
+    in a private slot of this object, so they live exactly as long as the
+    family and no longer: a new family, even an equal one, builds its own.
+    Cached arrays and mappings are read-only.
     """
 
     __slots__ = ("_ground_size", "_masks", "_tables", "_uniformity")
@@ -322,9 +322,10 @@ class Sunflower:
 
 
 def intersection_profile(family: SetFamily) -> frozenset[int]:
-    """The set { |A & B| : A, B distinct members }; empty for |F| < 2."""
-    masks = family.masks
-    return frozenset((a & b).bit_count() for a, b in combinations(masks, 2))
+    """The set { |A & B| : A, B distinct members }, empty for |F| < 2:
+    one pass over the pairs, made on first use and kept on the family."""
+    return family._table("profile", lambda: frozenset(
+        (a & b).bit_count() for a, b in combinations(family.masks, 2)))
 
 
 def is_L_intersecting(family: SetFamily, L: Iterable[int]) -> bool:
@@ -334,14 +335,9 @@ def is_L_intersecting(family: SetFamily, L: Iterable[int]) -> bool:
 
 def is_d_intersecting(family: SetFamily, d: int) -> bool:
     """True iff every pairwise intersection has size at most d (L = {0..d})."""
-    return is_L_intersecting(family, _d_sizes(d))
-
-
-def _d_sizes(d: int) -> range:
-    """The intersection sizes {0..d} a d-intersecting family allows."""
     if d < 0:
         raise FamilyError(f"d must be >= 0, got {d}")
-    return range(d + 1)
+    return is_L_intersecting(family, range(d + 1))
 
 
 def link(family: SetFamily, t: ElementSet) -> SetFamily:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional
 
-from .bounds import _validated_l, pigeonhole_limit
+from .bounds import _validated_l, erdos_rado_bound, l_multinomial_bound, pigeonhole_limit
 from .families import (
     ElementSet,
     FamilyError,
@@ -54,8 +54,8 @@ class BelowDezaThresholdError(FinderError):
 
 
 class LemmaViolationError(InvariantError):
-    """A finder's witness failed its sunflower certificate: a family that
-    met Deza's hypothesis, or a witness of the exact search.
+    """A finder broke a theorem: a witness failed its sunflower
+    certificate, or a search found none above a bound that guarantees one.
 
     This cannot happen for correct inputs; raising it loudly (rather than
     returning a bad certificate) is deliberate.
@@ -114,12 +114,16 @@ def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     an exhaustive scan of all C(|F|, r) member subsets would return first,
     and a None result is an authoritative "no r-sunflower in this family".
     The witness is re-verified; a failed certificate raises
-    LemmaViolationError.
+    LemmaViolationError, as does None on an n-uniform family (n >= 1)
+    with more than `erdos_rado_bound(n, r)` members.
     """
     if r < 2:
         raise FinderError(f"need r >= 2, got {r}")
     chosen = _sunflower_indices(family.masks, r)
     if chosen is None:
+        n = family.uniformity
+        if n and len(family) > erdos_rado_bound(n, r):
+            raise LemmaViolationError(f"no sunflower in {len(family)} sets, above Erdős–Rado")
         return None
     try:
         flower = Sunflower.from_sets([family.members[i] for i in chosen])
@@ -265,8 +269,9 @@ def l_intersecting_find(
     hypothesis is not met somewhere down the recursion -- a structured
     non-error outcome, NOT a proof that no sunflower exists.  Whenever
     |F| exceeds the multinomial threshold for (n, L, r), success is
-    guaranteed.  The returned sunflower's members always belong to the
-    input family and the certificate is re-verified here.
+    guaranteed, and a failure there raises LemmaViolationError.  The
+    returned sunflower's members always belong to the input family and
+    the certificate is re-verified here.
     """
     if r < 2:
         raise FinderError(f"need r >= 2, got {r}")
@@ -282,23 +287,16 @@ def l_intersecting_find(
         raise FinderError(
             f"family has intersection sizes {sorted(profile)}, not within {list(sizes)}"
         )
-    return _extract(family, sizes, r)
-
-
-def _extract(
-    family: SetFamily, sizes: tuple[int, ...], r: int
-) -> tuple[Optional[Sunflower], FinderTrace]:
-    """The body of `l_intersecting_find`, for a validated L (`sizes`) that
-    holds the family's intersection profile."""
-    m = pigeonhole_limit(family.uniformity, r)
     levels: list[TraceLevel] = []
-    flower = _search(family, sizes, r, m, 0, levels)
+    flower = _search(family, sizes, r, pigeonhole_limit(n, r), 0, levels)
     if flower is not None:
         member_masks = set(family.masks)
         if not all(s.mask in member_masks for s in flower.petal_sets):
             raise LemmaViolationError("certificate uses sets outside the family")
         if is_sunflower(flower.petal_sets) != flower.core:
             raise LemmaViolationError("certificate is not a sunflower with its core")
+    elif len(family) > l_multinomial_bound(n, sizes, r):
+        raise LemmaViolationError(f"no sunflower in {len(family)} sets, over the multinomial bound")
     return flower, FinderTrace(found=flower is not None, levels=tuple(levels))
 
 
@@ -307,7 +305,7 @@ def find_any(
 ) -> SearchOutcome:
     """Strategy dispatcher over the finders.
 
-    "auto" tries the recursive extractor (when the family is uniform) and
+    "auto" tries `l_intersecting_find` on the family's profile (when uniform) and
     falls back to the exact search of `brute_force_sunflower` (method
     "brute-force") when C(|F|, r), the most r-subsets that search can
     examine, fits the budget; an exceeded budget yields status "unknown",
@@ -324,9 +322,7 @@ def find_any(
     if strategy in ("auto", "recursive"):
         n = family.uniformity
         if n is not None and n >= 1 and len(family) >= 2:
-            # the profile is a valid L for the family, so validating it again
-            # (one more pass over the pairs) could only confirm it
-            flower, trace = _extract(family, _validated_l(n, intersection_profile(family)), r)
+            flower, trace = l_intersecting_find(family, intersection_profile(family), r)
             if flower is not None:
                 return SearchOutcome(
                     status="found", sunflower=flower, trace=trace, method="recursive"

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from operator import eq, ge
-from typing import NoReturn, Optional
+from typing import NoReturn
 
 from .families import FamilyError, SetFamily
 
@@ -168,13 +168,8 @@ def dump_family_json(family: SetFamily) -> str:
     return json.dumps(_family_object(family), sort_keys=True) + "\n"
 
 
-def load_family(text: str, fmt: Optional[str] = None) -> SetFamily:
-    """Parse a family file, sniffing JSON vs text when fmt is None."""
-    if fmt == "json":
-        return parse_family_json(text)
-    if fmt == "text":
-        return parse_family_text(text)
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+def load_family(text: str) -> SetFamily:
+    """Parse a family file, sniffing JSON vs text: JSON starts with '{'."""
+    if text.lstrip().startswith("{"):
         return parse_family_json(text)
     return parse_family_text(text)

@@ -82,14 +82,14 @@ def gen_sunflower(core_size: int, petal_size: int, r: int) -> SetFamily:
     return family
 
 
-def gen_transversal(blocks: int, block_size: int, budget: int = DEFAULT_SIZE_BUDGET) -> SetFamily:
+def gen_transversal(blocks: int, block_size: int) -> SetFamily:
     """All block_size^blocks transversals of `blocks` disjoint blocks:
     one element chosen per block.  The classical sunflower-free fixture."""
     if blocks < 1 or block_size < 1:
         raise GeneratorError(f"need blocks >= 1 and block_size >= 1, got ({blocks}, {block_size})")
     count = block_size**blocks
-    if count > budget:
-        raise GeneratorError(f"{count} transversals exceed budget {budget}")
+    if count > DEFAULT_SIZE_BUDGET:
+        raise GeneratorError(f"{count} transversals exceed budget {DEFAULT_SIZE_BUDGET}")
     ranges = [range(b * block_size, (b + 1) * block_size) for b in range(blocks)]
     family = SetFamily(blocks * block_size, (ElementSet(choice) for choice in product(*ranges)))
     if len(family) != count or family.uniformity != blocks:
@@ -97,13 +97,13 @@ def gen_transversal(blocks: int, block_size: int, budget: int = DEFAULT_SIZE_BUD
     return family
 
 
-def gen_all_k_subsets(x: int, k: int, budget: int = DEFAULT_SIZE_BUDGET) -> SetFamily:
+def gen_all_k_subsets(x: int, k: int) -> SetFamily:
     """All k-subsets of {0..x-1} in canonical order."""
     if k < 0 or k > x:
         raise GeneratorError(f"need 0 <= k <= x, got k={k}, x={x}")
     count = math.comb(x, k)
-    if count > budget:
-        raise GeneratorError(f"{count} subsets exceed budget {budget}")
+    if count > DEFAULT_SIZE_BUDGET:
+        raise GeneratorError(f"{count} subsets exceed budget {DEFAULT_SIZE_BUDGET}")
     return SetFamily.from_masks(x, _subset_masks(x, k))
 
 

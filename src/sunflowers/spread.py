@@ -7,19 +7,20 @@ floating-point comparisons decide anything.
 
 Satisfying probabilities P(some member is contained in a random
 alpha-density subset R) are computed two ways: an exact subset-lattice
-sum for ground sizes up to 24, over the members' up-closure stored as
-packed bits (2^x / 8 bytes), and a seeded Monte Carlo estimator whose
-trials are rows of raw 64-bit words from a counter-based PRNG stream
-(numpy Philox, keyed by the seed): element e is kept when its word is
-below ceil(alpha * 2^53) << 11, exactly `random() < alpha`.  The trials
-are drawn and tested in blocks, sliced by trials: each element gets a
-bitset over the block's trials and each member ANDs its elements'
-bitsets.
+sum for ground sizes up to 24, over the members' up-closure built as
+packed bits (2^x / 8 bytes) and counted by size, and a seeded Monte
+Carlo estimator whose trials are rows of raw 64-bit words from a
+counter-based PRNG stream (numpy Philox, keyed by the seed): element e
+is kept when its word is below ceil(alpha * 2^53) << 11, exactly
+`random() < alpha`.  The trials are drawn and tested in blocks, sliced
+by trials: each element gets a bitset over the block's trials and each
+member ANDs its elements' bitsets.
 
-The tables these read -- the link counts |F_T|, the up-closure and its
-counts by size, and the Monte Carlo index table -- are built once per
-family object and kept on it (`SetFamily._table`), so one call that asks
-several questions of a family pays for each table once.
+The tables these read -- the link counts |F_T|, the x + 1 counts by size
+of the up-closure (which itself lives for one call), and the Monte Carlo
+index table -- are built once per family object and kept on it
+(`SetFamily._table`), so one call that asks several questions of a
+family pays for each table once.
 """
 
 from __future__ import annotations
@@ -301,12 +302,6 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _lattice(family: SetFamily) -> np.ndarray:
-    """The family's up-closure, built once per family object."""
-    return family._table("lattice", lambda: _read_only(
-        _upward_lattice(family.masks, family.ground_size)))
-
-
 def _member_index(elements: Sequence[tuple[int, ...]], x: int) -> np.ndarray:
     """The |F| x max|M| table of the members' elements, short members
     padded with x (the all-ones row of the sliced test)."""
@@ -325,9 +320,10 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
     full 2^x subset sum; x <= 24.
 
     The hit sets are the members' up-closure `_upward_lattice`, a bit array
-    of 2^x / 8 bytes.  They are counted by size in integers (`_hit_sizes`,
-    once per family), and the sum over the sizes is taken in integers over
-    the common denominator q^x of alpha = p/q."""
+    of 2^x / 8 bytes made for one call and counted by size in integers
+    (`_hit_sizes`, once per family, which keeps only the x + 1 counts);
+    the sum over the sizes is taken in integers over the common
+    denominator q^x of alpha = p/q."""
     a = _exact_fraction(alpha, "alpha")
     if not 0 <= a <= 1:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
@@ -336,7 +332,7 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
         raise ValueError(f"ground size {x} exceeds exhaustive budget {_EXACT_GROUND_LIMIT}")
     if len(family) == 0:
         return Fraction(0)
-    counts = family._table("hit_sizes", lambda: _hit_sizes(_lattice(family), x))
+    counts = family._table("hit_sizes", lambda: _hit_sizes(_upward_lattice(family.masks, x), x))
     p, q = a.numerator, a.denominator  # a^s (1 - a)^(x - s) = p^s (q - p)^(x - s) / q^x
     return Fraction(sum(c * p**size * (q - p) ** (x - size) for size, c in enumerate(counts) if c),
                     q**x)

@@ -333,6 +333,19 @@ def test_spread_reports(capsys, tmp_path):
     assert code == 1  # definitive false verdict
 
 
+@pytest.mark.parametrize("text,exact", [("x=4\n0\n1 2\n1 3\n", "11/16"), ("x=3\n", "0")],
+                         ids=["mixed", "empty"])
+def test_spread_reports_no_kappa_for_an_empty_or_mixed_family(capsys, tmp_path, text, exact):
+    fam = write_family(tmp_path, "f.txt", text)
+    code, report, _ = run_json(capsys, "spread", fam, "--alpha", "1/2", "--r", "2")
+    assert code == 0
+    out = report["outputs"]
+    assert out["spread_kappa"] is None
+    assert out["exact_satisfying"] == exact and out["disjointness"]["contrapositive_ok"] is True
+    code, out, err = run(capsys, "spread", fam, "--kappa", "2")
+    assert code == 3 and out == "" and "n-uniform family" in err
+
+
 def test_spread_sampling_requires_seed(capsys, triangle):
     code, out, err = run(capsys, "spread", triangle, "--alpha", "1/2", "--trials", "100")
     assert code == 3 and "--seed" in err

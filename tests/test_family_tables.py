@@ -2,6 +2,7 @@
 outlives the family: one CLI call pays for its family's tables once, and
 a second call builds them again."""
 
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from sunflowers import (
     SetFamily,
     exact_satisfying,
     find_spread_link,
+    intersection_profile,
     is_kappa_spread,
     sample_satisfying,
     spread_kappa,
@@ -123,14 +125,38 @@ def test_cached_tables_are_read_only():
     wide = gen_random_uniform(70, 3, 20, seed=1)
     sample_satisfying(wide, 0.5, 100, seed=0)
     spread_kappa(wide)
-    with pytest.raises(ValueError, match="read-only"):
-        narrow._table("lattice")[0] = 0
+    assert narrow._table("lattice") is None  # the up-closure is not kept
     with pytest.raises(ValueError, match="read-only"):
         wide._table("member_index")[0, 0] = 0
     with pytest.raises(TypeError):
         wide._table("links")[1] = 0
     with pytest.raises(TypeError):
         wide._table("largest_links")[1] = 0
+
+
+def test_the_profile_is_kept_on_the_family():
+    family = gen_random_uniform(10, 3, 12, seed=0)
+    profile = intersection_profile(family)
+    assert intersection_profile(family) is profile
+    twin = SetFamily.from_masks(10, family.masks)
+    assert twin == family and twin._table("profile") is None
+    assert intersection_profile(twin) == profile and intersection_profile(twin) is not profile
+
+
+def test_the_exact_sum_keeps_only_the_counts_by_size():
+    # the up-closure at x = 24 takes 2 MiB; the family keeps its 25 counts
+    family = gen_random_uniform(24, 3, 20, seed=2)
+    exact_satisfying(gen_random_uniform(8, 3, 5, seed=2), Fraction(1, 2))  # numpy's lazy imports
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        exact_satisfying(family, Fraction(1, 2))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert family._table("lattice") is None
+    assert len(family._table("hit_sizes")) == 25
+    assert held < 64 * 1024
 
 
 def test_a_link_budget_error_is_not_kept(monkeypatch):
@@ -144,8 +170,8 @@ def test_a_link_budget_error_is_not_kept(monkeypatch):
 
 
 def test_sample_kernel_does_not_depend_on_a_held_lattice(builds):
-    # the Monte Carlo tests members sliced at every trial count, even when
-    # the family holds the lattice, and builds its index table once
+    # the Monte Carlo tests members sliced at every trial count, even after
+    # an exact sum, and builds its index table once
     family = gen_random_uniform(16, 3, 30, seed=4)
     exact_satisfying(family, Fraction(2, 5))
     assert builds == {("_upward_lattice", family.masks): 1, ("_hit_sizes", 16): 1}

@@ -186,6 +186,34 @@ def test_failed_search_certificate_is_an_internal_error(monkeypatch, tmp_path, c
     assert captured.out == "" and "certificate" in captured.err
 
 
+def test_no_sunflower_above_erdos_rado_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(finders, "_sunflower_indices", lambda masks, r: None)
+    singletons = SetFamily(2, [[0], [1]])  # 2 sets > 1!(2-1)^1
+    with pytest.raises(LemmaViolationError, match="Erdős–Rado"):
+        brute_force_sunflower(singletons, 2)
+    assert brute_force_sunflower(TRIANGLE, 3) is None  # 3 sets <= 2!(3-1)^2
+    assert brute_force_sunflower(SetFamily(2, [[0], [0, 1]]), 2) is None  # not uniform
+    path = tmp_path / "singletons.txt"
+    path.write_text("x=2\n0\n1\n")
+    code = main(["find", str(path), "--r", "2", "--strategy", "brute"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and "Erdős–Rado" in captured.err
+
+
+def test_no_sunflower_above_the_multinomial_bound_is_an_internal_error(monkeypatch):
+    monkeypatch.setattr(finders, "_search", lambda *args: None)
+    singletons = SetFamily(2, [[0], [1]])
+    assert len(singletons) > l_multinomial_bound(1, [0], 2)
+    with pytest.raises(LemmaViolationError, match="multinomial"):
+        l_intersecting_find(singletons, [0], 2)
+    with pytest.raises(LemmaViolationError, match="multinomial"):
+        find_any(singletons, 2)
+    assert len(TRIANGLE) == l_multinomial_bound(2, [1], 3)
+    flower, trace = l_intersecting_find(TRIANGLE, [1], 3)
+    assert flower is None and not trace.found
+
+
 # -- Deza extraction ------------------------------------------------------------
 
 def test_deza_at_threshold_disjoint():
@@ -402,6 +430,21 @@ def test_find_any_agrees_with_brute_on_random_family():
     outcome = find_any(fam, 3)
     brute = brute_force_sunflower(fam, 3)
     assert (outcome.status == "found") == (brute is not None)
+
+
+@pytest.mark.parametrize("fam,method", [(gen_single_intersection(2, 1, 5), "recursive"),
+                                        (TRIANGLE, "brute-force")])
+def test_find_any_reaches_the_extractor_through_l_intersecting_find(monkeypatch, fam, method):
+    calls = []
+    real = finders.l_intersecting_find
+
+    def counted(family, L, r):
+        calls.append((family, sorted(L), r))
+        return real(family, L, r)
+
+    monkeypatch.setattr(finders, "l_intersecting_find", counted)
+    assert find_any(fam, 3).method == method
+    assert calls == [(fam, sorted(intersection_profile(fam)), 3)]
 
 
 def test_find_any_validates():

@@ -115,7 +115,6 @@ def test_json_rejects_malformed():
 def test_load_family_sniffs_format():
     assert load_family("x=2\n0 1\n") == SetFamily(2, [[0, 1]])
     assert load_family('{"ground_size": 2, "sets": [[0, 1]]}') == SetFamily(2, [[0, 1]])
-    assert load_family("x=2\n0 1\n", fmt="text") == SetFamily(2, [[0, 1]])
 
 
 def test_json_rejects_booleans_as_integers():

@@ -19,6 +19,32 @@ def test_library_checks_are_exceptions_not_asserts():
     assert found == []
 
 
+def test_every_private_module_level_name_is_read():
+    # a private helper that no module reads is a leftover of a path since removed
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SOURCE.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {d}" for d in defined
+                      if d.startswith("_") and not d.startswith("__") and d not in read]
+    assert found == []
+
+
 def test_every_module_level_import_is_used():
     # __init__ imports to re-export; every other module reads what it imports
     found = []
