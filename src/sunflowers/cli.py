@@ -162,11 +162,13 @@ def _report(subcommand: str, parameters: dict, outputs: dict, started: float,
     }
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _int_list(text: str) -> list[int]:
+    """The one parser of integer-list flags: argparse names the flag."""
     try:
         return sorted({int(tok) for tok in text.replace(",", " ").split()})
     except ValueError:
-        raise ValueError(f"expected a comma-separated integer list, got {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"expected a comma-separated integer list, got {text!r}") from None
 
 
 def _rational(text: str) -> Fraction:
@@ -192,11 +194,12 @@ def _alpha_grid(text: str) -> tuple[Fraction, ...]:
 def cmd_check(args) -> int:
     started = time.perf_counter()
     family, digest = _load(args.family)
-    params = {"L": args.L, "d": args.d, "uniform": args.uniform}
+    L = None if args.L is None else ",".join(map(str, args.L))  # echoed as it is used
+    params = {"L": L, "d": args.d, "uniform": args.uniform}
     profile = intersection_profile(family)  # kept on the family: the verdicts read it again
     verdicts = {}
     if args.L is not None:
-        verdicts["L_intersecting"] = is_L_intersecting(family, _parse_int_list(args.L))
+        verdicts["L_intersecting"] = is_L_intersecting(family, args.L)
     if args.d is not None:
         verdicts["d_intersecting"] = is_d_intersecting(family, args.d)
     if args.uniform is not None:
@@ -250,8 +253,7 @@ def cmd_bounds(args) -> int:
     C = bounds_mod.DEFAULT_C if args.C is None else args.C
     digits = bounds_mod.DEFAULT_DIGITS if args.digits is None else args.digits
     log_base = bounds_mod.DEFAULT_LOG_BASE if args.log_base is None else args.log_base
-    L = _parse_int_list(args.L) if args.L is not None else None
-    common = dict(n=args.n, r=args.r, s=args.s, L=L, d=args.d,
+    common = dict(n=args.n, r=args.r, s=args.s, L=args.L, d=args.d,
                   C=C, digits=digits, log_base=log_base)
     params = {"which": args.which, **common}
     if args.which in bounds_mod.BOUND_NAMES:
@@ -358,7 +360,7 @@ def _seed(args, use: str = "random generation") -> int:
 def _gen_random_l(args) -> SetFamily:
     stops: list[str] = []
     family = gen_mod.gen_random_L_intersecting(
-        args.x, args.n, _parse_int_list(args.L), args.count, _seed(args), args.budget,
+        args.x, args.n, args.L, args.count, _seed(args), args.budget,
         on_stop=stops.append)
     print(f"note: reached {len(family)} of {args.count} sets; stopped: {stops[0]}",
           file=sys.stderr)
@@ -386,7 +388,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="family predicates: uniformity, intersection profile")
     p.add_argument("family")
-    p.add_argument("--L", help="comma-separated allowed intersection sizes")
+    p.add_argument("--L", type=_int_list, help="comma-separated allowed intersection sizes")
     p.add_argument("--d", type=int, help="check intersections of size at most d")
     p.add_argument("--uniform", type=int, help="check n-uniformity")
     add_common(p)
@@ -409,7 +411,7 @@ def build_parser() -> _Parser:
     p.add_argument("-n", type=int)
     p.add_argument("-r", type=int)
     p.add_argument("-s", type=int)
-    p.add_argument("--L", help="comma-separated intersection sizes")
+    p.add_argument("--L", type=_int_list, help="comma-separated intersection sizes")
     p.add_argument("-d", type=int)
     p.add_argument("-C", type=_rational,
                    help=f"free constant (rational, default {bounds_mod.DEFAULT_C})")
@@ -469,7 +471,7 @@ def build_parser() -> _Parser:
                 "x", "n", "count")
     g.add_argument("--seed", type=int)
     g = add_gen("random-l", _gen_random_l, "x", "n")
-    g.add_argument("--L", required=True)
+    g.add_argument("--L", type=_int_list, required=True)
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--seed", type=int)
     g.add_argument("--budget", type=int, default=gen_mod.DEFAULT_DRAW_BUDGET,

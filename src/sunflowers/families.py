@@ -372,20 +372,13 @@ def is_sunflower(sets: Sequence[ElementSet]) -> Optional[ElementSet]:
     masks = [s.mask for s in sets]
     if len(set(masks)) != len(masks):
         raise FamilyError("sunflower test requires distinct sets")
-    core = _sunflower_core(masks)
-    return None if core is None else ElementSet.from_mask(core)
-
-
-def _sunflower_core(masks: Sequence[int]) -> Optional[int]:
-    """Common intersection of `masks` when every pairwise intersection
-    equals it, else None: the sunflower test on raw bitmasks."""
     core = masks[0]
     for m in masks[1:]:
         core &= m
     for a, b in combinations(masks, 2):
         if a & b != core:
             return None
-    return core
+    return ElementSet.from_mask(core)
 
 
 def _petal_positions(
@@ -406,32 +399,27 @@ def _petal_positions(
     return None
 
 
-def _sunflower_indices(
-    masks: Sequence[int], r: int, core: Optional[int] = None
-) -> Optional[list[int]]:
-    """Indices of the first r masks, in combinations order, that form a
-    sunflower: with the given core, or with any core when `core` is None
-    (then r >= 2).
+def _sunflower_indices(masks: Sequence[int], r: int) -> Optional[list[int]]:
+    """Indices of the first r >= 2 masks, in combinations order, that form
+    a sunflower.
 
     An exact depth-first search in index order.  Every sub-collection of a
     sunflower is a sunflower with the same core, so a prefix that is not
     one never extends to one and is cut: the first full prefix is the
-    lexicographically first witness, and None is authoritative.  Once the
-    core is fixed, a later mask extends the prefix iff it holds the core
-    and avoids every petal chosen so far.
+    lexicographically first witness, and None is authoritative.
 
-    With no core given, the later masks are grouped by their meet with the
-    first, masks[i]: a sunflower (i, j, ...) with core c takes every later
+    For each first mask, masks[i], the later masks are grouped by their
+    meet with it: a sunflower (i, j, ...) with core c takes every later
     member from group c, and each member of group c already meets masks[i]
-    in exactly c, so the rest of the witness is a search inside that group
-    alone.  The second index fixes the group, so the first witness for i
-    is the group witness with the smallest second index, and groups that
-    start after that index are not searched.  A group holds no more masks than the
+    in exactly c, so the rest of the witness is the petal search
+    `_petal_positions` inside that group alone: a later mask extends the
+    prefix iff it holds c and avoids every petal chosen so far.  The
+    second index fixes the group, so the first witness for i is the group
+    witness with the smallest second index, and groups that start after
+    that index are not searched.  A group holds no more masks than the
     full scan would try, so at most C(len(masks), r) r-subsets are
     examined.
     """
-    if core is not None:
-        return _petal_positions(masks, 0, r, core, 0)
     for i in range(len(masks) - r + 1):
         first = masks[i]
         groups: dict[int, list[int]] = {}  # meet with masks[i] -> later positions
@@ -454,13 +442,14 @@ def _sunflower_indices(
 def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:
     """First (in canonical order) r pairwise-disjoint members, else None.
 
-    The sunflower search of `_sunflower_indices` with the core fixed at
-    the empty set: the witness is the lexicographically first index
-    sequence, and None is authoritative.
+    r pairwise-disjoint members are a sunflower with the empty core, so
+    this is the petal search `_petal_positions` of `_sunflower_indices`
+    with the core fixed at the empty set: the witness is the
+    lexicographically first index sequence, and None is authoritative.
     """
     if r < 1:
         raise FamilyError(f"r must be >= 1, got {r}")
-    chosen = _sunflower_indices(family.masks, r, core=0)
+    chosen = _petal_positions(family.masks, 0, r, 0, 0)
     if chosen is None:
         return None
     witness = [family.members[i] for i in chosen]

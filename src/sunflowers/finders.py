@@ -30,6 +30,7 @@ from .families import (
     elements_of,
     intersection_profile,
     is_sunflower,
+    link,
     mask_of,
 )
 
@@ -106,13 +107,10 @@ class SearchOutcome:
 def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     """First r-subset of members (canonical order) forming a sunflower.
 
-    An exact depth-first search in index order (`_sunflower_indices`): for
-    each first member, the later members are grouped by their meet with
-    it, which is the core of any sunflower they complete, and each group
-    is searched for members whose petals avoid each other.  Only prefixes
-    that cannot extend to a sunflower are cut, so the witness is the one
-    an exhaustive scan of all C(|F|, r) member subsets would return first,
-    and a None result is an authoritative "no r-sunflower in this family".
+    The exact grouped search `families._sunflower_indices`: the witness is
+    the one an exhaustive scan of all C(|F|, r) member subsets would
+    return first, and a None result is an authoritative "no r-sunflower in
+    this family".
     The witness is re-verified; a failed certificate raises
     LemmaViolationError, as does None on an n-uniform family (n >= 1)
     with more than `erdos_rado_bound(n, r)` members.
@@ -227,11 +225,9 @@ def _search(
     if pivot_link is None or link_count * math.comb(n, l1 + 1) < len(filtered):
         raise LemmaViolationError("pigeonhole guarantee for the pivot link failed")
 
-    link_family = SetFamily.from_masks(
-        family.ground_size,
-        (fm & ~pivot_link for fm in filtered if pivot_link & ~fm == 0),
-        uniform=n - l1 - 1,
-    )
+    # every member holding pivot_link meets the pivot in >= l1+1 elements,
+    # so the link of the whole family is the link of `filtered`
+    link_family = link(family, ElementSet.from_mask(pivot_link))
     levels.append(
         TraceLevel(
             outcome="recursed",

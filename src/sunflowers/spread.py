@@ -152,7 +152,6 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
     if not 0 <= d <= n:
         raise FamilyError(f"need 0 <= d <= n, got d={d}")
     a, b = k.numerator, k.denominator
-    size = len(family)
 
     def qualifying(fam: SetFamily, most: int) -> list[int]:
         total = len(fam)
@@ -172,21 +171,17 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
         )
     t_set = ElementSet.from_mask(best_mask)
     link_family = link(family, t_set)
-    link_size = len(link_family)
 
-    residual_ok = True
-    if link_size:
-        residual = qualifying(link_family, n)
-        deep = d - len(t_set)
-        if any(t.bit_count() <= deep for t in residual):
-            raise InvariantError("spread link is not maximal")
-        residual_ok = not residual
+    residual = qualifying(link_family, n)
+    deep = d - len(t_set)
+    if any(t.bit_count() <= deep for t in residual):
+        raise InvariantError("spread link is not maximal")
     remaining = n - len(t_set)
-    size_clause_ok = link_size * b**remaining >= a**remaining
+    size_clause_ok = len(link_family) * b**remaining >= a**remaining
     return SpreadLinkResult(
         t_set=t_set,
         link_family=link_family,
-        residual_spread_ok=residual_ok,
+        residual_spread_ok=not residual,
         size_clause_ok=size_clause_ok,
     )
 
@@ -284,8 +279,9 @@ def _upward_lattice(masks: Sequence[int], x: int) -> np.ndarray:
     index = (members >> np.uint64(6)).astype(np.intp)
     np.bitwise_or.at(lattice, index, np.left_shift(np.uint64(1), members & np.uint64(63)))
     # closing inside words commutes with closing across them, so it runs
-    # first, on the words that hold a member
-    index = np.unique(index)
+    # first, on the words that hold a member: after the scatter, exactly
+    # the nonzero ones, in ascending order
+    index = np.flatnonzero(lattice)
     held = lattice[index]
     for bit in range(min(x, 6)):
         held |= (held << np.uint64(1 << bit)) & _SPREAD_MASKS[bit]

@@ -267,9 +267,17 @@ def test_crossover_columns_monotone():
 
 
 def test_crossover_first_improvement_consistent():
-    rep = crossover_report(10, 3, 1)
-    smaller_ds = [r.d for r in rep.rows if r.smaller == "d-intersecting"]
-    assert rep.first_improvement == (min(smaller_ds) if smaller_ds else None)
+    for n, r, C, first in ((10, 3, Fraction(1, 1000), 4), (20, 3, Fraction(1, 100), 9)):
+        rep = crossover_report(n, r, C)
+        smaller_ds = [row.d for row in rep.rows if row.smaller == "d-intersecting"]
+        assert rep.first_improvement == min(smaller_ds) == first
+        for row in rep.rows:  # each verdict against an independent 100-digit evaluation
+            with mp.workdps(100):
+                log_form = (4 * r) ** n * (mp.mpf(C.numerator) / C.denominator
+                                           * r * mp.log(r * row.d)) ** row.d
+                factorial = mp.mpf(falling_factorial_bound(n, row.d, r))
+            assert row.smaller == ("d-intersecting" if log_form < factorial
+                                   else "falling-factorial"), (n, row)
 
 
 def test_digits_below_one_refused_before_any_interval(monkeypatch):

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -271,6 +272,27 @@ def test_every_rational_flag_names_itself_when_refused(capsys, triangle, argv, f
     assert "invalid" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{fam}", "--L", "0,x"],
+    ["bounds", "--which", "l-multinomial", "-n", "3", "-r", "3", "--L", "0,x"],
+    ["gen", "random-l", "6", "2", "--L", "0,x", "--count", "3", "--seed", "1"],
+])
+def test_every_integer_list_flag_names_itself_when_refused(capsys, triangle, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([triangle if a == "{fam}" else a for a in argv])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --L: expected a comma-separated integer list, got '0,x'" in captured.err
+
+
+def test_check_echoes_the_integer_list_it_used(capsys, triangle):
+    code, report, _ = run_json(capsys, "check", triangle, "--L", "1, 0,0")
+    assert code == 0
+    assert report["parameters"]["L"] == "0,1"
+    assert report["outputs"]["verdicts"]["L_intersecting"] is True
+
+
 def test_log_base_is_echoed_as_it_is_used(capsys):
     for which, extra in (("rlogn", []), ("d-intersecting", ["-d", "2"]), ("crossover", [])):
         code, report, _ = run_json(capsys, "bounds", "--which", which, "-n", "4", "-r", "3",
@@ -344,6 +366,16 @@ def test_spread_reports_no_kappa_for_an_empty_or_mixed_family(capsys, tmp_path, 
     assert out["exact_satisfying"] == exact and out["disjointness"]["contrapositive_ok"] is True
     code, out, err = run(capsys, "spread", fam, "--kappa", "2")
     assert code == 3 and out == "" and "n-uniform family" in err
+
+
+def test_spread_r_above_the_exact_limit_is_sampled(capsys, tmp_path):
+    _, out, _ = run(capsys, "gen", "random-uniform", "30", "3", "40", "--seed", "5")
+    fam = write_family(tmp_path, "f30.txt", out)
+    code, _, err = run(capsys, "spread", fam, "--r", "3")
+    assert code == 3 and "trials and seed are required" in err
+    code, report, _ = run_json(capsys, "spread", fam, "--r", "3", "--trials", "2000", "--seed", "1")
+    assert code == 0
+    assert report["outputs"]["disjointness"]["method"] == "sampled"
 
 
 def test_spread_sampling_requires_seed(capsys, triangle):
@@ -490,6 +522,28 @@ def test_gen_random_l_names_its_stop_reason(capsys):
                          "--count", "5", "--seed", "7")
     assert code == 0 and len(out.splitlines()) == 1 + 5
     assert "stopped: target" in err
+
+
+# -- README -------------------------------------------------------------------------
+
+def test_readme_cli_examples_run(capsys, tmp_path):
+    # every command of the README's CLI block, on the family its gen random-l line makes
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as f:
+        block = f.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("sunflowers ")]
+    make = [line for line in lines if line.startswith("sunflowers gen random-l ")]
+    assert len(lines) >= 12 and len(make) == 1
+    code, out, _ = run(capsys, *shlex.split(make[0])[1:])
+    assert code == 0
+    fam = write_family(tmp_path, "family.txt", out)
+    for line in lines:
+        argv = [fam if a == "family.txt" else a for a in shlex.split(line)[1:]]
+        code, out, _ = run(capsys, *argv)
+        assert code in (0, 1) and out.strip(), line
+        if argv[:3] == ["bounds", "--which", "all"]:
+            header = ["d", "d_intersecting", "falling_factorial", "smaller"]
+            assert header in [row.split() for row in out.splitlines()], line
 
 
 # -- reproducibility and global flags ------------------------------------------------

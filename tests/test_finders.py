@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 import sunflowers
 
 from sunflowers import (
+    ElementSet,
     SetFamily,
     brute_force_sunflower,
     deza_extract,
@@ -19,6 +20,7 @@ from sunflowers import (
     is_sunflower,
     l_intersecting_find,
     l_multinomial_bound,
+    link,
 )
 from sunflowers import finders
 from sunflowers.cli import main
@@ -363,6 +365,19 @@ def test_trace_pigeonhole_arithmetic():
                 assert lvl.filtered_size * lvl.m >= lvl.family_size
                 assert lvl.link_size * math.comb(lvl.n, l1 + 1) >= lvl.filtered_size
                 assert len(lvl.subfamily) <= lvl.m
+
+
+def test_recursed_level_links_the_whole_family():
+    # every member holding the pivot link is in the filtered family, so the
+    # link the extractor recurses on is the family's own link
+    for x, n, L, seed in [(12, 3, [0, 1], s) for s in range(20)] + [(10, 4, [0, 1, 2], 3)]:
+        fam = gen_random_L_intersecting(x, n, L, 20, seed=seed)
+        _, trace = l_intersecting_find(fam, L, 3)
+        top = trace.levels[0]
+        assert top.outcome == "recursed", (x, n, L, seed)
+        linked = link(fam, ElementSet(top.pivot_link))
+        assert top.link_size == len(linked) == trace.levels[1].family_size
+        assert linked.uniformity == n - L[0] - 1
 
 
 def test_soundness_on_random_corpus():

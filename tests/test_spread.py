@@ -270,6 +270,21 @@ def test_exact_lattice_memory_at_ground_24():
     assert int(grown_kib) < 32 * 1024
 
 
+def test_first_exact_sum_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use, about 10 ms in a cold process
+    src = os.path.dirname(os.path.dirname(sunflowers.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys\nfrom sunflowers import SetFamily, exact_satisfying\n"
+            "print(exact_satisfying(SetFamily(8, [[0, 1], [1, 7], [2, 3, 4]]), '1/2'))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        str(satisfying_by_subset_loop(8, [[0, 1], [1, 7], [2, 3, 4]], Fraction(1, 2))), "False"]
+
+
 def test_exact_memory_at_ground_24_within_three_and_a_quarter_lattices():
     # the lattice, its size-sorted copy and one size's counts; two sizes'
     # counts must never be alive at once
@@ -517,6 +532,25 @@ def test_contrapositive_random_corpus():
         fam = gen_random_uniform(9, 2 + seed % 3, 8, seed=seed)
         rep = check_satisfying_disjoint(fam, r)
         assert rep.contrapositive_ok, (seed, rep)
+
+
+def test_disjointness_above_the_exact_limit_is_sampled():
+    fam = gen_random_uniform(30, 3, 40, seed=5)
+    rep = check_satisfying_disjoint(fam, 3, trials=2000, seed=1)
+    assert rep.method == "sampled"
+    assert rep.probability == sample_satisfying(fam, Fraction(1, 3), 2000, 1).estimate
+    assert rep.satisfying == (rep.probability > 2 / 3)
+    for trials, seed in ((None, 1), (2000, None), (None, None)):
+        with pytest.raises(ValueError, match="trials and seed are required"):
+            check_satisfying_disjoint(fam, 3, trials=trials, seed=seed)
+
+
+def test_sampled_star_has_no_disjoint_pair_and_is_consistent():
+    star = SetFamily(30, [[0, e] for e in range(1, 30)])
+    rep = check_satisfying_disjoint(star, 3, trials=2000, seed=1)
+    assert rep.method == "sampled"
+    assert not rep.has_r_disjoint and rep.witness is None
+    assert rep.contrapositive_ok
 
 
 # -- fixed-constant spread-to-satisfying regression -----------------------------------
