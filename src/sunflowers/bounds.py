@@ -142,9 +142,7 @@ class RealBoundValue:
     digits: int
 
     def __float__(self) -> float:
-        import mpmath as mp
-
-        return float(mp.mpf(self.decimal))
+        return float(self.decimal)
 
 
 def _real_value(interval: FracInterval, digits: int) -> RealBoundValue:

@@ -88,7 +88,7 @@ def _render_text(value, indent=""):
                 lines.append(f"{indent}{k}:")
                 lines.extend(_render_text(v, indent + "  "))
             else:
-                lines.append(f"{indent}{k}: {_scalar(v)}")
+                lines.append(f"{indent}{k}: {_scalar(v)}".rstrip())
     elif isinstance(value, list):
         if value and all(isinstance(row, dict) for row in value):
             keys = list(value[0].keys())
@@ -112,11 +112,8 @@ def _render_text(value, indent=""):
 
 
 def _scalar(v):
-    if isinstance(v, list):
-        return "[" + ", ".join(str(x) for x in v) + "]"
-    if isinstance(v, dict):
-        return json.dumps(v, sort_keys=True)
-    return v
+    """A leaf of the report as its JSON report has it; strings unquoted."""
+    return v if isinstance(v, str) else json.dumps(v, sort_keys=True)
 
 
 def _write(text: str) -> None:
@@ -127,7 +124,9 @@ def _write(text: str) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit(args, report: dict) -> None:

@@ -8,7 +8,8 @@ floating-point comparisons decide anything.
 Satisfying probabilities P(some member is contained in a random
 alpha-density subset R) are computed two ways: an exact subset-lattice
 sum for ground sizes up to 24, over the members' up-closure built as
-packed bits (2^x / 8 bytes) and counted by size, and a seeded Monte
+packed bits (2^x / 8 bytes) and counted by size with numpy's popcount,
+|R| = popcount(R >> 6) + popcount(R & 63), and a seeded Monte
 Carlo estimator whose trials are rows of raw 64-bit words from a
 counter-based PRNG stream (numpy Philox, keyed by the seed): element e
 is kept when its word is below ceil(alpha * 2^53) << 11, exactly
@@ -51,7 +52,7 @@ from .families import (
 _ENUMERATION_LIMIT = 1 << 22
 _EXACT_GROUND_LIMIT = 24
 _SAMPLE_BLOCK = 1 << 16
-_SIZE_CHUNK = 1 << 12  # lattice words counted by size at a time
+_SIZE_CHUNK = 1 << 14  # lattice words counted by size at a time
 
 
 def _link_counts(masks: Sequence[int]) -> Counter:
@@ -250,7 +251,7 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
             for j in range(1, widest):
                 held &= bits[index[:, j]]
             words = np.bitwise_or.reduce(held, axis=0)
-            successes += int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+            successes += int(np.bitwise_count(words).sum())
             del held  # so that two blocks' bitsets never coexist
             done += rows
     estimate = successes / trials
@@ -334,42 +335,34 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
                     q**x)
 
 
-# _BYTE_POPCOUNTS[j]: popcount(j) for the byte positions j of a word;
-# _BYTE_SIZES[4 v + s]: the set bits i of byte value v with popcount(i) = s,
-# where the bits i with popcount 0, 1, 2 and 3 are 0x01, 0x16, 0x68, 0x80.
-# Bytes, not arrays, so that importing the module builds no numpy array.
-_BYTE_POPCOUNTS = bytes(j.bit_count() for j in range(8))
-_BYTE_SIZES = bytes((v & bits).bit_count() for v in range(256) for bits in (0x01, 0x16, 0x68, 0x80))
+# _BIT_SIZES[s]: the bit positions i of a word with popcount(i) = s, as
+# Python ints, so that importing the module builds no numpy array
+_BIT_SIZES = tuple(sum(1 << i for i in range(64) if i.bit_count() == s) for s in range(7))
 
 
 def _hit_sizes(lattice: np.ndarray, x: int) -> tuple[int, ...]:
     """The number of sets R of each size 0..x in the up-closure `lattice`.
 
-    Bit i of little-endian byte j of word w is R = 64 w + 8 j + i, so
-    |R| = popcount(w) + popcount(j) + popcount(i).  The words are read in
-    aligned chunks of a power of two words, where popcount(w) is the
-    popcount of the chunk's start plus that of the word's offset: one
-    bincount per chunk over its bytes, keyed by popcount(offset) +
-    popcount(j) and the byte value, and `_BYTE_SIZES` splits each byte
-    value by popcount(i).  Nothing is sorted, and a chunk's byte keys take
-    64 * _SIZE_CHUNK bytes (256 KiB) at most, whatever x."""
+    Bit i of word w is R = 64 w + i, so |R| = popcount(w) + popcount(i).
+    The words are read in aligned chunks of a power of two words, where
+    popcount(w) is the popcount of the chunk's start plus that of the
+    word's offset.  For each s in 0..6, one bincount over the offsets'
+    popcounts, weighted by the popcounts of `words & _BIT_SIZES[s]`, lands
+    at size popcount(w) + s.  Nothing is sorted, and a chunk's temporaries
+    take about 17 bytes per word (about 275 KiB at `_SIZE_CHUNK`) whatever
+    x; a bin counts at most 64 * _SIZE_CHUNK bits, so the float weights
+    count exactly."""
     high = max(x - 6, 0)  # ground elements that index words, not bits
     chunk = min(1 << high, _SIZE_CHUNK)
-    offsets = np.zeros(1, dtype=np.intp)  # popcount of each offset in a chunk
-    while len(offsets) < chunk:
-        offsets = np.concatenate((offsets, offsets + 1))
-    keys = int(offsets[-1]) + 4  # popcount(offset) + popcount(j) <= log2(chunk) + 3
-    key = ((offsets[:, None] + np.frombuffer(_BYTE_POPCOUNTS, dtype=np.uint8)) << 8).ravel()
-    byte_sizes = np.frombuffer(_BYTE_SIZES, dtype=np.uint8).reshape(256, 4)
-    data = lattice.astype("<u8", copy=False).view(np.uint8)
+    offsets = np.bitwise_count(np.arange(chunk)).astype(np.intp)  # popcount of each offset
     counts = [0] * (x + 1)
     for start in range(0, 1 << high, chunk):
-        cells = np.bincount(key + data[8 * start:8 * (start + chunk)], minlength=keys << 8)
-        base = start.bit_count()
-        for k, row in enumerate((cells.reshape(keys, 256) @ byte_sizes).tolist()):
-            for size, n in enumerate(row, base + k):
+        words = lattice[start:start + chunk]
+        for s, bits in enumerate(_BIT_SIZES):
+            by_offset = np.bincount(offsets, weights=np.bitwise_count(words & bits)).tolist()
+            for size, n in enumerate(by_offset, start.bit_count() + s):
                 if n:
-                    counts[size] += n
+                    counts[size] += int(n)
     return tuple(counts)
 
 

@@ -132,6 +132,13 @@ def test_rlogn_value_and_two_precision_agreement():
     assert rel_close(rb50b.decimal, rb120.decimal, mp.mpf("1e-45"))
 
 
+def test_float_of_a_bound_does_not_depend_on_the_working_precision():
+    rb = rlogn_bound(7, 3, digits=30)
+    with mp.workdps(5):
+        assert float(rb) == float(rb.decimal)
+    assert float(rb) == pytest.approx((3 * math.log(7)) ** 7, rel=1e-14)
+
+
 def test_rlogn_homogeneity_in_C():
     a = rlogn_bound(7, 3, 1, digits=60)
     b = rlogn_bound(7, 3, 2, digits=60)

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -8,7 +9,7 @@ import sys
 import pytest
 
 import sunflowers
-from sunflowers import bounds
+from sunflowers import bounds, cli
 from sunflowers.cli import main
 
 
@@ -330,6 +331,30 @@ def test_echoed_defaults_are_the_librarys(capsys, triangle):
     assert args.budget == default(gen_random_L_intersecting, "budget")
 
 
+def test_check_text_format_renders_json_scalars(capsys, matching, triangle):
+    code, out, _ = run(capsys, "check", matching, "--format", "text")
+    assert code == 0
+    lines = out.splitlines()
+    assert "  L: null" in lines and "seeds: null" in lines
+    at = lines.index("  intersection_profile:")
+    assert lines[at + 1:at + 3] == ["    - 0", "  verdicts: {}"]
+    code, out, _ = run(capsys, "check", triangle, "--L", "1", "--d", "0", "--format", "text")
+    assert code == 1
+    assert "    L_intersecting: true" in out.splitlines()
+    assert "    d_intersecting: false" in out.splitlines()
+    assert "None" not in out and "True" not in out and "False" not in out
+
+
+def test_find_text_format_renders_json_scalars_without_trailing_blanks(capsys, triangle):
+    code, out, _ = run(capsys, "find", triangle, "--r", "3", "--format", "text")
+    assert code == 1
+    lines = out.splitlines()
+    assert "  status: absent" in lines and "  sunflower: null" in lines
+    assert "  note:" in lines and "    found: false" in lines
+    assert all(line == line.rstrip() for line in lines)
+    assert "None" not in out and "False" not in out
+
+
 def test_bounds_text_format(capsys):
     code, out, err = run(capsys, "bounds", "--which", "erdos-rado", "-n", "3", "-r", "3",
                          "--format", "text")
@@ -620,6 +645,37 @@ def test_closed_stdout_is_quiet_and_keeps_exit_code(triangle, argv, expected):
         os.close(write_end)
     assert proc.returncode == expected
     assert proc.stderr == b""
+
+
+def test_broken_pipe_closes_the_null_device_fd_it_opened(monkeypatch):
+    # `_write` moves stdout to the null device; the fd it opened must not leak
+    real_open, opened = os.open, []
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    class ClosedReader(io.TextIOBase):
+        def write(self, text):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return write_end
+
+    read_end, write_end = os.pipe()
+    try:
+        monkeypatch.setattr(os, "open", recording_open)
+        monkeypatch.setattr(sys, "stdout", ClosedReader())
+        cli._write("report\n")
+        monkeypatch.undo()
+        assert len(opened) == 1
+        with pytest.raises(OSError):
+            os.fstat(opened[0])
+        assert os.fstat(write_end).st_rdev == os.stat(os.devnull).st_rdev
+    finally:
+        monkeypatch.undo()
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_unknown_subcommand_usage_error(capsys):

@@ -2,6 +2,7 @@
 outlives the family: one CLI call pays for its family's tables once, and
 a second call builds them again."""
 
+import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -191,3 +192,11 @@ def test_hit_sizes_do_not_depend_on_the_chunk(monkeypatch, chunk):
         sets = [s.elements for s in family.members]
         assert exact_satisfying(family, Fraction(1, 3)) == satisfying_by_subset_loop(
             14, sets, Fraction(1, 3))
+    # x <= 7: one word holds every set R, and sizes past x stay empty
+    rng = random.Random(chunk)
+    for x in range(8):
+        for _ in range(3):
+            sets = {tuple(e for e in range(x) if rng.random() < 0.4) for _ in range(rng.randint(1, 4))}
+            family = SetFamily(x, sorted(sets))
+            assert exact_satisfying(family, Fraction(2, 7)) == satisfying_by_subset_loop(
+                x, [s.elements for s in family.members], Fraction(2, 7))

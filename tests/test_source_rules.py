@@ -1,6 +1,9 @@
 """Rules on the library's source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "sunflowers"
@@ -62,3 +65,17 @@ def test_every_module_level_import_is_used():
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
     assert found == []
+
+
+def test_importing_the_package_builds_no_numpy_array():
+    # module-level tables stay Python values; numpy arrays are built on use
+    code = ("import tracemalloc\nimport numpy as np\ntracemalloc.start()\nimport sunflowers.cli\n"
+            "numpy_domain = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)\n"
+            "traces = tracemalloc.take_snapshot().filter_traces([numpy_domain]).traces\n"
+            "print(sum(trace.size for trace in traces))\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(SOURCE.parent), os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", code],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
