@@ -40,6 +40,13 @@ from .families import (
 from .finders import DEFAULT_BUDGET, STRATEGIES, find_any
 from .formats import _family_object, dump_family_json, dump_family_text, load_family
 
+# The package calls no BLAS routine, yet numpy's OpenBLAS starts a thread
+# per core on import, about half of numpy's import time on a 2-core host.
+# No module imports numpy at module level, so this is set before numpy
+# loads in a CLI process; a value the user set is kept, and code that
+# imports only the library keeps its own BLAS threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNKNOWN = 2
@@ -192,6 +199,7 @@ def _alpha_grid(text: str) -> tuple[Fraction, ...]:
 
 def cmd_check(args) -> int:
     started = time.perf_counter()
+    _require(args.uniform is None or args.uniform >= 0, "--uniform: uniformity must be >= 0")
     family, digest = _load(args.family)
     L = None if args.L is None else ",".join(map(str, args.L))  # echoed as it is used
     params = {"L": L, "d": args.d, "uniform": args.uniform}

@@ -5,15 +5,18 @@ aborts on failure; randomized generators take an explicit seed and use a
 counter-based PRNG (numpy Philox), so identical (parameters, seed) always
 produce the identical family.  Rejection-sampling budgets are explicit --
 no generator can loop silently forever.
+
+numpy loads on first use, when a seeded generator makes its PRNG or
+draws subsets, so importing this module and the deterministic generators
+do not load it, and the CLI can start numpy's OpenBLAS with one thread
+unless OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Callable, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .families import (
     ElementSet,
@@ -24,6 +27,8 @@ from .families import (
     is_sunflower,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
 
 class GeneratorError(ValueError):
     """Infeasible generator parameters or a failed self-check."""
@@ -36,6 +41,7 @@ DEFAULT_DRAW_BUDGET = 100_000  # gen_random_L_intersecting's default number of d
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:
         raise GeneratorError(f"seed must be >= 0, got {seed}")
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=seed))
 
 
@@ -48,6 +54,7 @@ def _n_subset_masks(rng, x: int, n: int, max_draws: int):
     Rows are packed little-endian, so byte j of a row holds elements
     8j..8j+7 and the row's bytes read as one integer are its mask.
     """
+    import numpy as np
     drawn = 0
     while drawn < max_draws:
         block = min(512, max_draws - drawn)

@@ -22,6 +22,12 @@ of the up-closure (which itself lives for one call), and the Monte Carlo
 index table -- are built once per family object and kept on it
 (`SetFamily._table`), so one call that asks several questions of a
 family pays for each table once.
+
+numpy loads on first use, in the Monte Carlo and exact-sum kernels, so
+importing this module does not load it; its tables are Python ints.  So
+`check`, `find`, `bounds` and `encode-audit` start without numpy, and the
+CLI can start numpy's OpenBLAS with one thread unless
+OPENBLAS_NUM_THREADS is set.
 """
 
 from __future__ import annotations
@@ -32,9 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
 
 from .families import (
     ElementSet,
@@ -48,6 +52,9 @@ from .families import (
     link,
     submasks,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _ENUMERATION_LIMIT = 1 << 22
 _EXACT_GROUND_LIMIT = 24
@@ -227,6 +234,7 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    import numpy as np
     x = family.ground_size
     masks = family.masks
     bitgen = np.random.Philox(key=seed)
@@ -262,10 +270,9 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
     )
 
 
-# _SPREAD_MASKS[b]: the bit positions 0..63 with bit b set (upward closure in a word)
-_SPREAD_MASKS = tuple(
-    np.uint64(sum(1 << p for p in range(64) if p >> b & 1)) for b in range(6)
-)
+# _SPREAD_MASKS[b]: the bit positions 0..63 with bit b set (upward closure in a
+# word), as Python ints, as `_BIT_SIZES` is
+_SPREAD_MASKS = tuple(sum(1 << p for p in range(64) if p >> b & 1) for b in range(6))
 
 
 def _upward_lattice(masks: Sequence[int], x: int) -> np.ndarray:
@@ -274,6 +281,7 @@ def _upward_lattice(masks: Sequence[int], x: int) -> np.ndarray:
     is set iff some member is a subset of R.  The closure runs by shift-or
     inside the words that hold a member, then by word blocks across words:
     at most x * 2^(x - 6) word operations."""
+    import numpy as np
     high = max(x - 6, 0)  # ground elements that index words, not bits
     lattice = np.zeros(1 << high, dtype=np.uint64)
     members = np.array(masks, dtype=np.uint64)
@@ -302,6 +310,7 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 def _member_index(elements: Sequence[tuple[int, ...]], x: int) -> np.ndarray:
     """The |F| x max|M| table of the members' elements, short members
     padded with x (the all-ones row of the sliced test)."""
+    import numpy as np
     widest = max(map(len, elements))
     return np.array([t + (x,) * (widest - len(t)) for t in elements], dtype=np.intp)
 
@@ -336,7 +345,7 @@ def exact_satisfying(family: SetFamily, alpha: Rational) -> Fraction:
 
 
 # _BIT_SIZES[s]: the bit positions i of a word with popcount(i) = s, as
-# Python ints, so that importing the module builds no numpy array
+# Python ints, so that importing the module needs no numpy
 _BIT_SIZES = tuple(sum(1 << i for i in range(64) if i.bit_count() == s) for s in range(7))
 
 
@@ -352,6 +361,7 @@ def _hit_sizes(lattice: np.ndarray, x: int) -> tuple[int, ...]:
     take about 17 bytes per word (about 275 KiB at `_SIZE_CHUNK`) whatever
     x; a bin counts at most 64 * _SIZE_CHUNK bits, so the float weights
     count exactly."""
+    import numpy as np
     high = max(x - 6, 0)  # ground elements that index words, not bits
     chunk = min(1 << high, _SIZE_CHUNK)
     offsets = np.bitwise_count(np.arange(chunk)).astype(np.intp)  # popcount of each offset

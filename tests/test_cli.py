@@ -69,6 +69,13 @@ def test_check_rejects_boolean_ground_size(capsys, tmp_path):
     assert code == 3 and out == "" and "ground_size" in err
 
 
+def test_check_refuses_a_negative_uniformity(capsys, triangle):
+    # as --d -1 is: no family is -1-uniform, so the question is malformed
+    code, out, err = run(capsys, "check", triangle, "--uniform", "-1")
+    assert code == 3 and out == ""
+    assert "--uniform: uniformity must be >= 0" in err
+
+
 # -- find -------------------------------------------------------------------
 
 def test_find_sunflower(capsys, tmp_path):
@@ -682,3 +689,60 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
+
+
+# -- start-up ----------------------------------------------------------------
+
+def _fresh_python(code, *argv, **environ):
+    """Run `code` with `argv` in a fresh interpreter that imports this
+    checkout, with OPENBLAS_NUM_THREADS unset unless given in `environ`."""
+    src = os.path.dirname(os.path.dirname(sunflowers.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(environ, PYTHONPATH=os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+NUMPY_LOADED_BY = """\
+import contextlib, io, sys
+import sunflowers
+loaded = ["numpy" in sys.modules]
+from sunflowers import cli
+loaded.append("numpy" in sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *loaded, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (["check", "{fam}", "--L", "1"], ["0", "False"]),
+    (["find", "{fam}", "--r", "3"], ["1", "False"]),
+    (["bounds", "--which", "erdos-rado", "-n", "3", "-r", "3"], ["0", "False"]),
+    (["encode-audit", "{fam}", "--px", "1", "--d", "1"], ["0", "False"]),
+    (["gen", "random-uniform", "6", "2", "4", "--seed", "1"], ["0", "True"]),
+    (["spread", "{fam}", "--alpha", "1/2", "--trials", "64", "--seed", "1"], ["0", "True"]),
+])
+def test_numpy_loads_only_for_the_subcommands_that_use_it(triangle, argv, expected):
+    # importing the package and the CLI loads no numpy; a subcommand loads it on first use
+    code, *loaded = _fresh_python(NUMPY_LOADED_BY, *(a.format(fam=triangle) for a in argv))
+    assert [code, *loaded] == [expected[0], "False", "False", expected[1]]
+
+
+BLAS_THREADS_SEEN = """\
+import importlib, os, sys
+importlib.import_module(sys.argv[1])
+print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("module,preset,expected", [
+    ("sunflowers.cli", None, "1"),
+    ("sunflowers.cli", "3", "3"),
+    ("sunflowers", None, "None"),
+])
+def test_cli_starts_blas_with_one_thread_unless_told_otherwise(module, preset, expected):
+    environ = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert _fresh_python(BLAS_THREADS_SEEN, module, **environ) == [expected, "False"]
