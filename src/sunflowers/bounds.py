@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .families import InvariantError, Rational, _exact_fraction, _positive_fraction
 
@@ -125,8 +124,7 @@ def certified_compare(
         d *= 2
 
 
-@dataclass(frozen=True)
-class RealBoundValue:
+class RealBoundValue(NamedTuple):
     """An interval-certified real bound value.
 
     `decimal` is the interval midpoint displayed to `digits` significant
@@ -313,16 +311,14 @@ def d_intersecting_bound(n: int, d: int, r: int, C: Rational = DEFAULT_C,
 # Crossover comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossoverRow:
+class CrossoverRow(NamedTuple):
     d: int
     d_intersecting: str
     falling_factorial: str
     smaller: str  # "d-intersecting" | "falling-factorial" | "equal"
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
+class CrossoverReport(NamedTuple):
     n: int
     r: int
     C: str
@@ -387,8 +383,7 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
 # Named reports (CLI surface)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """One evaluated bound: exact values as decimal-integer strings,
     interval-certified reals with explicit precision and error bound."""
 

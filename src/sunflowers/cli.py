@@ -14,7 +14,6 @@ exceeded, 3 usage or input errors, 4 internal errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import io
 import json
@@ -25,9 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import encoding as encoding_mod
 from . import generators as gen_mod
-from . import spread as spread_mod
 from .families import (
     ElementSet,
     FamilyError,
@@ -75,8 +72,8 @@ def jsonable(obj):
         }
     if isinstance(obj, SetFamily):
         return _family_object(obj)
-    if dataclasses.is_dataclass(obj):
-        return {f.name: jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if hasattr(obj, "_fields"):  # a report record: its fields in declared order
+        return {name: jsonable(v) for name, v in zip(obj._fields, obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, set, frozenset)):
@@ -281,6 +278,8 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_spread(args) -> int:
+    from . import spread as spread_mod
+
     started = time.perf_counter()
     if args.alpha is None and args.r is None:
         _require(args.trials is None and args.seed is None,
@@ -323,6 +322,8 @@ def cmd_spread(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    from . import spread as spread_mod
+
     family, _ = _load(args.family)
     seed = _seed(args, "sampling")
     lo, hi, step = args.alpha_grid
@@ -338,6 +339,8 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_encode_audit(args) -> int:
+    from . import encoding as encoding_mod
+
     started = time.perf_counter()
     family, digest = _load(args.family)
     params = {"px": args.px, "d": args.d, "delta": args.delta}

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .families import (
     ElementSet,
@@ -47,8 +46,7 @@ class DecodeError(ValueError):
     bad pair of a d-intersecting family."""
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     """Verdict for one (W, S) pair at threshold w; the verdict is
     authoritative (the witness scan is exhaustive in canonical order)."""
 
@@ -59,14 +57,22 @@ class PairClassification:
     witness: Optional[ElementSet]
 
 
-@dataclass(frozen=True)
-class EncodingKey:
+class _EncodingKeyFields(NamedTuple):
     union_part: ElementSet
     meet_part: ElementSet
 
-    def __post_init__(self):
-        if not self.meet_part.issubset(self.union_part):
+
+class EncodingKey(_EncodingKeyFields):
+    __slots__ = ()
+
+    def __new__(cls, union_part: ElementSet, meet_part: ElementSet) -> EncodingKey:
+        if not meet_part.issubset(union_part):
             raise FamilyError("meet part must be inside the union part")
+        return super().__new__(cls, union_part, meet_part)
+
+    @classmethod
+    def _make(cls, fields) -> EncodingKey:  # so `_replace` checks the key too
+        return cls(*fields)
 
 
 def classify_pair(family: SetFamily, w_set: ElementSet, member: ElementSet, w: int) -> PairClassification:
@@ -293,8 +299,7 @@ def _check_bad_pairs(
     return injective, roundtrip_ok, union_sizes_ok
 
 
-@dataclass(frozen=True)
-class EncodingAudit:
+class EncodingAudit(NamedTuple):
     """Exhaustive audit of the bad-pair encoding over all W of one size.
 
     `passed` requires injectivity, decode round-trips, union sizes in
@@ -373,8 +378,7 @@ def audit_encoding_bound(family: SetFamily, w_size: int, d: int) -> EncodingAudi
     )
 
 
-@dataclass(frozen=True)
-class MarkovAudit:
+class MarkovAudit(NamedTuple):
     """Exact tail fraction of W with many bad pairs vs the Markov bound.
 
     When the bound's right side reaches 1 the inequality cannot fail and

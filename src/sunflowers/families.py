@@ -10,10 +10,9 @@ lexicographic on the ascending element lists (NOT numeric mask order --
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 #: Exact rational input: int, str (like "1/3") or Fraction; floats are refused.
 Rational = Union[int, str, Fraction]
@@ -286,8 +285,12 @@ class SetFamily:
         return f"SetFamily(x={self._ground_size}, members={len(self._masks)}, uniform={self._uniformity})"
 
 
-@dataclass(frozen=True)
-class Sunflower:
+class _SunflowerFields(NamedTuple):
+    petal_sets: tuple[ElementSet, ...]
+    core: ElementSet
+
+
+class Sunflower(_SunflowerFields):
     """r >= 2 distinct sets whose pairwise intersections all equal the core.
 
     Construction validates the full certificate: the sets form a sunflower
@@ -295,15 +298,19 @@ class Sunflower:
     petals follow: if A & B = core, then (A - core) & (B - core) is empty.
     """
 
-    petal_sets: tuple[ElementSet, ...]
-    core: ElementSet
+    __slots__ = ()
 
-    def __post_init__(self):
-        core = is_sunflower(self.petal_sets)
-        if core is None:
+    def __new__(cls, petal_sets: tuple[ElementSet, ...], core: ElementSet) -> Sunflower:
+        found = is_sunflower(petal_sets)
+        if found is None:
             raise FamilyError("a pairwise intersection differs from the common intersection")
-        if core != self.core:
+        if found != core:
             raise FamilyError("core is not the intersection of the petal sets")
+        return super().__new__(cls, petal_sets, core)
+
+    @classmethod
+    def _make(cls, fields) -> Sunflower:  # so `_replace` checks the certificate too
+        return cls(*fields)
 
     @property
     def r(self) -> int:

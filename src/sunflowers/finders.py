@@ -15,9 +15,8 @@ the extractor is guaranteed to succeed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .bounds import _validated_l, erdos_rado_bound, l_multinomial_bound, pigeonhole_limit
 from .families import (
@@ -63,8 +62,7 @@ class LemmaViolationError(InvariantError):
     """
 
 
-@dataclass(frozen=True)
-class TraceLevel:
+class TraceLevel(NamedTuple):
     """One level of the recursive extraction.
 
     `subfamily` records the greedy maximal pairwise-equal subfamily,
@@ -87,14 +85,12 @@ class TraceLevel:
     link_size: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class FinderTrace:
+class FinderTrace(NamedTuple):
     found: bool
     levels: tuple[TraceLevel, ...]
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Three-valued search result: found / definitively absent / unknown."""
 
     status: str  # "found" | "absent" | "unknown"

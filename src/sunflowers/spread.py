@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .families import (
     ElementSet,
@@ -128,8 +127,7 @@ def spread_kappa(family: SetFamily) -> float:
     return min([size ** (1.0 / n)] + [(size / c) ** (1.0 / t) for t, c in largest.items()])
 
 
-@dataclass(frozen=True)
-class SpreadLinkResult:
+class SpreadLinkResult(NamedTuple):
     """Largest qualifying link set T and its link family.
 
     `residual_spread_ok` reports whether no nonempty T' qualifies inside
@@ -194,8 +192,7 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
     )
 
 
-@dataclass(frozen=True)
-class SatisfyingEstimate:
+class SatisfyingEstimate(NamedTuple):
     alpha: float
     trials: int
     successes: int
@@ -376,8 +373,7 @@ def _hit_sizes(lattice: np.ndarray, x: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
-@dataclass(frozen=True)
-class DisjointnessReport:
+class DisjointnessReport(NamedTuple):
     """Consistency report for: satisfying at alpha = 1/r implies r
     pairwise disjoint members.
 

@@ -746,3 +746,31 @@ print(os.environ.get("OPENBLAS_NUM_THREADS"), "numpy" in sys.modules)
 def test_cli_starts_blas_with_one_thread_unless_told_otherwise(module, preset, expected):
     environ = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
     assert _fresh_python(BLAS_THREADS_SEEN, module, **environ) == [expected, "False"]
+
+
+MODULES_LOADED_BY = """\
+import contextlib, io, sys
+before = set(sys.modules)
+def new(names=None):
+    loaded = set(sys.modules) - before
+    found = [m for m in loaded if m.startswith("sunflowers.")] if names is None else [
+        m for m in names if m in loaded]
+    return ",".join(sorted(found)) or "-"
+import sunflowers
+print(new())
+sunflowers.SetFamily
+print(new())
+import sunflowers.cli
+watched = ("dataclasses", "numpy", "sunflowers.spread", "sunflowers.encoding")
+print(new(watched))
+with contextlib.redirect_stdout(io.StringIO()):
+    code = sunflowers.cli.main(sys.argv[1:])
+print(code, new(watched))
+"""
+
+
+def test_each_subcommand_starts_with_only_the_modules_it_runs(triangle):
+    # the package loads a module when one of its names is first used, and the
+    # CLI imports `spread` and `encoding` only in the subcommands that run them
+    assert _fresh_python(MODULES_LOADED_BY, "check", triangle, "--L", "1") == [
+        "-", "sunflowers.families", "-", "0", "-"]

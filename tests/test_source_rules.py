@@ -93,3 +93,20 @@ def test_no_module_imports_numpy_at_module_level():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name.split(".")[0] == "numpy"]
     assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # the records are NamedTuples: `dataclasses` would cost every CLI process
+    # its import and an `exec` per record class
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "dataclasses"]
+    assert found == []
