@@ -23,12 +23,9 @@ _EXPORTS = {
     "spread": ("DisjointnessReport", "SatisfyingEstimate", "SpreadLinkResult",
                "check_satisfying_disjoint", "exact_satisfying", "find_spread_link",
                "is_kappa_spread", "sample_satisfying", "spread_kappa"),
-    "encoding": ("DecodeError", "EncodingKey", "PairClassification", "audit_encoding_bound",
-                 "audit_markov_step", "bad_pair_members", "classify_pair", "decode_bad_pair",
-                 "encode_bad_pair"),
+    "encoding": ("audit_encoding_bound", "audit_markov_step"),
     "generators": ("GeneratorError", "gen_all_k_subsets", "gen_random_L_intersecting",
-                   "gen_random_uniform", "gen_single_intersection", "gen_sunflower",
-                   "gen_transversal"),
+                   "gen_random_uniform", "gen_sunflower", "gen_transversal"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

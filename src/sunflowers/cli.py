@@ -475,8 +475,6 @@ def build_parser() -> _Parser:
     add_gen("transversal", lambda a: gen_mod.gen_transversal(a.blocks, a.block_size),
             "blocks", "block_size")
     add_gen("all-subsets", lambda a: gen_mod.gen_all_k_subsets(a.x, a.k), "x", "k")
-    add_gen("single-intersection",
-            lambda a: gen_mod.gen_single_intersection(a.n, a.t, a.count), "n", "t", "count")
     g = add_gen("random-uniform", lambda a: gen_mod.gen_random_uniform(a.x, a.n, a.count, _seed(a)),
                 "x", "n", "count")
     g.add_argument("--seed", type=int)

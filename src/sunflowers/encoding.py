@@ -1,4 +1,4 @@
-"""Good/bad pair classification and the bad-pair encoding audit.
+"""The bad-pair encoding audit and the Markov audit of bad-pair counts.
 
 A pair (W, S) with S a member is *good* at threshold w when some member
 S' has S'\\W inside S\\W with |S'\\W| <= w (S' witnesses the goodness,
@@ -41,99 +41,17 @@ from .families import (
 )
 
 
-class DecodeError(ValueError):
-    """Key does not identify a unique member: the encoded pair was not a
+def _decode_masks(masks: Sequence[int], union: int, meet: int) -> Optional[tuple[int, int]]:
+    """The (W, S) masks that the key (union, meet) encodes: S is the one
+    mask of `masks` inside the union and W is (union \\ S) u meet; None
+    when no mask or several lie inside the union, so the key encodes no
     bad pair of a d-intersecting family."""
-
-
-class PairClassification(NamedTuple):
-    """Verdict for one (W, S) pair at threshold w; the verdict is
-    authoritative (the witness scan is exhaustive in canonical order)."""
-
-    w_set: ElementSet
-    member: ElementSet
-    w: int
-    good: bool
-    witness: Optional[ElementSet]
-
-
-class _EncodingKeyFields(NamedTuple):
-    union_part: ElementSet
-    meet_part: ElementSet
-
-
-class EncodingKey(_EncodingKeyFields):
-    __slots__ = ()
-
-    def __new__(cls, union_part: ElementSet, meet_part: ElementSet) -> EncodingKey:
-        if not meet_part.issubset(union_part):
-            raise FamilyError("meet part must be inside the union part")
-        return super().__new__(cls, union_part, meet_part)
-
-    @classmethod
-    def _make(cls, fields) -> EncodingKey:  # so `_replace` checks the key too
-        return cls(*fields)
-
-
-def classify_pair(family: SetFamily, w_set: ElementSet, member: ElementSet, w: int) -> PairClassification:
-    """Classify (W, member) at threshold w by scanning the family in
-    canonical order for the first witness."""
-    if member.mask not in set(family.masks):
-        raise FamilyError(f"{member!r} is not a member of the family")
-    i = _first_witness(family.masks, w_set.mask, member.mask, w)
-    witness = None if i is None else family.members[i]
-    return PairClassification(w_set=w_set, member=member, w=w, good=i is not None, witness=witness)
-
-
-def _first_witness(masks: Sequence[int], wm: int, member: int, w: int) -> Optional[int]:
-    """Index of the first mask S' with S'\\W inside member\\W and
-    |S'\\W| <= w, else None (the pair (W, member) is bad)."""
-    if w < 0:
-        raise ValueError(f"threshold w must be >= 0, got {w}")
-    target = member & ~wm
-    for i, cand in enumerate(masks):
-        outside = cand & ~wm
-        if outside & ~target == 0 and outside.bit_count() <= w:
-            return i
-    return None
-
-
-def encode_bad_pair(w_set: ElementSet, member: ElementSet) -> EncodingKey:
-    return EncodingKey(union_part=w_set | member, meet_part=w_set & member)
-
-
-def decode_bad_pair(family: SetFamily, key: EncodingKey) -> tuple[ElementSet, ElementSet]:
-    """Invert encode_bad_pair: S is the unique member inside the union
-    part, W is (union \\ S) u meet.
-
-    Uniqueness holds whenever the key encodes a bad pair of a
-    d-intersecting family; zero or several members inside the union part
-    mean that contract was violated.
-    """
-    w, s = _decode_masks(family.masks, key.union_part.mask, key.meet_part.mask)
-    return ElementSet.from_mask(w), ElementSet.from_mask(s)
-
-
-def _decode_masks(masks: Sequence[int], union: int, meet: int) -> tuple[int, int]:
-    """The (W, S) masks that the key (union, meet) encodes, by a scan of
-    `masks` for the one mask inside the union."""
     outside = ~union
     inside = [m for m in masks if not m & outside]
     if len(inside) != 1:
-        raise DecodeError(
-            f"{len(inside)} members inside the union part; expected exactly 1"
-        )
+        return None
     s = inside[0]
     return (union & ~s) | meet, s
-
-
-def bad_pair_members(family: SetFamily, w_set: ElementSet, d: int) -> tuple[ElementSet, ...]:
-    """Members S for which (W, S) is bad at threshold d, canonical order."""
-    masks = family.masks
-    return tuple(
-        s for s, m in zip(family.members, masks)
-        if _first_witness(masks, w_set.mask, m, d) is None
-    )
 
 
 def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction, int]:
@@ -291,10 +209,7 @@ def _check_bad_pairs(
             union_sizes_ok = False
         if keys.setdefault((union, meet), pair) != pair:
             injective = False
-        try:
-            if _decode_masks(masks, union, meet) != pair:
-                roundtrip_ok = False
-        except DecodeError:
+        if _decode_masks(masks, union, meet) != pair:
             roundtrip_ok = False
     return injective, roundtrip_ok, union_sizes_ok
 

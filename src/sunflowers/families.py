@@ -316,10 +316,6 @@ class Sunflower(_SunflowerFields):
     def r(self) -> int:
         return len(self.petal_sets)
 
-    @property
-    def petals(self) -> tuple[ElementSet, ...]:
-        return tuple(s - self.core for s in self.petal_sets)
-
     @classmethod
     def from_sets(cls, sets: Sequence[ElementSet]) -> "Sunflower":
         core = is_sunflower(sets)
@@ -379,12 +375,15 @@ def is_sunflower(sets: Sequence[ElementSet]) -> Optional[ElementSet]:
     masks = [s.mask for s in sets]
     if len(set(masks)) != len(masks):
         raise FamilyError("sunflower test requires distinct sets")
-    core = masks[0]
+    core = union = masks[0]
     for m in masks[1:]:
         core &= m
-    for a, b in combinations(masks, 2):
-        if a & b != core:
-            return None
+        union |= m
+    # the petals S \ core are pairwise disjoint iff their sizes sum to the
+    # size of their union, which is the union of the sets less the core
+    petal_sizes = sum(m.bit_count() for m in masks) - len(masks) * core.bit_count()
+    if petal_sizes != (union & ~core).bit_count():
+        return None
     return ElementSet.from_mask(core)
 
 

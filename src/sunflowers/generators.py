@@ -22,7 +22,6 @@ from .families import (
     ElementSet,
     SetFamily,
     _subset_masks,
-    intersection_profile,
     is_L_intersecting,
     is_sunflower,
 )
@@ -139,22 +138,6 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
         if len(chosen) == count:
             return SetFamily.from_masks(x, chosen, uniform=n)
     raise GeneratorError(f"rejection sampling exceeded {cap} attempts")
-
-
-def gen_single_intersection(n: int, t: int, count: int) -> SetFamily:
-    """An n-uniform family of `count` sets with every pairwise intersection
-    of size exactly t: a sunflower with core size t.
-
-    Any sufficiently large single-intersection-size family is necessarily a
-    sunflower, so this is the only construction that scales; small
-    non-sunflower examples (the triangle) live in test fixtures.
-    """
-    if not 0 <= t < n:
-        raise GeneratorError(f"need 0 <= t < n, got t={t}, n={n}")
-    family = gen_sunflower(t, n - t, count)
-    if count >= 2 and intersection_profile(family) != frozenset({t}):
-        raise GeneratorError("single-intersection self-check failed")
-    return family
 
 
 def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, budget: int):

@@ -39,7 +39,6 @@ from sunflowers.generators import (
     gen_all_k_subsets,
     gen_random_L_intersecting,
     gen_random_uniform,
-    gen_single_intersection,
     gen_sunflower,
     gen_transversal,
 )
@@ -288,7 +287,7 @@ def test_criterion_06_disjointness_contrapositive():
         r = 2 + seed % 2
         kind = seed % 4
         if kind == 0:
-            fam = gen_single_intersection(2, 1, 3 + seed % 6)
+            fam = gen_sunflower(1, 1, 3 + seed % 6)
         elif kind == 1:
             x = 5 + seed % 5
             fam = gen_all_k_subsets(x, x // 2 + 1)

@@ -522,6 +522,14 @@ def test_gen_sunflower_text(capsys):
     assert out == "x=6\n0 1 2\n0 1 3\n0 1 4\n0 1 5\n"
 
 
+def test_gen_single_intersection_is_no_longer_a_kind(capsys):
+    # a sunflower with core size t is `gen sunflower t n-t count`
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "single-intersection", "3", "1", "4"])
+    assert exc.value.code == 3
+    assert "invalid choice: 'single-intersection'" in capsys.readouterr().err
+
+
 def test_gen_requires_seed_for_random(capsys):
     code, _, err = run(capsys, "gen", "random-uniform", "8", "2", "5")
     assert code == 3 and "--seed" in err
@@ -558,11 +566,24 @@ def test_gen_random_l_names_its_stop_reason(capsys):
 
 # -- README -------------------------------------------------------------------------
 
+def readme():
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as f:
+        return f.read()
+
+
+def test_readme_python_example_runs(capsys):
+    # the one Python block of the README runs as written, on the exported names
+    blocks = readme().split("```python\n")[1:]
+    assert len(blocks) == 1
+    exec(blocks[0].split("```", 1)[0], {})
+    assert capsys.readouterr().out.splitlines() == [
+        "ElementSet([]) [(0, 1), (2, 3), (4, 5)]", "False", "2685817/4782969"]
+
+
 def test_readme_cli_examples_run(capsys, tmp_path):
     # every command of the README's CLI block, on the family its gen random-l line makes
-    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
-    with open(readme, encoding="utf-8") as f:
-        block = f.read().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = readme().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     lines = [line for line in block.splitlines() if line.startswith("sunflowers ")]
     make = [line for line in lines if line.startswith("sunflowers gen random-l ")]
     assert len(lines) >= 12 and len(make) == 1

@@ -8,21 +8,14 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from sunflowers import (
-    DecodeError,
-    ElementSet,
-    EncodingKey,
     FamilyError,
     SetFamily,
     audit_encoding_bound,
     audit_markov_step,
-    bad_pair_members,
-    classify_pair,
-    decode_bad_pair,
-    encode_bad_pair,
 )
 from sunflowers import encoding
 from sunflowers.cli import main
-from sunflowers.families import _subset_masks, mask_of
+from sunflowers.families import _subset_masks, elements_of, mask_of
 from sunflowers.generators import gen_random_L_intersecting
 
 from _oracles import bad_members_by_witness_table, others_inside_unions
@@ -35,14 +28,21 @@ def seeded_d_intersecting(x, n, d, size, seed):
     return gen_random_L_intersecting(x, n, L, size, seed=seed, budget=50_000)
 
 
-# -- classification --------------------------------------------------------------
+def bad_pairs_of_the_pass(fam, w_size, d):
+    """The (W, S) mask pairs, over every W of w_size elements, that the
+    bitset pass finds bad at threshold d."""
+    bad, _, _ = encoding._bad_members_by_w(fam, w_size, d)
+    x = fam.ground_size
+    return {(encoding._w_mask(x, w_size, i), s)
+            for s, bits in zip(fam.masks, bad) for i in elements_of(bits)}
+
+
+# -- goodness --------------------------------------------------------------------
 
 def test_threshold_n_always_good_with_self_witness():
     fam = SetFamily(6, [[0, 1, 2], [1, 3, 4]])
-    for w_elems in ([], [0], [0, 5], [3, 4]):
-        for s in fam.members:
-            verdict = classify_pair(fam, ElementSet(w_elems), s, 3)
-            assert verdict.good
+    for w_size in range(7):
+        assert bad_pairs_of_the_pass(fam, w_size, 3) == set()
 
 
 def test_threshold_zero_good_iff_member_inside_w():
@@ -50,110 +50,91 @@ def test_threshold_zero_good_iff_member_inside_w():
         fam = seeded_d_intersecting(7, 2, 1, 6, seed)
         if len(fam) == 0:
             continue
-        for bits in range(1 << 7):
-            w = ElementSet([e for e in range(7) if bits >> e & 1])
-            member_inside = any(s.issubset(w) for s in fam.members)
-            for s in fam.members:
-                assert classify_pair(fam, w, s, 0).good == member_inside
+        for w_size in range(8):
+            bad = bad_pairs_of_the_pass(fam, w_size, 0)
+            for w in _subset_masks(7, w_size):
+                member_inside = any(s & ~w == 0 for s in fam.masks)
+                for s in fam.masks:
+                    assert ((w, s) not in bad) == member_inside
 
 
 def test_explicit_good_pair():
     fam = SetFamily(6, [[0, 1, 2], [3, 4, 5]])
-    verdict = classify_pair(fam, ElementSet([0, 1]), ElementSet([0, 1, 2]), 1)
-    assert verdict.good and verdict.witness.elements == (0, 1, 2)
+    bad = bad_pairs_of_the_pass(fam, 2, 1)
+    assert (mask_of([0, 1]), mask_of([0, 1, 2])) not in bad
+    assert (mask_of([0, 1]), mask_of([3, 4, 5])) in bad
 
 
 def test_member_contained_in_w_is_always_good():
     fam = SetFamily(5, [[0, 1], [2, 3]])
-    verdict = classify_pair(fam, ElementSet([0, 1, 4]), ElementSet([0, 1]), 0)
-    assert verdict.good and verdict.witness.elements == (0, 1)
-
-
-def test_classify_requires_membership():
-    with pytest.raises(FamilyError):
-        classify_pair(MATCHING, ElementSet([0]), ElementSet([0, 2]), 1)
+    bad = bad_pairs_of_the_pass(fam, 3, 0)
+    assert not any(w == mask_of([0, 1, 4]) for w, _ in bad)
+    assert (mask_of([0, 2, 4]), mask_of([0, 1])) in bad
 
 
 def test_badness_monotone_in_threshold():
     for seed in range(6):
         fam = seeded_d_intersecting(8, 3, 2, 8, seed)
-        for bits in range(0, 1 << 8, 7):
-            w = ElementSet([e for e in range(8) if bits >> e & 1])
-            for s in fam.members:
-                for w_small in range(3):
-                    if classify_pair(fam, w, s, w_small).good:
-                        assert classify_pair(fam, w, s, w_small + 1).good
+        for w_size in range(9):
+            for d in range(3):
+                assert bad_pairs_of_the_pass(fam, w_size, d + 1) <= \
+                    bad_pairs_of_the_pass(fam, w_size, d)
 
 
 def test_bad_pair_implies_large_outside_part():
     for seed in range(4):
         fam = seeded_d_intersecting(8, 3, 1, 8, seed)
-        for bits in range(0, 1 << 8, 5):
-            w = ElementSet([e for e in range(8) if bits >> e & 1])
-            for s in bad_pair_members(fam, w, 1):
-                assert len(s - w) > 1  # self-witness exclusion
+        for w_size in range(9):
+            for w, s in bad_pairs_of_the_pass(fam, w_size, 1):
+                assert (s & ~w).bit_count() > 1  # self-witness exclusion
 
 
 # -- encoding and decoding ----------------------------------------------------------
 
 def test_encode_examples():
-    key = encode_bad_pair(ElementSet([0, 1]), ElementSet([1, 2, 3]))
-    assert key.union_part.elements == (0, 1, 2, 3)
-    assert key.meet_part.elements == (1,)
-    key = encode_bad_pair(ElementSet([0, 1, 2]), ElementSet([1, 2]))
-    assert key.union_part.elements == (0, 1, 2) and key.meet_part.elements == (1, 2)
-    key = encode_bad_pair(ElementSet([0, 1]), ElementSet([2, 3]))
-    assert key.meet_part.elements == ()
-
-
-def test_encoding_key_validates():
-    with pytest.raises(FamilyError):
-        EncodingKey(ElementSet([0]), ElementSet([1]))
-
-
-def test_decode_failure_on_ambiguous_union():
-    fam = SetFamily(4, [[0, 1], [2, 3]])
-    key = EncodingKey(ElementSet([0, 1, 2, 3]), ElementSet([]))
-    with pytest.raises(DecodeError, match="2 members"):
-        decode_bad_pair(fam, key)
-    lonely = EncodingKey(ElementSet([0]), ElementSet([]))
-    with pytest.raises(DecodeError, match="0 members"):
-        decode_bad_pair(fam, lonely)
+    # (W, S) is keyed by (W u S, W n S), so two pairs share a key iff both parts agree
+    masks = (mask_of([0, 1]), mask_of([1, 2, 3]))
+    a = (mask_of([0, 1]), mask_of([1, 2, 3]))
+    same_key = (mask_of([1, 2, 3]), mask_of([0, 1]))  # ({0, 1, 2, 3}, {1}) again
+    other_meet = (mask_of([0, 2, 3]), mask_of([1, 2, 3]))  # ({0, 1, 2, 3}, {2, 3})
+    assert encoding._check_bad_pairs(masks, 2, 3, [a, same_key])[0] is False
+    assert encoding._check_bad_pairs(masks, 2, 3, [a, other_meet])[0] is True
 
 
 def test_roundtrip_exhaustive_small():
+    checked = 0
     for seed in range(8):
         for d in (0, 1, 2):
             fam = seeded_d_intersecting(6, 2, d, 6, seed)
             if len(fam) == 0:
                 continue
-            for bits in range(1 << 6):
-                w = ElementSet([e for e in range(6) if bits >> e & 1])
-                for s in bad_pair_members(fam, w, d):
-                    got_w, got_s = decode_bad_pair(fam, encode_bad_pair(w, s))
-                    assert got_w == w and got_s == s
+            for w_size in range(7):
+                pairs = bad_pairs_of_the_pass(fam, w_size, d)
+                assert encoding._check_bad_pairs(fam.masks, w_size, 2, pairs) == (True, True, True)
+                checked += len(pairs)
+    assert checked > 100
 
 
 # -- counting ------------------------------------------------------------------------
 
 def test_no_bad_pairs_at_threshold_n():
     fam = seeded_d_intersecting(8, 3, 2, 8, seed=0)
-    for bits in range(0, 1 << 8, 3):
-        w = ElementSet([e for e in range(8) if bits >> e & 1])
-        assert bad_pair_members(fam, w, 3) == ()
+    for w_size in range(9):
+        assert bad_pairs_of_the_pass(fam, w_size, 3) == set()
 
 
 def test_disjoint_family_all_bad_at_empty_w():
-    assert bad_pair_members(MATCHING, ElementSet([]), 0) == MATCHING.members
+    assert bad_pairs_of_the_pass(MATCHING, 0, 0) == {(0, s) for s in MATCHING.masks}
 
 
 def test_bad_members_match_witness_table_oracle():
     for seed in range(10):
         fam = seeded_d_intersecting(8, 3, 1, 8, seed)
         sets = [s.elements for s in fam.members]
+        bad = {w_size: bad_pairs_of_the_pass(fam, w_size, 1) for w_size in range(9)}
         for bits in range(0, 1 << 8, 11):
-            w_elems = [e for e in range(8) if bits >> e & 1]
-            ours = [set(s.elements) for s in bad_pair_members(fam, ElementSet(w_elems), 1)]
+            ours = [set(elements_of(s)) for s in fam.masks if (bits, s) in bad[bits.bit_count()]]
+            w_elems = list(elements_of(bits))
             oracle = [set(s) for s in bad_members_by_witness_table(8, sets, w_elems, 1)]
             assert ours == oracle
 
@@ -369,6 +350,11 @@ def test_pair_checks_fail_on_forged_pairs():
     # |{0, 1, 4, 5}| = 4 > w_size + n = 3; it still decodes
     too_wide = (mask_of([4, 5]), mask_of([0, 1]))
     assert encoding._check_bad_pairs(masks, 1, 2, [too_wide]) == (True, True, False)
+    # keys that decode to nothing: 2 members, then 0 members, inside the union
+    assert encoding._decode_masks(masks, mask_of([0, 1, 2, 3]), 0) is None
+    assert encoding._decode_masks(masks, mask_of([0]), 0) is None
+    no_member = (mask_of([0]), mask_of([4]))  # S = {4} is no member
+    assert encoding._check_bad_pairs(masks, 1, 2, [no_member]) == (True, False, True)
 
 
 def test_negative_d_is_refused_after_a_memo_hit(monkeypatch):

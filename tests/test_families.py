@@ -168,6 +168,16 @@ def test_sunflower_degenerate_inputs_rejected():
         is_sunflower([ElementSet([0, 1]), ElementSet([0, 1])])
 
 
+def test_sunflower_of_many_petals_with_one_late_overlap():
+    # 300 sets on the core {0, 1}, each with two fresh petal elements
+    sets = [[0, 1, 2 + 2 * i, 3 + 2 * i] for i in range(300)]
+    assert is_sunflower([ElementSet(s) for s in sets]) == ElementSet([0, 1])
+    assert sunflower_core_by_petals(sets) == {0, 1}
+    sets[-1] = [0, 1, sets[-2][3], 602]  # only the last two petals overlap
+    assert is_sunflower([ElementSet(s) for s in sets]) is None
+    assert sunflower_core_by_petals(sets) is None
+
+
 def test_sunflower_type_validates_certificate():
     petals = (ElementSet([0, 1]), ElementSet([0, 2]))
     Sunflower(petals, ElementSet([0]))

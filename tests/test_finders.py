@@ -35,7 +35,6 @@ from sunflowers.generators import (
     gen_all_k_subsets,
     gen_random_L_intersecting,
     gen_random_uniform,
-    gen_single_intersection,
     gen_sunflower,
     gen_transversal,
 )
@@ -256,7 +255,7 @@ def test_deza_error_codes_distinct():
 
 
 def test_deza_single_intersection_fixture_meets_threshold():
-    fam = gen_single_intersection(3, 1, 8)  # n^2-n+2 = 8
+    fam = gen_sunflower(1, 2, 8)  # n^2-n+2 = 8
     flower = deza_extract(fam, 3)
     assert len(flower.core) == 1
 
@@ -331,9 +330,9 @@ GUARANTEE_CASES = [
     # (family, L): families strictly above the multinomial threshold
     (SetFamily(14, [[2 * i, 2 * i + 1] for i in range(7)]), [0]),
     (gen_all_k_subsets(7, 2), [0, 1]),  # 21 > 18
-    (gen_single_intersection(2, 1, 5), [1]),  # 5 > 3
-    (gen_single_intersection(3, 2, 8), [2]),  # 8 > 7
-    (gen_single_intersection(3, 1, 22), [1]),  # 22 > 21
+    (gen_sunflower(1, 1, 5), [1]),  # 5 > 3
+    (gen_sunflower(2, 1, 8), [2]),  # 8 > 7
+    (gen_sunflower(1, 2, 22), [1]),  # 22 > 21
     (SetFamily(66, [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(22)]), [0]),  # 22 > 21
 ]
 
@@ -447,7 +446,7 @@ def test_find_any_agrees_with_brute_on_random_family():
     assert (outcome.status == "found") == (brute is not None)
 
 
-@pytest.mark.parametrize("fam,method", [(gen_single_intersection(2, 1, 5), "recursive"),
+@pytest.mark.parametrize("fam,method", [(gen_sunflower(1, 1, 5), "recursive"),
                                         (TRIANGLE, "brute-force")])
 def test_find_any_reaches_the_extractor_through_l_intersecting_find(monkeypatch, fam, method):
     calls = []

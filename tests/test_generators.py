@@ -16,7 +16,6 @@ from sunflowers.generators import (
     gen_all_k_subsets,
     gen_random_L_intersecting,
     gen_random_uniform,
-    gen_single_intersection,
     gen_sunflower,
     gen_transversal,
 )
@@ -115,16 +114,16 @@ def test_gen_random_uniform_edges():
         gen_random_uniform(8, 3, 2, seed=-1)
 
 
-def test_gen_single_intersection():
-    fam = gen_single_intersection(2, 1, 4)
+def test_gen_sunflower_has_one_intersection_size():
+    fam = gen_sunflower(1, 1, 4)
     assert [s.elements for s in fam.members] == [(0, 1), (0, 2), (0, 3), (0, 4)]
     assert intersection_profile(fam) == {1}
-    disjoint = gen_single_intersection(2, 0, 4)
+    disjoint = gen_sunflower(0, 2, 4)
     assert intersection_profile(disjoint) == {0}
-    eight = gen_single_intersection(3, 1, 8)
-    assert len(eight) == 8 and intersection_profile(eight) == {1}
+    eight = gen_sunflower(1, 2, 8)
+    assert len(eight) == 8 and eight.uniformity == 3 and intersection_profile(eight) == {1}
     with pytest.raises(GeneratorError):
-        gen_single_intersection(3, 3, 4)
+        gen_sunflower(3, 0, 4)  # t = n leaves petals of size 0
 
 
 def test_gen_random_l_intersecting_verified():

@@ -6,7 +6,6 @@ import pytest
 
 from sunflowers import (
     ElementSet,
-    EncodingKey,
     FamilyError,
     SetFamily,
     Sunflower,
@@ -14,7 +13,6 @@ from sunflowers import (
     audit_markov_step,
     bound_report,
     check_satisfying_disjoint,
-    classify_pair,
     crossover_report,
     find_any,
     find_spread_link,
@@ -38,9 +36,7 @@ def records():
             sample_satisfying(TRANSVERSAL, Fraction(1, 2), 64, 1),
             check_satisfying_disjoint(TRANSVERSAL, 2),
             find_spread_link(TRANSVERSAL, 2, 1),
-            audit_encoding_bound(TRANSVERSAL, 2, 2), audit_markov_step(TRANSVERSAL, 2, "1/2", 2),
-            classify_pair(TRANSVERSAL, ElementSet([0, 2]), TRANSVERSAL.members[0], 1),
-            EncodingKey(ElementSet([0, 1]), ElementSet([0]))]
+            audit_encoding_bound(TRANSVERSAL, 2, 2), audit_markov_step(TRANSVERSAL, 2, "1/2", 2)]
     return {type(rec).__name__: rec for rec in recs}
 
 
@@ -48,7 +44,7 @@ RECORDS = records()
 
 
 def test_every_record_type_is_covered():
-    assert len(RECORDS) == 14  # with Sunflower, the package's 15 record types
+    assert len(RECORDS) == 12  # with Sunflower, the package's 13 record types
 
 
 @pytest.mark.parametrize("name", sorted(RECORDS))
@@ -102,9 +98,6 @@ def test_replace_checks_a_certificate_again():
     assert flower._replace(petal_sets=(ElementSet([0, 3]), ElementSet([0, 4]))).r == 2
     with pytest.raises(FamilyError):
         flower._replace(core=ElementSet([]))
-    key = EncodingKey(ElementSet([0, 1]), ElementSet([0]))
-    with pytest.raises(FamilyError):
-        key._replace(meet_part=ElementSet([2]))
 
 
 FIND_TEXT = """\
