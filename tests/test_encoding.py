@@ -101,6 +101,16 @@ def test_encode_examples():
     assert encoding._check_bad_pairs(masks, 2, 3, [a, other_meet])[0] is True
 
 
+def test_decode_failure_on_ambiguous_union():
+    masks = SetFamily(4, [[0, 1], [2, 3]]).masks
+    # the union {0, 1, 2, 3} holds 2 members, the union {0} holds 0 members
+    assert encoding._decode_masks(masks, mask_of([0, 1, 2, 3]), 0) is None
+    assert encoding._decode_masks(masks, mask_of([0]), 0) is None
+    # with one member inside, the key decodes
+    assert encoding._decode_masks(masks, mask_of([0, 1, 2]), mask_of([1])) == (
+        mask_of([1, 2]), mask_of([0, 1]))
+
+
 def test_roundtrip_exhaustive_small():
     checked = 0
     for seed in range(8):
