@@ -17,7 +17,6 @@ integer bounds (and the CLI subcommands that use only them) never load it.
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -32,18 +31,6 @@ _MAX_COMPARE_DIGITS = 4096
 DEFAULT_C, DEFAULT_DIGITS, DEFAULT_LOG_BASE = Fraction(1), 50, "e"
 
 
-@contextmanager
-def _ivdps(dps: int):
-    from mpmath import iv
-
-    old = iv.dps
-    iv.dps = dps
-    try:
-        yield
-    finally:
-        iv.dps = old
-
-
 def _raw_to_fraction(raw) -> Fraction:
     # raw is a libmp mantissa/exponent tuple; conversion is exact and does
     # not depend on any mpmath context precision
@@ -54,11 +41,6 @@ def _raw_to_fraction(raw) -> Fraction:
         return Fraction(0)
     v = Fraction(int(man)) * Fraction(2) ** exp
     return -v if sign else v
-
-
-def _iv_endpoints(x) -> tuple[Fraction, Fraction]:
-    lo_raw, hi_raw = x._mpi_
-    return _raw_to_fraction(lo_raw), _raw_to_fraction(hi_raw)
 
 
 def _iv_fraction(q: Fraction):
@@ -86,6 +68,21 @@ def _iv_log(value, log_base: Rational):
 
 
 FracInterval = tuple[Fraction, Fraction]
+
+
+def _enclosure(exact: int, make: Callable, dps: int) -> FracInterval:
+    """exact times the interval `make(iv)` evaluates with mpmath's `iv`
+    context at `dps` digits, as exact rational endpoints.  exact > 0, so
+    the scaling keeps the endpoints in order."""
+    from mpmath import iv
+
+    old = iv.dps
+    iv.dps = dps
+    try:
+        lo_raw, hi_raw = make(iv)._mpi_
+    finally:
+        iv.dps = old
+    return exact * _raw_to_fraction(lo_raw), exact * _raw_to_fraction(hi_raw)
 
 
 def _check_digits(digits: int) -> None:
@@ -239,13 +236,9 @@ def falling_factorial_bound(n: int, d: int, r: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _three_sunflower_interval(n: int, s: int, dps: int) -> FracInterval:
-    from mpmath import iv
-
-    exact = (n * n - n + 1) * 8 ** (s - 1)
-    with _ivdps(dps):
-        exponent = (iv.mpf(1) + iv.sqrt(iv.mpf(5)) / iv.mpf(5)) * iv.mpf(n * (s - 1))
-        lo, hi = _iv_endpoints(iv.exp(exponent * iv.log(iv.mpf(2))))
-    return exact * lo, exact * hi
+    return _enclosure((n * n - n + 1) * 8 ** (s - 1), lambda iv: iv.exp(
+        (iv.mpf(1) + iv.sqrt(iv.mpf(5)) / iv.mpf(5)) * iv.mpf(n * (s - 1)) * iv.log(iv.mpf(2))
+    ), dps)
 
 
 def three_sunflower_bound(n: int, s: int, digits: int = DEFAULT_DIGITS) -> RealBoundValue:
@@ -262,11 +255,8 @@ def three_sunflower_bound(n: int, s: int, digits: int = DEFAULT_DIGITS) -> RealB
 
 
 def _rlogn_interval(n: int, r: int, C: Fraction, dps: int, log_base: Rational) -> FracInterval:
-    from mpmath import iv
-
-    with _ivdps(dps):
-        base = _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(n), log_base)
-        return _iv_endpoints(base ** n)
+    return _enclosure(1, lambda iv: (
+        _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(n), log_base)) ** n, dps)
 
 
 def rlogn_bound(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_DIGITS,
@@ -282,14 +272,8 @@ def rlogn_bound(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_D
 def _d_intersecting_interval(
     n: int, d: int, r: int, C: Fraction, dps: int, log_base: Rational
 ) -> FracInterval:
-    from mpmath import iv
-
-    exact = (4 * r) ** n
-    with _ivdps(dps):
-        base = _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(r * d), log_base)
-        lo, hi = _iv_endpoints(base ** d)
-    # exact > 0, so scaling preserves the enclosure ordering
-    return exact * lo, exact * hi
+    return _enclosure((4 * r) ** n, lambda iv: (
+        _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(r * d), log_base)) ** d, dps)
 
 
 def d_intersecting_bound(n: int, d: int, r: int, C: Rational = DEFAULT_C,

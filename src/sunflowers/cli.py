@@ -291,6 +291,9 @@ def cmd_spread(args) -> int:
     _require(args.alpha is not None or args.trials is None or not exact,
              f"--trials needs --alpha at ground size {family.ground_size}, "
              f"where --r is evaluated exactly")
+    _require(args.alpha is None or args.trials is not None or exact,
+             f"--alpha needs --trials at ground size {family.ground_size}, "
+             f"where the satisfying probability is sampled")
     params = {"kappa": args.kappa, "d": args.d, "alpha": args.alpha,
               "trials": args.trials, "r": args.r}
     try:

@@ -316,13 +316,6 @@ class Sunflower(_SunflowerFields):
     def r(self) -> int:
         return len(self.petal_sets)
 
-    @classmethod
-    def from_sets(cls, sets: Sequence[ElementSet]) -> "Sunflower":
-        core = is_sunflower(sets)
-        if core is None:
-            raise FamilyError("sets are not a sunflower")
-        return cls(tuple(sets), core)
-
 
 def intersection_profile(family: SetFamily) -> frozenset[int]:
     """The set { |A & B| : A, B distinct members }, empty for |F| < 2:
@@ -459,6 +452,10 @@ def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:
     if chosen is None:
         return None
     witness = [family.members[i] for i in chosen]
-    if not all(a.isdisjoint(b) for a, b in combinations(witness, 2)):
+    # pairwise disjoint iff the sizes sum to the size of the union, as in `is_sunflower`
+    union = 0
+    for s in witness:
+        union |= s.mask
+    if sum(map(len, witness)) != union.bit_count():
         raise InvariantError("disjointness witness has intersecting members")
     return witness

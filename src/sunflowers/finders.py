@@ -28,7 +28,6 @@ from .families import (
     _sunflower_indices,
     elements_of,
     intersection_profile,
-    is_sunflower,
     link,
     mask_of,
 )
@@ -100,6 +99,16 @@ class SearchOutcome(NamedTuple):
     note: str = ""
 
 
+def _certified(petal_sets: tuple[ElementSet, ...], core: ElementSet) -> Sunflower:
+    """The sunflower (petal_sets, core), its certificate checked by
+    `Sunflower`; a failed check in a finder breaks a theorem, so it
+    raises LemmaViolationError (exit 4), not the input error FamilyError."""
+    try:
+        return Sunflower(petal_sets, core)
+    except FamilyError as exc:
+        raise LemmaViolationError(f"certificate verification failed: {exc}") from exc
+
+
 def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     """First r-subset of members (canonical order) forming a sunflower.
 
@@ -107,9 +116,10 @@ def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     the one an exhaustive scan of all C(|F|, r) member subsets would
     return first, and a None result is an authoritative "no r-sunflower in
     this family".
-    The witness is re-verified; a failed certificate raises
-    LemmaViolationError, as does None on an n-uniform family (n >= 1)
-    with more than `erdos_rado_bound(n, r)` members.
+    The witness is checked once, against the meet of its members as the
+    core; a failed certificate raises LemmaViolationError, as does None on
+    an n-uniform family (n >= 1) with more than `erdos_rado_bound(n, r)`
+    members.
     """
     if r < 2:
         raise FinderError(f"need r >= 2, got {r}")
@@ -119,10 +129,10 @@ def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
         if n and len(family) > erdos_rado_bound(n, r):
             raise LemmaViolationError(f"no sunflower in {len(family)} sets, above Erdős–Rado")
         return None
-    try:
-        flower = Sunflower.from_sets([family.members[i] for i in chosen])
-    except FamilyError as exc:
-        raise LemmaViolationError(f"certificate verification failed: {exc}") from exc
+    core = family.masks[chosen[0]]
+    for i in chosen[1:]:
+        core &= family.masks[i]
+    flower = _certified(tuple(family.members[i] for i in chosen), ElementSet.from_mask(core))
     if flower.r != r:
         raise LemmaViolationError(f"certificate has {flower.r} sets, not r = {r}")
     return flower
@@ -160,10 +170,7 @@ def deza_extract(family: SetFamily, r: int) -> Sunflower:
         raise LemmaViolationError(
             f"common intersection has size {core.bit_count()}, pairwise size is {t}"
         )
-    try:
-        return Sunflower(tuple(family.members[:r]), ElementSet.from_mask(core))
-    except FamilyError as exc:
-        raise LemmaViolationError(f"certificate verification failed: {exc}") from exc
+    return _certified(family.members[:r], ElementSet.from_mask(core))
 
 
 def _search(
@@ -246,10 +253,7 @@ def _search(
     if child is None:
         return None
     lift = ElementSet.from_mask(pivot_link)
-    return Sunflower(
-        tuple(petal | lift for petal in child.petal_sets),
-        child.core | lift,
-    )
+    return _certified(tuple(petal | lift for petal in child.petal_sets), child.core | lift)
 
 
 def l_intersecting_find(
@@ -262,8 +266,8 @@ def l_intersecting_find(
     non-error outcome, NOT a proof that no sunflower exists.  Whenever
     |F| exceeds the multinomial threshold for (n, L, r), success is
     guaranteed, and a failure there raises LemmaViolationError.  The
-    returned sunflower's members always belong to the input family and
-    the certificate is re-verified here.
+    returned sunflower's certificate was checked when it was built, and
+    its members are checked here to belong to the input family.
     """
     if r < 2:
         raise FinderError(f"need r >= 2, got {r}")
@@ -285,8 +289,6 @@ def l_intersecting_find(
         member_masks = set(family.masks)
         if not all(s.mask in member_masks for s in flower.petal_sets):
             raise LemmaViolationError("certificate uses sets outside the family")
-        if is_sunflower(flower.petal_sets) != flower.core:
-            raise LemmaViolationError("certificate is not a sunflower with its core")
     elif len(family) > l_multinomial_bound(n, sizes, r):
         raise LemmaViolationError(f"no sunflower in {len(family)} sets, over the multinomial bound")
     return flower, FinderTrace(found=flower is not None, levels=tuple(levels))

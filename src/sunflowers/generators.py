@@ -124,6 +124,8 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
     total = math.comb(x, n)
     if count < 0 or count > total:
         raise GeneratorError(f"cannot draw {count} distinct {n}-subsets of {x} (total {total})")
+    if count > DEFAULT_SIZE_BUDGET:
+        raise GeneratorError(f"{count} subsets exceed budget {DEFAULT_SIZE_BUDGET}")
     rng = _rng(seed)
     if total <= max(4096, 4 * count):
         all_masks = list(_subset_masks(x, n))

@@ -410,6 +410,20 @@ def test_spread_r_above_the_exact_limit_is_sampled(capsys, tmp_path):
     assert report["outputs"]["disjointness"]["method"] == "sampled"
 
 
+def test_spread_alpha_above_the_exact_limit_needs_trials(capsys, tmp_path, monkeypatch):
+    from sunflowers import spread
+
+    _, out, _ = run(capsys, "gen", "random-uniform", "30", "3", "40", "--seed", "5")
+    fam = write_family(tmp_path, "f30.txt", out)
+    monkeypatch.setattr(spread, "spread_kappa", lambda family: pytest.fail("evaluated"))
+    code, out, err = run(capsys, "spread", fam, "--alpha", "1/2")
+    assert code == 3 and out == "" and "--alpha needs --trials at ground size 30" in err
+    monkeypatch.undo()
+    code, report, _ = run_json(capsys, "spread", fam, "--alpha", "1/2",
+                               "--trials", "200", "--seed", "1")
+    assert code == 0 and report["outputs"]["sampled_satisfying"]["trials"] == 200
+
+
 def test_spread_sampling_requires_seed(capsys, triangle):
     code, out, err = run(capsys, "spread", triangle, "--alpha", "1/2", "--trials", "100")
     assert code == 3 and "--seed" in err

@@ -196,6 +196,33 @@ def test_audit_validation():
         audit_markov_step(SetFamily(4, []), 2, 1, 1)
 
 
+def test_an_audit_over_the_bit_budget_is_refused_before_the_pass(monkeypatch, capsys, tmp_path):
+    def no_pass(*args):
+        raise AssertionError("the W pass started")
+
+    fam = SetFamily(40, [[0, 1], [2, 3]])  # (40 + 4) C(40, 20) bits, about 706 GiB
+    monkeypatch.setattr(encoding, "_w_table", no_pass)
+    monkeypatch.setattr(encoding, "_bad_members_by_w", no_pass)
+    for audit in (lambda: audit_encoding_bound(fam, 20, 0),
+                  lambda: audit_markov_step(fam, 20, Fraction(1, 2), 0)):
+        with pytest.raises(ValueError, match="over budget"):
+            audit()
+    path = tmp_path / "f40.txt"
+    path.write_text("x=40\n0 1\n2 3\n")
+    code = main(["encode-audit", str(path), "--px", "20", "--d", "0"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and "over budget" in captured.err
+
+
+def test_the_bit_budget_counts_every_bitset_of_the_pass(monkeypatch):
+    bits = (6 + 2 * len(MATCHING)) * 20  # C(6, 3) = 20 W sets
+    monkeypatch.setattr(encoding, "_PASS_BITS_LIMIT", bits)
+    assert audit_encoding_bound(MATCHING, 3, 1).passed
+    monkeypatch.setattr(encoding, "_PASS_BITS_LIMIT", bits - 1)
+    with pytest.raises(ValueError, match=f"needs {bits} bitset bits"):
+        audit_encoding_bound(MATCHING, 3, 1)
+
+
 def test_audit_random_corpus_no_violations():
     checked = 0
     for seed in range(30):

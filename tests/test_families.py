@@ -7,6 +7,7 @@ from sunflowers import (
     EMPTY_SET,
     ElementSet,
     FamilyError,
+    InvariantError,
     SetFamily,
     Sunflower,
     audit_markov_step,
@@ -22,6 +23,7 @@ from sunflowers import (
     link,
     rlogn_bound,
 )
+from sunflowers import families
 from sunflowers.generators import gen_all_k_subsets, gen_random_uniform
 
 from _oracles import profile_by_double_loop, sunflower_core_by_petals
@@ -240,6 +242,14 @@ def test_find_r_disjoint_perfect_matching_witness():
 def test_find_r_disjoint_r1():
     fam = SetFamily(3, [[0, 1]])
     assert [s.elements for s in find_r_disjoint(fam, 1)] == [(0, 1)]
+
+
+@pytest.mark.parametrize("positions", [[0, 1], [3, 0, 1]], ids=["pair", "last-two-meet"])
+def test_find_r_disjoint_refuses_a_forged_overlapping_witness(monkeypatch, positions):
+    fam = SetFamily(6, [[0, 1], [1, 2], [2, 3], [4, 5]])
+    monkeypatch.setattr(families, "_petal_positions", lambda *args: positions)
+    with pytest.raises(InvariantError, match="intersecting members"):
+        find_r_disjoint(fam, len(positions))
 
 
 # -- properties ---------------------------------------------------------------

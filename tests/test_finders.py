@@ -10,8 +10,10 @@ from hypothesis import example, given, settings, strategies as st
 import sunflowers
 
 from sunflowers import (
+    EMPTY_SET,
     ElementSet,
     SetFamily,
+    Sunflower,
     brute_force_sunflower,
     deza_extract,
     find_any,
@@ -22,8 +24,9 @@ from sunflowers import (
     l_multinomial_bound,
     link,
 )
-from sunflowers import finders
+from sunflowers import families, finders
 from sunflowers.cli import main
+from sunflowers.formats import dump_family_text
 from sunflowers.finders import (
     BelowDezaThresholdError,
     FinderError,
@@ -187,6 +190,17 @@ def test_failed_search_certificate_is_an_internal_error(monkeypatch, tmp_path, c
     assert captured.out == "" and "certificate" in captured.err
 
 
+def test_brute_force_checks_each_witness_once(monkeypatch):
+    calls = []
+    real = families.is_sunflower
+    monkeypatch.setattr(families, "is_sunflower", lambda sets: calls.append(1) or real(sets))
+    for fam, r, found in [(SetFamily(8, [[0, 1], [2, 3], [4, 5], [6, 7]]), 3, True),
+                          (gen_sunflower(1, 2, 8), 5, True), (TRIANGLE, 3, False)]:
+        calls.clear()
+        assert (brute_force_sunflower(fam, r) is not None) == found
+        assert len(calls) == found
+
+
 def test_no_sunflower_above_erdos_rado_is_an_internal_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(finders, "_sunflower_indices", lambda masks, r: None)
     singletons = SetFamily(2, [[0], [1]])  # 2 sets > 1!(2-1)^1
@@ -260,6 +274,21 @@ def test_deza_single_intersection_fixture_meets_threshold():
     assert len(flower.core) == 1
 
 
+def test_failed_deza_certificate_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # a profile forged to one size sends a family that is no sunflower to
+    # the extraction, whose certificate then fails
+    monkeypatch.setattr(finders, "intersection_profile", lambda family: frozenset({0}))
+    fam = SetFamily(4, [[0, 1], [0, 2], [0, 3], [1, 2]])
+    with pytest.raises(LemmaViolationError, match="certificate verification failed"):
+        deza_extract(fam, 4)
+    path = tmp_path / "fam.txt"
+    path.write_text(dump_family_text(fam))
+    code = main(["find", str(path), "--r", "4", "--strategy", "recursive"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and "certificate verification failed" in captured.err
+
+
 # -- recursive extractor ----------------------------------------------------------
 
 def test_base_case_seven_disjoint_pairs():
@@ -305,7 +334,7 @@ FORGED_CERTIFICATE = textwrap.dedent("""
     from sunflowers import ElementSet, SetFamily, Sunflower, finders
 
     # a valid sunflower whose sets are not members of the family
-    forged = Sunflower.from_sets([ElementSet([0, 4]), ElementSet([1, 4])])
+    forged = Sunflower((ElementSet([0, 4]), ElementSet([1, 4])), ElementSet([4]))
     finders._search = lambda *args: forged
     try:
         finders.l_intersecting_find(SetFamily(6, [[0, 1], [2, 3]]), [0], 2)
@@ -324,6 +353,33 @@ def test_certificate_check_survives_python_O():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 certificate uses sets outside the family\n"
+
+
+def test_failed_lift_certificate_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # the child sunflower {{}, {e}} with e in the pivot link lifts to two equal sets
+    linked = []
+    real_link, real_search = finders.link, finders._search
+
+    def recording_link(family, t):
+        linked.append(t)
+        return real_link(family, t)
+
+    def forged_below_the_top(family, sizes, r, m, depth, levels):
+        if depth == 0:
+            return real_search(family, sizes, r, m, depth, levels)
+        return Sunflower((EMPTY_SET, ElementSet(linked[-1].elements[:1])), EMPTY_SET)
+
+    monkeypatch.setattr(finders, "link", recording_link)
+    monkeypatch.setattr(finders, "_search", forged_below_the_top)
+    fam = gen_all_k_subsets(5, 2)
+    with pytest.raises(LemmaViolationError, match="certificate verification failed"):
+        l_intersecting_find(fam, [0, 1], 3)
+    path = tmp_path / "pairs5.txt"
+    path.write_text(dump_family_text(fam))
+    code = main(["find", str(path), "--r", "3", "--strategy", "recursive"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == "" and "certificate verification failed" in captured.err
 
 
 GUARANTEE_CASES = [

@@ -106,6 +106,26 @@ def test_gen_random_uniform_deterministic():
     assert len(a) == 60 and a.uniformity == 3
 
 
+def test_gen_random_uniform_budget(monkeypatch, capsys):
+    from sunflowers.cli import main
+
+    def no_draw(*args):
+        raise AssertionError("sampling started")
+
+    monkeypatch.setattr(generators, "_rng", no_draw)
+    monkeypatch.setattr(generators, "_subset_masks", no_draw)
+    with pytest.raises(GeneratorError, match="40000000 subsets exceed budget 1000000"):
+        gen_random_uniform(30, 15, 40_000_000, seed=1)
+    code = main(["gen", "random-uniform", "30", "15", "40000000", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and "exceed budget" in captured.err
+    monkeypatch.undo()
+    monkeypatch.setattr(generators, "DEFAULT_SIZE_BUDGET", 5)
+    assert len(gen_random_uniform(10, 3, 5, seed=1)) == 5
+    with pytest.raises(GeneratorError, match="6 subsets exceed budget 5"):
+        gen_random_uniform(10, 3, 6, seed=1)
+
+
 def test_gen_random_uniform_edges():
     assert len(gen_random_uniform(8, 3, 0, seed=5)) == 0
     with pytest.raises(GeneratorError):

@@ -94,7 +94,7 @@ def test_records_are_tuples_of_their_fields():
 
 
 def test_replace_checks_a_certificate_again():
-    flower = Sunflower.from_sets([ElementSet([0, 1]), ElementSet([0, 2])])
+    flower = Sunflower((ElementSet([0, 1]), ElementSet([0, 2])), ElementSet([0]))
     assert flower._replace(petal_sets=(ElementSet([0, 3]), ElementSet([0, 4]))).r == 2
     with pytest.raises(FamilyError):
         flower._replace(core=ElementSet([]))

@@ -110,3 +110,20 @@ def test_no_module_imports_dataclasses():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name == "dataclasses"]
     assert found == []
+
+
+def test_finders_build_a_sunflower_only_in_certified():
+    # `_certified` turns a failed certificate into LemmaViolationError (exit 4);
+    # a Sunflower built anywhere else in a finder would fail as FamilyError (exit 3)
+    tree = ast.parse((SOURCE / "finders.py").read_text(), filename="finders.py")
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            while isinstance(func, ast.Attribute):  # Sunflower.<classmethod>(...) too
+                func = func.value
+            if isinstance(func, ast.Name) and func.id == "Sunflower":
+                found.append(getattr(top, "name", node.lineno))
+    assert found == ["_certified"]
