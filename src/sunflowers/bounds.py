@@ -33,12 +33,11 @@ DEFAULT_C, DEFAULT_DIGITS, DEFAULT_LOG_BASE = Fraction(1), 50, "e"
 
 def _raw_to_fraction(raw) -> Fraction:
     # raw is a libmp mantissa/exponent tuple; conversion is exact and does
-    # not depend on any mpmath context precision
-    sign, man, exp, _ = raw
-    if not isinstance(exp, int):
-        raise ArithmeticError(f"non-finite interval endpoint {raw!r}")
-    if man == 0:
-        return Fraction(0)
+    # not depend on any mpmath context precision.  mpmath marks +inf, -inf
+    # and nan by a negative bit count (their mantissa is 0, like zero's)
+    sign, man, exp, bc = raw
+    if bc < 0:
+        raise ArithmeticError("non-finite interval endpoint; raise --digits")
     v = Fraction(int(man)) * Fraction(2) ** exp
     return -v if sign else v
 
@@ -283,8 +282,6 @@ def d_intersecting_bound(n: int, d: int, r: int, C: Rational = DEFAULT_C,
     pairwise intersections have size at most d; the (4r)^n factor is exact."""
     if n < 1 or d < 1 or r < 2:
         raise ValueError(f"need n >= 1, d >= 1, r >= 2, got n={n}, d={d}, r={r}")
-    if r * d < 2:
-        raise ValueError(f"need r*d >= 2 so log(rd) is positive, got r*d={r * d}")
     c = _positive_fraction(C, "C")
     _check_digits(digits)
     interval = _d_intersecting_interval(n, d, r, c, digits + 15, _log_base(log_base))

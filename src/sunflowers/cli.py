@@ -76,11 +76,8 @@ def jsonable(obj):
         return {name: jsonable(v) for name, v in zip(obj._fields, obj)}
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items)
-        return [jsonable(v) for v in items]
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -110,8 +107,6 @@ def _render_text(value, indent=""):
                 lines.extend(_render_text(item, indent + "  "))
             else:
                 lines.append(f"{indent}- {_scalar(item)}")
-    else:
-        lines.append(f"{indent}{_scalar(value)}")
     return lines
 
 
@@ -331,8 +326,11 @@ def cmd_experiment(args) -> int:
     seed = _seed(args, "sampling")
     lo, hi, step = args.alpha_grid
     _require(step > 0 and 0 < lo <= hi < 1, "need 0 < start <= stop < 1 and step > 0")
+    count = (hi - lo) // step + 1
+    _require(count <= gen_mod.DEFAULT_SIZE_BUDGET,
+             f"--alpha-grid: {count} rows exceed budget {gen_mod.DEFAULT_SIZE_BUDGET}")
     rows = []  # all made before the header is written, so a refusal writes nothing
-    for i in range((hi - lo) // step + 1):
+    for i in range(count):
         alpha = lo + i * step
         est = spread_mod.sample_satisfying(family, alpha, args.trials, seed + i)
         exact = spread_mod.exact_satisfying(family, alpha) if spread_mod.exact_fits(family) else ""
@@ -499,7 +497,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except Exception as exc:  # pragma: no cover - internal failure band

@@ -134,7 +134,7 @@ def _kept_pass(family: SetFamily, w_size: int, d: int) -> tuple:
 @functools.lru_cache(maxsize=4)
 def _w_table(x: int, k: int) -> tuple[int, ...]:
     """Per element e < x, the bitset of the numbers i, in lex order (as
-    `_subset_masks(x, k)` lists them), of the k-subsets W_i that hold e.
+    `_subset_masks(range(x), k)` lists them), of the k-subsets W_i that hold e.
 
     Built by the lex-order recursion, from lo = x - 1 down to 0: the
     j-subsets of {lo..x-1} are those that hold lo (lo joined to each

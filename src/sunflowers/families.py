@@ -66,9 +66,9 @@ def elements_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _subset_masks(x: int, k: int) -> Iterator[int]:
-    """Masks of all k-subsets of {0, ..., x-1}, in canonical order."""
-    return map(sum, combinations([1 << e for e in range(x)], k))
+def _subset_masks(elements: Iterable[int], k: int) -> Iterator[int]:
+    """Masks of all k-subsets of the ascending `elements`, in canonical order."""
+    return map(sum, combinations([1 << e for e in elements], k))
 
 
 def submasks(mask: int) -> Iterator[int]:
@@ -452,10 +452,6 @@ def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:
     if chosen is None:
         return None
     witness = [family.members[i] for i in chosen]
-    # pairwise disjoint iff the sizes sum to the size of the union, as in `is_sunflower`
-    union = 0
-    for s in witness:
-        union |= s.mask
-    if sum(map(len, witness)) != union.bit_count():
+    if r > 1 and is_sunflower(witness) != EMPTY_SET:
         raise InvariantError("disjointness witness has intersecting members")
     return witness

@@ -15,7 +15,6 @@ the extractor is guaranteed to succeed.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterable, NamedTuple, Optional
 
 from .bounds import _validated_l, erdos_rado_bound, l_multinomial_bound, pigeonhole_limit
@@ -25,11 +24,11 @@ from .families import (
     InvariantError,
     SetFamily,
     Sunflower,
+    _subset_masks,
     _sunflower_indices,
     elements_of,
     intersection_profile,
     link,
-    mask_of,
 )
 
 DEFAULT_BUDGET = 500_000  # find_any's default cap on C(|F|, r)
@@ -220,8 +219,7 @@ def _search(
     # densest link over (l1+1)-subsets of the pivot, canonical tie-break
     pivot_link = None
     link_count = -1
-    for combo in combinations(elements_of(pivot), l1 + 1):
-        spm = mask_of(combo)
+    for spm in _subset_masks(elements_of(pivot), l1 + 1):
         cnt = sum(1 for fm in filtered if spm & ~fm == 0)
         if cnt > link_count:
             pivot_link, link_count = spm, cnt

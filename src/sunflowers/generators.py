@@ -110,7 +110,7 @@ def gen_all_k_subsets(x: int, k: int) -> SetFamily:
     count = math.comb(x, k)
     if count > DEFAULT_SIZE_BUDGET:
         raise GeneratorError(f"{count} subsets exceed budget {DEFAULT_SIZE_BUDGET}")
-    return SetFamily.from_masks(x, _subset_masks(x, k))
+    return SetFamily.from_masks(x, _subset_masks(range(x), k))
 
 
 def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
@@ -128,7 +128,7 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
         raise GeneratorError(f"{count} subsets exceed budget {DEFAULT_SIZE_BUDGET}")
     rng = _rng(seed)
     if total <= max(4096, 4 * count):
-        all_masks = list(_subset_masks(x, n))
+        all_masks = list(_subset_masks(range(x), n))
         idx = rng.choice(total, size=count, replace=False)
         masks = [all_masks[i] for i in sorted(int(i) for i in idx)]
         return SetFamily.from_masks(x, masks, uniform=n)
@@ -175,7 +175,7 @@ def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, 
             rejected += 1
             if rejected == total:
                 compatible = {
-                    c for c in _subset_masks(x, n)
+                    c for c in _subset_masks(range(x), n)
                     if all((c & m).bit_count() in allowed for m in kept)
                 }
             continue

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -329,6 +330,45 @@ def test_cli_refuses_digits_below_one(capsys):
             assert main(["bounds", "--which", which, "-n", "4", "-r", "3", "--digits", digits]) == 3
             out, err = capsys.readouterr()
             assert out == "" and message in err
+
+
+def test_a_non_finite_endpoint_is_refused_not_read_as_zero():
+    from mpmath import libmp
+
+    from sunflowers.bounds import _raw_to_fraction
+
+    for raw in (libmp.finf, libmp.fninf, libmp.fnan):
+        with pytest.raises(ArithmeticError, match="non-finite interval endpoint; raise --digits"):
+            _raw_to_fraction(raw)
+    assert _raw_to_fraction(libmp.fzero) == 0
+    assert _raw_to_fraction(libmp.from_int(-12)) == -12
+    assert _raw_to_fraction(libmp.from_rational(3, 8, 53)) == Fraction(3, 8)
+
+
+# base 1 + 10^-100: log(base) underflows the interval at 50 digits
+NEAR_ONE = Fraction(10**100 + 1, 10**100)
+
+
+def test_a_log_base_near_one_needs_more_digits():
+    with pytest.raises(ArithmeticError, match="non-finite"):
+        rlogn_bound(3, 2, log_base=NEAR_ONE)
+    value = rlogn_bound(3, 2, digits=120, log_base=NEAR_ONE)
+    assert as_mpf(value.lower, 200) < as_mpf(value.upper, 200)
+    assert value.decimal.startswith("1.06077516811512585888")
+    assert value.decimal.endswith("e+301")
+
+
+def test_cli_crossover_refuses_a_non_finite_enclosure(capsys):
+    from sunflowers.cli import main
+
+    base = str(NEAR_ONE)
+    assert main(["bounds", "--which", "crossover", "-n", "4", "-r", "3", "--log-base", base]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and "non-finite interval endpoint; raise --digits" in err
+    assert main(["bounds", "--which", "crossover", "-n", "4", "-r", "3", "--log-base", base,
+                 "--digits", "120"]) == 0
+    rows = json.loads(capsys.readouterr().out)["outputs"]["crossover"]["rows"]
+    assert [row["smaller"] for row in rows] == ["falling-factorial"] * 4
 
 
 # -- reports ------------------------------------------------------------------------

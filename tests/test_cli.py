@@ -510,6 +510,17 @@ def test_experiment_singleton_family_matches_closed_form(capsys, tmp_path):
         assert abs(float(est_s) - float(truth)) <= 3 * sigma
 
 
+def test_experiment_refuses_a_grid_over_the_row_budget_before_any_row(
+        capsys, triangle, monkeypatch):
+    from sunflowers import spread
+
+    monkeypatch.setattr(spread, "sample_satisfying", lambda *args: pytest.fail("sampled"))
+    code, out, err = run(capsys, "experiment", triangle, "--alpha-grid", "0.1:0.9:1/10000000",
+                         "--trials", "5", "--seed", "1")
+    assert code == 3 and out == ""
+    assert "--alpha-grid: 8000001 rows exceed budget 1000000" in err
+
+
 # -- encode-audit ----------------------------------------------------------------
 
 def test_encode_audit_pass(capsys, matching):
@@ -724,6 +735,50 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
+
+
+def test_a_type_error_is_an_internal_error(capsys, triangle, monkeypatch):
+    # no input raises TypeError on purpose: argparse turns a flag parser's
+    # into a usage error, so one reaching `main` is a defect
+    def broken(*args, **kwargs):
+        raise TypeError("cannot serialize set")
+
+    monkeypatch.setattr(cli, "find_any", broken)
+    code, out, err = run(capsys, "find", triangle, "--r", "2")
+    assert code == 4 and out == ""
+    assert "internal error: TypeError('cannot serialize set')" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("bounds --which rlogn -n 3 -r 2 --log-base 1", "log base must exceed 1, got 1"),
+    ("bounds --which pigeonhole-limit -n 0 -r 3", "need n >= 1 and r >= 2, got n=0, r=3"),
+    ("bounds --which l-multinomial -n 4 -r 3 --L=-1,2", "intersection sizes must be >= 0, got -1"),
+    ("bounds --which three-sunflower -n 3 -s 0", "need n >= 1 and s >= 1, got n=3, s=0"),
+    ("bounds --which crossover -n 1 -r 3", "need n >= 2 and r >= 2, got n=1, r=3"),
+    ("experiment {fam} --alpha-grid 0.1:0.2 --trials 5 --seed 1",
+     "argument --alpha-grid: expected start:stop:step, got '0.1:0.2'"),
+    ("check {comments}", "missing header line 'x=<ground_size>'"),
+    ("check {sets5}", "'sets' must be a list of element lists"),
+    ("gen transversal 0 2", "need blocks >= 1 and block_size >= 1, got (0, 2)"),
+    ("gen random-l 6 2 --L 0 --count -1 --seed 1", "target_count must be >= 0, got -1"),
+    ("gen random-l 3 4 --L 0 --count 2 --seed 1", "need n <= x, got n=4, x=3"),
+    ("spread {fam} --kappa 2 --d 9", "need 0 <= d <= n, got d=9"),
+    ("spread {fam} --alpha 3/2", "alpha must be in [0, 1], got 3/2"),
+    ("spread {fam} --r 1", "need r >= 2, got 1"),
+])
+def test_input_refusals_exit_three_and_say_why(capsys, tmp_path, argv, message):
+    files = {
+        "fam": write_family(tmp_path, "f.txt", "x=5\n0 1 2\n0 3 4\n1 2 3\n"),
+        "comments": write_family(tmp_path, "comments.txt", "# a\n# b\n"),
+        "sets5": write_family(tmp_path, "sets5.json", '{"ground_size": 3, "sets": 5}'),
+    }
+    try:
+        code = main(shlex.split(argv.format(**files)))
+    except SystemExit as exc:  # a flag argparse refuses
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert message in captured.err
 
 
 # -- start-up ----------------------------------------------------------------

@@ -52,7 +52,7 @@ def test_threshold_zero_good_iff_member_inside_w():
             continue
         for w_size in range(8):
             bad = bad_pairs_of_the_pass(fam, w_size, 0)
-            for w in _subset_masks(7, w_size):
+            for w in _subset_masks(range(7), w_size):
                 member_inside = any(s & ~w == 0 for s in fam.masks)
                 for s in fam.masks:
                     assert ((w, s) not in bad) == member_inside
@@ -534,7 +534,7 @@ def test_markov_cutoff_at_and_beside_integer_thresholds(fam, w_size, d):
 def test_w_table_marks_the_subset_masks_holding_each_element():
     for x in range(14):
         for k in range(x + 1):
-            w_masks = list(_subset_masks(x, k))
+            w_masks = list(_subset_masks(range(x), k))
             want = tuple(sum(1 << i for i, w in enumerate(w_masks) if w >> e & 1)
                          for e in range(x))
             assert encoding._w_table(x, k) == want, (x, k)

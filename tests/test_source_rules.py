@@ -127,3 +127,21 @@ def test_finders_build_a_sunflower_only_in_certified():
             if isinstance(func, ast.Name) and func.id == "Sunflower":
                 found.append(getattr(top, "name", node.lineno))
     assert found == ["_certified"]
+
+
+def test_only_families_enumerates_with_combinations():
+    # `families._subset_masks` is the one k-subset enumeration; the other
+    # modules call it rather than `itertools.combinations`
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "itertools":
+                uses = any(alias.name == "combinations" for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                uses = (node.attr == "combinations" and isinstance(node.value, ast.Name)
+                        and node.value.id == "itertools")
+            else:
+                continue
+            if uses:
+                found.append(path.name)
+    assert found == ["families.py"]
