@@ -16,7 +16,9 @@ integer bounds (and the CLI subcommands that use only them) never load it.
 
 from __future__ import annotations
 
+import decimal
 import math
+import sys
 from fractions import Fraction
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -26,6 +28,7 @@ from .families import InvariantError, Rational, _exact_fraction, _positive_fract
 EQUALITY_REL_TOL = Fraction(1, 10**30)
 
 _MAX_COMPARE_DIGITS = 4096
+_MAX_EXACT_DIGITS = 4300  # the default int-to-str limit, held whatever the interpreter sets
 
 #: The defaults of the free constant C, the significant digits and the log base.
 DEFAULT_C, DEFAULT_DIGITS, DEFAULT_LOG_BASE = Fraction(1), 50, "e"
@@ -69,14 +72,14 @@ def _iv_log(value, log_base: Rational):
 FracInterval = tuple[Fraction, Fraction]
 
 
-def _enclosure(exact: int, make: Callable, dps: int) -> FracInterval:
+def _enclosure(exact: int, make: Callable, digits: int) -> FracInterval:
     """exact times the interval `make(iv)` evaluates with mpmath's `iv`
-    context at `dps` digits, as exact rational endpoints.  exact > 0, so
-    the scaling keeps the endpoints in order."""
+    context at `digits` digits and 15 guard digits, as exact rational
+    endpoints.  exact > 0, so the scaling keeps the endpoints in order."""
     from mpmath import iv
 
     old = iv.dps
-    iv.dps = dps
+    iv.dps = digits + 15
     try:
         lo_raw, hi_raw = make(iv)._mpi_
     finally:
@@ -142,20 +145,38 @@ class RealBoundValue(NamedTuple):
 def _real_value(interval: FracInterval, digits: int) -> RealBoundValue:
     import mpmath as mp
 
+    def show(q: Fraction, shown: int = digits) -> str:
+        return mp.nstr(mp.mpf(q.numerator) / mp.mpf(q.denominator), shown)
+
     lo, hi = interval
-    mid = (lo + hi) / 2
-    with mp.workdps(digits + 10):
-        decimal = mp.nstr(mp.mpf(mid.numerator) / mp.mpf(mid.denominator), digits)
-        lower = mp.nstr(mp.mpf(lo.numerator) / mp.mpf(lo.denominator), digits)
-        upper = mp.nstr(mp.mpf(hi.numerator) / mp.mpf(hi.denominator), digits)
-        err = hi - lo
-        error = mp.nstr(mp.mpf(err.numerator) / mp.mpf(err.denominator), 3)
-    return RealBoundValue(decimal=decimal, lower=lower, upper=upper, error=error, digits=digits)
+    # mpmath writes a decimal by str() of an integer of up to ~1054 + digits
+    # digits: lift the int-to-str limit meanwhile (0: none, as before 3.10.7)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        with mp.workdps(digits + 10):
+            return RealBoundValue(decimal=show((lo + hi) / 2), lower=show(lo), upper=show(hi),
+                                  error=show(hi - lo, 3), digits=digits)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 # ---------------------------------------------------------------------------
 # Exact integer bounds
 # ---------------------------------------------------------------------------
+
+def _exact_str(value: int) -> str:
+    """A positive exact bound in decimal, by a path that the interpreter's
+    int-to-str limit does not govern; refused, unconverted, past
+    _MAX_EXACT_DIGITS digits."""
+    k = math.floor((value.bit_length() - 1) * math.log10(2)) + 1  # value has k or k + 1 digits
+    digits = k + (value >= 10**k)
+    if digits > _MAX_EXACT_DIGITS:
+        raise ValueError(f"exact value has {digits} digits, over the limit of {_MAX_EXACT_DIGITS}")
+    return str(decimal.Decimal(value))
+
 
 def erdos_rado_bound(n: int, r: int) -> int:
     """n! * (r-1)^n, the classical factorial sunflower threshold."""
@@ -234,12 +255,6 @@ def falling_factorial_bound(n: int, d: int, r: int) -> int:
 # Interval-valued bounds
 # ---------------------------------------------------------------------------
 
-def _three_sunflower_interval(n: int, s: int, dps: int) -> FracInterval:
-    return _enclosure((n * n - n + 1) * 8 ** (s - 1), lambda iv: iv.exp(
-        (iv.mpf(1) + iv.sqrt(iv.mpf(5)) / iv.mpf(5)) * iv.mpf(n * (s - 1)) * iv.log(iv.mpf(2))
-    ), dps)
-
-
 def three_sunflower_bound(n: int, s: int, digits: int = DEFAULT_DIGITS) -> RealBoundValue:
     """(n^2-n+1) * 8^(s-1) * 2^((1+sqrt(5)/5)*n*(s-1)).
 
@@ -250,12 +265,9 @@ def three_sunflower_bound(n: int, s: int, digits: int = DEFAULT_DIGITS) -> RealB
     if n < 1 or s < 1:
         raise ValueError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
     _check_digits(digits)
-    return _real_value(_three_sunflower_interval(n, s, digits + 15), digits)
-
-
-def _rlogn_interval(n: int, r: int, C: Fraction, dps: int, log_base: Rational) -> FracInterval:
-    return _enclosure(1, lambda iv: (
-        _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(n), log_base)) ** n, dps)
+    return _real_value(_enclosure((n * n - n + 1) * 8 ** (s - 1), lambda iv: iv.exp(
+        (iv.mpf(1) + iv.sqrt(iv.mpf(5)) / iv.mpf(5)) * iv.mpf(n * (s - 1)) * iv.log(iv.mpf(2))
+    ), digits), digits)
 
 
 def rlogn_bound(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_DIGITS,
@@ -265,14 +277,16 @@ def rlogn_bound(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_D
         raise ValueError(f"need n >= 2 (so log n > 0) and r >= 2, got n={n}, r={r}")
     c = _positive_fraction(C, "C")
     _check_digits(digits)
-    return _real_value(_rlogn_interval(n, r, c, digits + 15, _log_base(log_base)), digits)
+    base = _log_base(log_base)
+    return _real_value(_enclosure(1, lambda iv: (
+        _iv_fraction(c) * iv.mpf(r) * _iv_log(iv.mpf(n), base)) ** n, digits), digits)
 
 
 def _d_intersecting_interval(
-    n: int, d: int, r: int, C: Fraction, dps: int, log_base: Rational
+    n: int, d: int, r: int, C: Fraction, digits: int, log_base: Rational
 ) -> FracInterval:
     return _enclosure((4 * r) ** n, lambda iv: (
-        _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(r * d), log_base)) ** d, dps)
+        _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(r * d), log_base)) ** d, digits)
 
 
 def d_intersecting_bound(n: int, d: int, r: int, C: Rational = DEFAULT_C,
@@ -284,8 +298,7 @@ def d_intersecting_bound(n: int, d: int, r: int, C: Rational = DEFAULT_C,
         raise ValueError(f"need n >= 1, d >= 1, r >= 2, got n={n}, d={d}, r={r}")
     c = _positive_fraction(C, "C")
     _check_digits(digits)
-    interval = _d_intersecting_interval(n, d, r, c, digits + 15, _log_base(log_base))
-    return _real_value(interval, digits)
+    return _real_value(_d_intersecting_interval(n, d, r, c, digits, _log_base(log_base)), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +328,7 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     for d = 1..n, reporting the first d (if any) where the log-form bound
     drops below the factorial one.
 
-    Each row's interval is evaluated once, at `digits + 15`: it is the
+    Each row's interval is evaluated once, at `digits`: it is the
     comparison's first-precision enclosure and the source of the row's
     decimal, which is then exactly `d_intersecting_bound(...).decimal`.
     Only a comparison that has to double its precision evaluates again.
@@ -326,38 +339,22 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     _check_digits(digits)
     log_base = _log_base(log_base)
     rows = []
-    first = None
     for d in range(1, n + 1):
         trivial = falling_factorial_bound(n, d, r)
-        interval = _d_intersecting_interval(n, d, r, c, digits + 15, log_base)
+        interval = _d_intersecting_interval(n, d, r, c, digits, log_base)
         verdict = certified_compare(
             lambda dps, d=d, interval=interval: (
-                interval if dps == digits
-                else _d_intersecting_interval(n, d, r, c, dps + 15, log_base)
+                interval if dps == digits else _d_intersecting_interval(n, d, r, c, dps, log_base)
             ),
             lambda dps: (Fraction(trivial), Fraction(trivial)),
             digits=digits,
         )
         smaller = {"<": "d-intersecting", ">": "falling-factorial", "=": "equal"}[verdict]
-        if verdict == "<" and first is None:
-            first = d
-        rows.append(
-            CrossoverRow(
-                d=d,
-                d_intersecting=_real_value(interval, digits).decimal,
-                falling_factorial=str(trivial),
-                smaller=smaller,
-            )
-        )
-    return CrossoverReport(
-        n=n,
-        r=r,
-        C=str(c),
-        log_base=str(log_base),
-        digits=digits,
-        rows=tuple(rows),
-        first_improvement=first,
-    )
+        rows.append(CrossoverRow(d=d, d_intersecting=_real_value(interval, digits).decimal,
+                                 falling_factorial=_exact_str(trivial), smaller=smaller))
+    first = next((row.d for row in rows if row.smaller == "d-intersecting"), None)
+    return CrossoverReport(n=n, r=r, C=str(c), log_base=str(log_base), digits=digits,
+                           rows=tuple(rows), first_improvement=first)
 
 
 # ---------------------------------------------------------------------------
@@ -429,4 +426,4 @@ def bound_report(
         return BoundReport(name=which, params=params, value=value.decimal, exact=False,
                            digits=value.digits, lower=value.lower, upper=value.upper,
                            error=value.error)
-    return BoundReport(name=which, params=params, value=str(value), exact=True)
+    return BoundReport(name=which, params=params, value=_exact_str(value), exact=True)

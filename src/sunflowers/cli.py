@@ -128,8 +128,17 @@ def _write(text: str) -> None:
         os.close(devnull)
 
 
-def _emit(args, report: dict) -> None:
-    payload = jsonable(report)
+def _emit(args, parameters: dict, outputs: dict, started: float, digest=None, seeds=None) -> None:
+    """Write the report of the subcommand `args` ran: its envelope around
+    `outputs`, as JSON or as text rendered from the same JSON."""
+    payload = jsonable({
+        "subcommand": args.subcommand,
+        "input_digest": digest,
+        "parameters": parameters,
+        "seeds": seeds,
+        "outputs": outputs,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+    })
     if args.format == "json":
         _write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
@@ -146,18 +155,6 @@ def _load(path: str) -> tuple[SetFamily, str]:
     data = Path(path).read_bytes()
     family = load_family(io.TextIOWrapper(io.BytesIO(data), encoding="locale").read())
     return family, "sha256:" + hashlib.sha256(data).hexdigest()
-
-
-def _report(subcommand: str, parameters: dict, outputs: dict, started: float,
-            digest=None, seeds=None) -> dict:
-    return {
-        "subcommand": subcommand,
-        "input_digest": digest,
-        "parameters": parameters,
-        "seeds": seeds,
-        "outputs": outputs,
-        "wall_time_s": round(time.perf_counter() - started, 6),
-    }
 
 
 def _int_list(text: str) -> list[int]:
@@ -210,7 +207,7 @@ def cmd_check(args) -> int:
         "intersection_profile": sorted(profile),
         "verdicts": verdicts,
     }
-    _emit(args, _report("check", params, outputs, started, digest=digest))
+    _emit(args, params, outputs, started, digest=digest)
     return EXIT_TRUE if all(verdicts.values()) else EXIT_FALSE
 
 
@@ -229,7 +226,7 @@ def cmd_find(args) -> int:
         "sunflower": outcome.sunflower,
         "trace": outcome.trace,
     }
-    _emit(args, _report("find", params, outputs, started, digest=digest))
+    _emit(args, params, outputs, started, digest=digest)
     return {"found": EXIT_TRUE, "absent": EXIT_FALSE, "unknown": EXIT_UNKNOWN}[outcome.status]
 
 
@@ -268,7 +265,7 @@ def cmd_bounds(args) -> int:
                 except bounds_mod.MissingParameterError:
                     continue  # a parameter the bound reads was not given
         outputs["crossover"] = bounds_mod.crossover_report(args.n, args.r, C, digits, log_base)
-    _emit(args, _report("bounds", params, outputs, started))
+    _emit(args, params, outputs, started)
     return EXIT_TRUE
 
 
@@ -314,8 +311,7 @@ def cmd_spread(args) -> int:
         outputs["disjointness"] = spread_mod.check_satisfying_disjoint(
             family, args.r, trials=args.trials, seed=args.seed
         )
-    _emit(args, _report("spread", params, outputs, started,
-                        digest=digest, seeds=seeds))
+    _emit(args, params, outputs, started, digest=digest, seeds=seeds)
     return EXIT_TRUE if verdict_ok else EXIT_FALSE
 
 
@@ -352,8 +348,7 @@ def cmd_encode_audit(args) -> int:
         markov = encoding_mod.audit_markov_step(family, args.px, args.delta, args.d)
         outputs["markov"] = markov
         ok = ok and markov.holds
-    _emit(args, _report("encode-audit", params, outputs, started,
-                        digest=digest))
+    _emit(args, params, outputs, started, digest=digest)
     return EXIT_TRUE if ok else EXIT_FALSE
 
 

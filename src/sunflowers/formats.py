@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 from operator import eq, ge
-from typing import NoReturn
 
 from .families import FamilyError, SetFamily
 
@@ -35,9 +34,10 @@ def parse_family_text(text: str) -> SetFamily:
     """The family in a text file, read in one pass: each set line becomes
     its element tuple by one strictly ascending scan with a range check,
     and the rows, sorted by their tuples (the canonical order), make the
-    family without a second sort.  A line that fails the scan gets the
-    per-line diagnostics of `_line_error`.  Lines end at LF, CR LF or CR, as
-    an editor counts them: a form feed or U+2028 stays in its line."""
+    family without a second sort.  The scan raises a failing line's first
+    broken rule, in order: integer tokens, ascending, distinct, in range.
+    Lines end at LF, CR LF or CR, as an editor counts them: a form feed or
+    U+2028 stays in its line."""
     ground_size = None
     rows: list[tuple[tuple[int, ...], int]] = []  # (elements, line number)
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
@@ -51,9 +51,12 @@ def parse_family_text(text: str) -> SetFamily:
         try:
             elems = _integers(line)
         except ValueError:
-            _line_error(line, raw, lineno, ground_size)
-        if elems[0] < 0 or elems[-1] >= ground_size or any(map(ge, elems, elems[1:])):
-            _line_error(line, raw, lineno, ground_size)
+            raise ParseError(f"line {lineno}: non-integer element in {raw!r}") from None
+        if any(map(ge, elems, elems[1:])):
+            rule = "duplicate element" if sorted(elems) == list(elems) else "elements must be ascending"
+            raise ParseError(f"line {lineno}: {rule} in {raw!r}")
+        if elems[0] < 0 or elems[-1] >= ground_size:
+            raise ParseError(f"line {lineno}: element out of range [0, {ground_size}) in {raw!r}")
         rows.append((elems, lineno))
     if ground_size is None:
         raise ParseError("missing header line 'x=<ground_size>'")
@@ -92,21 +95,6 @@ def _header(line: str, raw: str, lineno: int) -> int:
     if ground_size < 0:
         raise ParseError(f"line {lineno}: ground size must be >= 0")
     return ground_size
-
-
-def _line_error(line: str, raw: str, lineno: int, ground_size: int) -> NoReturn:
-    """Raise the diagnostic of a set line that failed the one-pass scan,
-    checking in order: integer tokens, ascending, distinct, in range.  A
-    line of strictly ascending integers failed the scan on its range."""
-    try:
-        elems = list(_integers(line))
-    except ValueError:
-        raise ParseError(f"line {lineno}: non-integer element in {raw!r}") from None
-    if sorted(elems) != elems:
-        raise ParseError(f"line {lineno}: elements must be ascending in {raw!r}")
-    if len(set(elems)) != len(elems):
-        raise ParseError(f"line {lineno}: duplicate element in {raw!r}")
-    raise ParseError(f"line {lineno}: element out of range [0, {ground_size}) in {raw!r}")
 
 
 def dump_family_text(family: SetFamily) -> str:

@@ -33,8 +33,23 @@ class GeneratorError(ValueError):
     """Infeasible generator parameters or a failed self-check."""
 
 
-DEFAULT_SIZE_BUDGET = 1_000_000
+DEFAULT_SIZE_BUDGET = 1_000_000  # most members of a generated family
 DEFAULT_DRAW_BUDGET = 100_000  # gen_random_L_intersecting's default number of draws
+_BITS_LIMIT = 1 << 30  # most bits of a family's masks, and of one block of draws
+_DRAW_ROWS = 512  # rows of uniforms in one block of `_n_subset_masks`
+
+
+def _check_size(members: int, x: int, noun: str, seeded: bool = False) -> None:
+    """Refuse a family before any of its sets is made: more than
+    DEFAULT_SIZE_BUDGET members, or more members x ground size bits of
+    masks than _BITS_LIMIT (a mask is as long as its largest element).  A
+    `seeded` kind also refuses a block of float64 draws over _BITS_LIMIT."""
+    if members > DEFAULT_SIZE_BUDGET:
+        raise GeneratorError(f"{members} {noun} exceed budget {DEFAULT_SIZE_BUDGET}")
+    if members * x > _BITS_LIMIT:
+        raise GeneratorError(f"{members} {noun} over {x} elements exceed {_BITS_LIMIT} mask bits")
+    if seeded and _DRAW_ROWS * 64 * x > _BITS_LIMIT:
+        raise GeneratorError(f"{_DRAW_ROWS} draws over {x} elements exceed {_BITS_LIMIT} bits")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -56,7 +71,7 @@ def _n_subset_masks(rng, x: int, n: int, max_draws: int):
     import numpy as np
     drawn = 0
     while drawn < max_draws:
-        block = min(512, max_draws - drawn)
+        block = min(_DRAW_ROWS, max_draws - drawn)
         picks = np.argpartition(rng.random((block, x)), n - 1, axis=1)[:, :n]
         hit = np.zeros((block, x), dtype=bool)
         np.put_along_axis(hit, picks, True, axis=1)
@@ -75,6 +90,7 @@ def gen_sunflower(core_size: int, petal_size: int, r: int) -> SetFamily:
         raise GeneratorError(
             f"need r >= 2, petal_size >= 1, core_size >= 0, got ({core_size}, {petal_size}, {r})"
         )
+    _check_size(r, core_size + r * petal_size, "sets")
     core = list(range(core_size))
     sets = []
     nxt = core_size
@@ -94,8 +110,7 @@ def gen_transversal(blocks: int, block_size: int) -> SetFamily:
     if blocks < 1 or block_size < 1:
         raise GeneratorError(f"need blocks >= 1 and block_size >= 1, got ({blocks}, {block_size})")
     count = block_size**blocks
-    if count > DEFAULT_SIZE_BUDGET:
-        raise GeneratorError(f"{count} transversals exceed budget {DEFAULT_SIZE_BUDGET}")
+    _check_size(count, blocks * block_size, "transversals")
     ranges = [range(b * block_size, (b + 1) * block_size) for b in range(blocks)]
     family = SetFamily(blocks * block_size, (ElementSet(choice) for choice in product(*ranges)))
     if len(family) != count or family.uniformity != blocks:
@@ -107,9 +122,7 @@ def gen_all_k_subsets(x: int, k: int) -> SetFamily:
     """All k-subsets of {0..x-1} in canonical order."""
     if k < 0 or k > x:
         raise GeneratorError(f"need 0 <= k <= x, got k={k}, x={x}")
-    count = math.comb(x, k)
-    if count > DEFAULT_SIZE_BUDGET:
-        raise GeneratorError(f"{count} subsets exceed budget {DEFAULT_SIZE_BUDGET}")
+    _check_size(math.comb(x, k), x, "subsets")
     return SetFamily.from_masks(x, _subset_masks(range(x), k))
 
 
@@ -124,8 +137,7 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
     total = math.comb(x, n)
     if count < 0 or count > total:
         raise GeneratorError(f"cannot draw {count} distinct {n}-subsets of {x} (total {total})")
-    if count > DEFAULT_SIZE_BUDGET:
-        raise GeneratorError(f"{count} subsets exceed budget {DEFAULT_SIZE_BUDGET}")
+    _check_size(count, x, "subsets", seeded=True)
     rng = _rng(seed)
     if total <= max(4096, 4 * count):
         all_masks = list(_subset_masks(range(x), n))
@@ -217,6 +229,7 @@ def gen_random_L_intersecting(
         raise GeneratorError(f"budget must be >= 0, got {budget}")
     if n > x:
         raise GeneratorError(f"need n <= x, got n={n}, x={x}")
+    _check_size(min(target_count, budget), x, "sets", seeded=True)
     kept, stop = _greedy_L_masks(_rng(seed), x, n, allowed, target_count, budget)
     family = SetFamily.from_masks(x, kept, uniform=n)
     if not is_L_intersecting(family, allowed):

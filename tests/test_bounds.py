@@ -209,7 +209,7 @@ def test_crossover_rows_match_direct_calls():
             trivial = falling_factorial_bound(n, row.d, 3)
             assert row.falling_factorial == str(trivial)
             verdict = certified_compare(
-                lambda dps: _d_intersecting_interval(n, row.d, 3, Fraction(C), dps + 15, log_base),
+                lambda dps: _d_intersecting_interval(n, row.d, 3, Fraction(C), dps, log_base),
                 lambda dps: (Fraction(trivial), Fraction(trivial)),
                 digits=digits,
             )
@@ -238,7 +238,7 @@ def test_crossover_evaluates_each_row_once(monkeypatch):
     for n, digits in ((12, 50), (30, 1)):
         calls = _record_intervals(monkeypatch)
         crossover_report(n, 3, digits=digits)
-        assert calls == [(d, digits + 15) for d in range(1, n + 1)]
+        assert calls == [(d, digits) for d in range(1, n + 1)]
 
 
 def test_crossover_overlapping_row_doubles_but_keeps_first_decimal(monkeypatch):
@@ -249,7 +249,7 @@ def test_crossover_overlapping_row_doubles_but_keeps_first_decimal(monkeypatch):
     widened = {}
 
     def widen(d, dps, interval):
-        if d != forced or dps != digits + 15:
+        if d != forced or dps != digits:
             return interval
         widened["interval"] = (min(interval[0], trivial) - 1, max(interval[1], trivial) + 1)
         return widened["interval"]
@@ -257,8 +257,8 @@ def test_crossover_overlapping_row_doubles_but_keeps_first_decimal(monkeypatch):
     plain = crossover_report(n, r, digits=digits).rows[forced - 1]
     calls = _record_intervals(monkeypatch, widen)
     row = crossover_report(n, r, digits=digits).rows[forced - 1]
-    expected = [(d, digits + 15) for d in range(1, n + 1)]
-    expected.insert(forced, (forced, 2 * digits + 15))
+    expected = [(d, digits) for d in range(1, n + 1)]
+    expected.insert(forced, (forced, 2 * digits))
     assert calls == expected
     assert row.d_intersecting == _real_value(widened["interval"], digits).decimal
     assert row.d_intersecting != plain.d_intersecting
@@ -294,8 +294,7 @@ def test_digits_below_one_refused_before_any_interval(monkeypatch):
     def no_interval(*args):
         raise AssertionError("an interval was evaluated")
 
-    for name in ("_three_sunflower_interval", "_rlogn_interval", "_d_intersecting_interval"):
-        monkeypatch.setattr(bounds, name, no_interval)
+    monkeypatch.setattr(bounds, "_enclosure", no_interval)
     entries = (
         lambda digits: certified_compare(no_interval, no_interval, digits=digits),
         lambda digits: three_sunflower_bound(3, 2, digits),
@@ -309,6 +308,39 @@ def test_digits_below_one_refused_before_any_interval(monkeypatch):
         for digits in (0, -5):
             with pytest.raises(ValueError, match="digits must be >= 1, got"):
                 entry(digits)
+
+
+def test_exact_values_do_not_depend_on_the_int_str_limit(capsys):
+    import re
+    import sys
+
+    from sunflowers.bounds import _exact_str
+    from sunflowers.cli import main
+
+    def run(*argv):
+        code = main(["bounds", "--which", *argv])
+        out, err = capsys.readouterr()
+        return code, re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', out), err
+
+    default = sys.get_int_max_str_digits()
+    runs = {}
+    for limit in (default, 640, 0):
+        sys.set_int_max_str_digits(limit)
+        try:
+            runs[limit] = [run("crossover", "-n", "400", "-r", "3"),
+                           run("erdos-rado", "-n", "1400", "-r", "3"),
+                           run("erdos-rado", "-n", "1500", "-r", "3")]
+            assert _exact_str(10**4300 - 1) == "9" * 4300
+            with pytest.raises(ValueError, match="has 4301 digits, over the limit of 4300"):
+                _exact_str(10**4300)
+        finally:
+            sys.set_int_max_str_digits(default)
+    assert runs[default] == runs[640] == runs[0]
+    crossover, printed, refused = runs[default]
+    assert crossover[0] == 0 and json.loads(crossover[1])["outputs"]["crossover"]["rows"]
+    value = json.loads(printed[1])["outputs"]["bound"]["value"]
+    assert printed[0] == 0 and value == str(erdos_rado_bound(1400, 3)) and len(value) == 4220
+    assert refused == (3, "", "error: exact value has 4567 digits, over the limit of 4300\n")
 
 
 def test_one_digit_is_accepted():

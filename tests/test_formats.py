@@ -150,6 +150,24 @@ def test_text_refuses_tokens_other_than_ascii_digits(text, lineno, kind):
         parse_family_text(text)
 
 
+@pytest.mark.parametrize("line, rule", [
+    ("3 1 1", "elements must be ascending"),
+    ("2 1 9", "elements must be ascending"),
+    ("1 1 9", "duplicate element"),
+    ("-1 -1", "duplicate element"),
+    ("-1 0 9", "element out of range [0, 5)"),
+    ("0 x 9 9", "non-integer element"),
+])
+def test_text_line_breaking_several_rules_names_the_first(line, rule):
+    # the rules in order: integer tokens, ascending, distinct, in range
+    text = f"x=5\n{line}\n"
+    with pytest.raises(ParseError) as ours:
+        parse_family_text(text)
+    with pytest.raises(ParseError) as oracle:
+        parse_family_text_line_by_line(text)
+    assert str(ours.value) == str(oracle.value) == f"line 2: {rule} in {line!r}"
+
+
 def test_text_negative_element_is_out_of_range():
     with pytest.raises(ParseError, match="line 2: element out of range"):
         parse_family_text("x=4\n-1 2\n")

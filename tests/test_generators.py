@@ -126,6 +126,50 @@ def test_gen_random_uniform_budget(monkeypatch, capsys):
         gen_random_uniform(10, 3, 6, seed=1)
 
 
+_OVER_BITS = 2**30 // 2048 + 1  # members over 2048 elements: just over 2^30 mask bits
+
+
+@pytest.mark.parametrize("argv, patched, message", [
+    (["sunflower", "0", "1", "1000001"], "ElementSet", "1000001 sets exceed budget 1000000"),
+    (["sunflower", "0", "1", "32769"], "ElementSet",
+     f"32769 sets over 32769 elements exceed {2**30} mask bits"),
+    (["transversal", "1", "1000001"], "ElementSet", "1000001 transversals exceed budget"),
+    (["transversal", "1", "32769"], "ElementSet", "32769 transversals over 32769 elements exceed"),
+    (["all-subsets", "1000001", "1"], "_subset_masks", "1000001 subsets exceed budget"),
+    (["all-subsets", "32769", "1"], "_subset_masks", "32769 subsets over 32769 elements exceed"),
+    (["random-uniform", "1000001", "1", "1000001", "--seed", "1"], "_rng",
+     "1000001 subsets exceed budget"),
+    (["random-uniform", "2048", "2", str(_OVER_BITS), "--seed", "1"], "_rng",
+     f"{_OVER_BITS} subsets over 2048 elements exceed"),
+    (["random-uniform", "32769", "1", "1", "--seed", "1"], "_rng",
+     f"512 draws over 32769 elements exceed {2**30} bits"),
+    (["random-l", "10", "2", "--L", "0,1", "--count", "1000001", "--budget", "1000001",
+      "--seed", "1"], "_rng", "1000001 sets exceed budget"),
+    (["random-l", "2048", "2", "--L", "0,1", "--count", str(_OVER_BITS), "--budget",
+      str(_OVER_BITS), "--seed", "1"], "_rng", f"{_OVER_BITS} sets over 2048 elements exceed"),
+    (["random-l", "32769", "1", "--L", "0", "--count", "1", "--seed", "1"], "_rng",
+     "512 draws over 32769 elements exceed"),
+])
+def test_gen_refuses_just_over_each_size_limit(monkeypatch, capsys, argv, patched, message):
+    from sunflowers.cli import main
+
+    def no_family(*args):
+        raise AssertionError("a set was made")
+
+    monkeypatch.setattr(generators, patched, no_family)
+    assert main(["gen", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_gen_wide_fixtures_below_the_bit_budget(capsys):
+    from sunflowers.cli import main
+
+    for argv in (["sunflower", "0", "1", "20000"], ["transversal", "1", "20000"]):
+        assert main(["gen", *argv]) == 0
+        assert capsys.readouterr().out.count("\n") == 20001
+
+
 def test_gen_random_uniform_edges():
     assert len(gen_random_uniform(8, 3, 0, seed=5)) == 0
     with pytest.raises(GeneratorError):

@@ -145,3 +145,17 @@ def test_only_families_enumerates_with_combinations():
             if uses:
                 found.append(path.name)
     assert found == ["families.py"]
+
+
+def test_only_enclosure_adds_the_guard_digits():
+    # `bounds._enclosure` evaluates every interval at the requested digits
+    # plus 15 guard digits; no other code in bounds.py adds them
+    tree = ast.parse((SOURCE / "bounds.py").read_text(), filename="bounds.py")
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and any(isinstance(side, ast.Constant) and side.value == 15
+                            for side in (node.left, node.right))):
+                found.append(getattr(top, "name", node.lineno))
+    assert found == ["_enclosure"]
