@@ -9,8 +9,8 @@ import importlib
 
 #: module -> the names the package exports from it
 _EXPORTS = {
-    "families": ("EMPTY_SET", "ElementSet", "FamilyError", "InvariantError", "SetFamily",
-                 "Sunflower", "find_r_disjoint", "intersection_profile", "is_L_intersecting",
+    "families": ("ElementSet", "FamilyError", "InvariantError", "SetFamily", "Sunflower",
+                 "find_r_disjoint", "intersection_profile", "is_L_intersecting",
                  "is_d_intersecting", "is_sunflower", "link"),
     "formats": ("ParseError", "dump_family_json", "dump_family_text", "load_family",
                 "parse_family_json", "parse_family_text"),

@@ -167,14 +167,19 @@ def _real_value(interval: FracInterval, digits: int) -> RealBoundValue:
 # Exact integer bounds
 # ---------------------------------------------------------------------------
 
-def _exact_str(value: int) -> str:
-    """A positive exact bound in decimal, by a path that the interpreter's
-    int-to-str limit does not govern; refused, unconverted, past
-    _MAX_EXACT_DIGITS digits."""
+def _check_exact(value: int) -> None:
+    """Refuse, unconverted, a positive exact bound of more than
+    _MAX_EXACT_DIGITS digits, counted from its bit length."""
     k = math.floor((value.bit_length() - 1) * math.log10(2)) + 1  # value has k or k + 1 digits
     digits = k + (value >= 10**k)
     if digits > _MAX_EXACT_DIGITS:
         raise ValueError(f"exact value has {digits} digits, over the limit of {_MAX_EXACT_DIGITS}")
+
+
+def _exact_str(value: int) -> str:
+    """A positive exact bound in decimal, by a path that the interpreter's
+    int-to-str limit does not govern; refused past _MAX_EXACT_DIGITS digits."""
+    _check_exact(value)
     return str(decimal.Decimal(value))
 
 
@@ -338,6 +343,9 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     c = _positive_fraction(C, "C")
     _check_digits(digits)
     log_base = _log_base(log_base)
+    # each step in d multiplies the falling factorial by (r-1)(n-d) >= 1,
+    # so row d = n is the largest: refuse it before any interval
+    _check_exact(falling_factorial_bound(n, n, r))
     rows = []
     for d in range(1, n + 1):
         trivial = falling_factorial_bound(n, d, r)

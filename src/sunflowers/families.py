@@ -82,12 +82,11 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 class ElementSet:
-    """An immutable subset of a finite ground set, backed by a bitmask.
+    """The read-only value of one set that the library hands out (a
+    member, petal, core, link set or worst W); it computes on masks.
 
-    Element indices are dimensionless nonnegative integers; range checks
-    against a concrete ground size happen where a family is built or
-    parsed.  Iteration order is ascending, and ordering comparisons use
-    the canonical key (the ascending element tuple).
+    Offers `mask`, `elements` (ascending), `len`, equality and hash.
+    Range checks against a ground size happen where a family is built.
     """
 
     __slots__ = ("_mask",)
@@ -117,54 +116,18 @@ class ElementSet:
     def __len__(self) -> int:
         return self._mask.bit_count()
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
-
-    def __contains__(self, e: int) -> bool:
-        return e >= 0 and (self._mask >> e) & 1 == 1
-
-    def __and__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet.from_mask(self._mask & other._mask)
-
-    def __or__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet.from_mask(self._mask | other._mask)
-
-    def __sub__(self, other: "ElementSet") -> "ElementSet":
-        return ElementSet.from_mask(self._mask & ~other._mask)
-
-    def issubset(self, other: "ElementSet") -> bool:
-        return self._mask & ~other._mask == 0
-
-    def isdisjoint(self, other: "ElementSet") -> bool:
-        return self._mask & other._mask == 0
-
     def __eq__(self, other) -> bool:
         return isinstance(other, ElementSet) and self._mask == other._mask
 
     def __hash__(self) -> int:
         return hash(self._mask)
 
-    def __lt__(self, other: "ElementSet") -> bool:
-        return self.elements < other.elements
-
-    def __le__(self, other: "ElementSet") -> bool:
-        return self.elements <= other.elements
-
     def __repr__(self) -> str:
         return f"ElementSet({list(self.elements)})"
 
 
-EMPTY_SET = ElementSet.from_mask(0)
-
-
-def _coerce_set(s) -> ElementSet:
-    if isinstance(s, ElementSet):
-        return s
-    return ElementSet(s)
-
-
 class SetFamily:
-    """A finite collection of distinct ElementSets over {0, ..., x-1}.
+    """A finite collection of distinct subsets of {0, ..., x-1}.
 
     Members are stored in canonical order (lexicographic on ascending
     element lists); duplicates are rejected.  `uniformity` is n when every
@@ -182,8 +145,9 @@ class SetFamily:
 
     __slots__ = ("_ground_size", "_masks", "_tables", "_uniformity")
 
-    def __init__(self, ground_size: int, sets: Iterable = (), uniform: Optional[int] = None):
-        self._build(ground_size, sorted(_coerce_set(s).elements for s in sets), uniform)
+    def __init__(self, ground_size: int, sets: Iterable[Iterable[int]] = (),
+                 uniform: Optional[int] = None):
+        self._build(ground_size, sorted(elements_of(mask_of(s)) for s in sets), uniform)
 
     @classmethod
     def from_masks(cls, ground_size: int, masks: Iterable[int], uniform: Optional[int] = None) -> "SetFamily":
@@ -193,12 +157,13 @@ class SetFamily:
         return cls.__new__(cls)._build(ground_size, sorted(map(elements_of, masks)), uniform)
 
     @classmethod
-    def _canonical(cls, ground_size: int, elements: Sequence[tuple[int, ...]]) -> "SetFamily":
+    def _canonical(cls, ground_size: int, elements: Iterable[tuple[int, ...]]) -> "SetFamily":
         """The family of `elements`, the members' ascending element tuples
-        already in canonical order, as the parsers make them: no sort."""
+        already in canonical order, as the parsers and `gen_sunflower` and
+        `gen_transversal` make them: no sort (`_build` still checks the order)."""
         return cls.__new__(cls)._build(ground_size, elements, None)
 
-    def _build(self, ground_size: int, elements: Sequence, uniform: Optional[int]) -> "SetFamily":
+    def _build(self, ground_size: int, elements: Iterable, uniform: Optional[int]) -> "SetFamily":
         """The one validation path: a linear check of order (which excludes
         duplicates), range and declared uniformity of the canonical element
         tuples, which become the element table; members are made on first use."""
@@ -264,12 +229,6 @@ class SetFamily:
 
     def __len__(self) -> int:
         return len(self._masks)
-
-    def __iter__(self) -> Iterator[ElementSet]:
-        return iter(self.members)
-
-    def __contains__(self, s) -> bool:
-        return _coerce_set(s).mask in set(self._masks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -452,6 +411,6 @@ def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:
     if chosen is None:
         return None
     witness = [family.members[i] for i in chosen]
-    if r > 1 and is_sunflower(witness) != EMPTY_SET:
+    if r > 1 and is_sunflower(witness) != ElementSet():
         raise InvariantError("disjointness witness has intersecting members")
     return witness

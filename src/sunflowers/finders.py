@@ -250,8 +250,8 @@ def _search(
     )
     if child is None:
         return None
-    lift = ElementSet.from_mask(pivot_link)
-    return _certified(tuple(petal | lift for petal in child.petal_sets), child.core | lift)
+    lifted = tuple(ElementSet.from_mask(p.mask | pivot_link) for p in child.petal_sets)
+    return _certified(lifted, ElementSet.from_mask(child.core.mask | pivot_link))
 
 
 def l_intersecting_find(

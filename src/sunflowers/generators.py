@@ -18,13 +18,7 @@ import math
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .families import (
-    ElementSet,
-    SetFamily,
-    _subset_masks,
-    is_L_intersecting,
-    is_sunflower,
-)
+from .families import SetFamily, _subset_masks, is_L_intersecting, is_sunflower
 
 if TYPE_CHECKING:
     import numpy as np
@@ -90,16 +84,13 @@ def gen_sunflower(core_size: int, petal_size: int, r: int) -> SetFamily:
         raise GeneratorError(
             f"need r >= 2, petal_size >= 1, core_size >= 0, got ({core_size}, {petal_size}, {r})"
         )
-    _check_size(r, core_size + r * petal_size, "sets")
-    core = list(range(core_size))
-    sets = []
-    nxt = core_size
-    for _ in range(r):
-        sets.append(ElementSet(core + list(range(nxt, nxt + petal_size))))
-        nxt += petal_size
-    family = SetFamily(core_size + r * petal_size, sets)
+    x = core_size + r * petal_size
+    _check_size(r, x, "sets")
+    core = tuple(range(core_size))
+    family = SetFamily._canonical(x, [core + tuple(range(s, s + petal_size))
+                                      for s in range(core_size, x, petal_size)])
     got = is_sunflower(family.members)
-    if got is None or got.elements != tuple(core):
+    if got is None or got.elements != core:
         raise GeneratorError("sunflower self-check failed")
     return family
 
@@ -112,7 +103,8 @@ def gen_transversal(blocks: int, block_size: int) -> SetFamily:
     count = block_size**blocks
     _check_size(count, blocks * block_size, "transversals")
     ranges = [range(b * block_size, (b + 1) * block_size) for b in range(blocks)]
-    family = SetFamily(blocks * block_size, (ElementSet(choice) for choice in product(*ranges)))
+    # the product of ascending disjoint blocks is already in canonical order
+    family = SetFamily._canonical(blocks * block_size, product(*ranges))
     if len(family) != count or family.uniformity != blocks:
         raise GeneratorError("transversal self-check failed")
     return family
@@ -138,6 +130,8 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
     if count < 0 or count > total:
         raise GeneratorError(f"cannot draw {count} distinct {n}-subsets of {x} (total {total})")
     _check_size(count, x, "subsets", seeded=True)
+    if 4096 < total <= 4 * count:  # the enumeration below lists total > count masks
+        _check_size(total, x, "listed subsets")
     rng = _rng(seed)
     if total <= max(4096, 4 * count):
         all_masks = list(_subset_masks(range(x), n))

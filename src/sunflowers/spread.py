@@ -47,6 +47,7 @@ from .families import (
     SetFamily,
     _exact_fraction,
     _positive_fraction,
+    elements_of,
     find_r_disjoint,
     link,
     submasks,
@@ -173,7 +174,7 @@ def find_spread_link(family: SetFamily, kappa: Rational, d: int) -> SpreadLinkRe
         best_size = max(t.bit_count() for t in quals)
         best_mask = min(
             (t for t in quals if t.bit_count() == best_size),
-            key=lambda t: ElementSet.from_mask(t).elements,
+            key=elements_of,
         )
     t_set = ElementSet.from_mask(best_mask)
     link_family = link(family, t_set)

@@ -155,11 +155,11 @@ def greedy_L_masks_by_full_budget(x, n, allowed, target_count, seed, budget):
 
 def parse_family_text_line_by_line(text):
     """The text-format parser as it was before the one-pass scan: every
-    line checked on its own, then every row made an ElementSet and sorted
-    by the general SetFamily constructor.  It reads tokens with int(),
+    line checked on its own, then every row sorted by the general
+    SetFamily constructor.  It reads tokens with int(),
     so it also takes the '+1', '1_0' and non-ASCII digit tokens that the
     library refuses; compare the two only on ASCII integer tokens."""
-    from sunflowers import ElementSet, ParseError, SetFamily
+    from sunflowers import ParseError, SetFamily
 
     ground_size = None
     rows = []
@@ -197,16 +197,15 @@ def parse_family_text_line_by_line(text):
         if key in seen:
             raise ParseError(f"line {lineno}: duplicate set (first seen on line {seen[key]})")
         seen[key] = lineno
-    return SetFamily(ground_size, (ElementSet(elems) for _, elems in rows))
+    return SetFamily(ground_size, (elems for _, elems in rows))
 
 
 def parse_family_json_row_by_row(text):
     """The JSON parser as it was before the one-pass construction: rows
-    made ElementSets, sorted and checked by the general SetFamily
-    constructor; a 'weights' key is refused once the sets are read."""
+    sorted and checked by the general SetFamily constructor; a 'weights' key is refused once the sets are read."""
     import json
 
-    from sunflowers import ElementSet, FamilyError, ParseError, SetFamily
+    from sunflowers import FamilyError, ParseError, SetFamily
 
     def is_int(value):
         return isinstance(value, int) and not isinstance(value, bool)
@@ -231,7 +230,7 @@ def parse_family_json_row_by_row(text):
             raise ParseError(f"set #{i}: duplicate element in {row}")
         if any(e < 0 or e >= ground_size for e in row):
             raise ParseError(f"set #{i}: element out of range [0, {ground_size})")
-        sets.append(ElementSet(row))
+        sets.append(row)
     try:
         family = SetFamily(ground_size, sets)
     except FamilyError as exc:

@@ -343,6 +343,22 @@ def test_exact_values_do_not_depend_on_the_int_str_limit(capsys):
     assert refused == (3, "", "error: exact value has 4567 digits, over the limit of 4300\n")
 
 
+def test_crossover_refuses_an_oversized_row_before_any_interval(monkeypatch, capsys):
+    # the falling factorial grows with d, so row d = n is checked first
+    from sunflowers import bounds
+    from sunflowers.cli import main
+
+    def no_interval(*args):
+        raise AssertionError("an interval was made")
+
+    monkeypatch.setattr(bounds, "_enclosure", no_interval)
+    with pytest.raises(ValueError, match="exact value has 4394 digits, over the limit of 4300"):
+        crossover_report(1450, 3)
+    assert main(["bounds", "--which", "crossover", "-n", "1450", "-r", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "4394 digits" in captured.err
+
+
 def test_one_digit_is_accepted():
     assert rlogn_bound(4, 3, digits=1).digits == 1
     assert len(crossover_report(4, 3, digits=1).rows) == 4

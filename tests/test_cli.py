@@ -63,6 +63,11 @@ def test_check_parse_error_reports_line(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_jsonable_refuses_an_unknown_object():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        cli.jsonable(object())
+
+
 def test_check_rejects_boolean_ground_size(capsys, tmp_path):
     fam = write_family(tmp_path, "b.json", '{"ground_size": true, "sets": [[0]]}')
     code, out, err = run(capsys, "check", fam)

@@ -10,7 +10,6 @@ from hypothesis import example, given, settings, strategies as st
 import sunflowers
 
 from sunflowers import (
-    EMPTY_SET,
     ElementSet,
     SetFamily,
     Sunflower,
@@ -201,6 +200,11 @@ def test_brute_force_checks_each_witness_once(monkeypatch):
         assert len(calls) == found
 
 
+def test_brute_force_refuses_r1():
+    with pytest.raises(FinderError, match="need r >= 2, got 1"):
+        brute_force_sunflower(TRIANGLE, 1)
+
+
 def test_no_sunflower_above_erdos_rado_is_an_internal_error(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(finders, "_sunflower_indices", lambda masks, r: None)
     singletons = SetFamily(2, [[0], [1]])  # 2 sets > 1!(2-1)^1
@@ -367,7 +371,7 @@ def test_failed_lift_certificate_is_an_internal_error(monkeypatch, tmp_path, cap
     def forged_below_the_top(family, sizes, r, m, depth, levels):
         if depth == 0:
             return real_search(family, sizes, r, m, depth, levels)
-        return Sunflower((EMPTY_SET, ElementSet(linked[-1].elements[:1])), EMPTY_SET)
+        return Sunflower((ElementSet(), ElementSet(linked[-1].elements[:1])), ElementSet())
 
     monkeypatch.setattr(finders, "link", recording_link)
     monkeypatch.setattr(finders, "_search", forged_below_the_top)

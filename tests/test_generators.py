@@ -130,11 +130,11 @@ _OVER_BITS = 2**30 // 2048 + 1  # members over 2048 elements: just over 2^30 mas
 
 
 @pytest.mark.parametrize("argv, patched, message", [
-    (["sunflower", "0", "1", "1000001"], "ElementSet", "1000001 sets exceed budget 1000000"),
-    (["sunflower", "0", "1", "32769"], "ElementSet",
+    (["sunflower", "0", "1", "1000001"], "SetFamily", "1000001 sets exceed budget 1000000"),
+    (["sunflower", "0", "1", "32769"], "SetFamily",
      f"32769 sets over 32769 elements exceed {2**30} mask bits"),
-    (["transversal", "1", "1000001"], "ElementSet", "1000001 transversals exceed budget"),
-    (["transversal", "1", "32769"], "ElementSet", "32769 transversals over 32769 elements exceed"),
+    (["transversal", "1", "1000001"], "SetFamily", "1000001 transversals exceed budget"),
+    (["transversal", "1", "32769"], "SetFamily", "32769 transversals over 32769 elements exceed"),
     (["all-subsets", "1000001", "1"], "_subset_masks", "1000001 subsets exceed budget"),
     (["all-subsets", "32769", "1"], "_subset_masks", "32769 subsets over 32769 elements exceed"),
     (["random-uniform", "1000001", "1", "1000001", "--seed", "1"], "_rng",
@@ -149,6 +149,8 @@ _OVER_BITS = 2**30 // 2048 + 1  # members over 2048 elements: just over 2^30 mas
       str(_OVER_BITS), "--seed", "1"], "_rng", f"{_OVER_BITS} sets over 2048 elements exceed"),
     (["random-l", "32769", "1", "--L", "0", "--count", "1", "--seed", "1"], "_rng",
      "512 draws over 32769 elements exceed"),
+    (["random-uniform", "2000", "2", "499750", "--seed", "1"], "_rng",
+     "1999000 listed subsets exceed budget 1000000"),
 ])
 def test_gen_refuses_just_over_each_size_limit(monkeypatch, capsys, argv, patched, message):
     from sunflowers.cli import main

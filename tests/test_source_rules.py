@@ -159,3 +159,15 @@ def test_only_enclosure_adds_the_guard_digits():
                             for side in (node.left, node.right))):
                 found.append(getattr(top, "name", node.lineno))
     assert found == ["_enclosure"]
+
+
+def test_only_families_builds_a_set_value_from_elements():
+    # the other modules compute on masks and hand out `ElementSet.from_mask`
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py")) if path.name != "families.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "ElementSet"
+    ]
+    assert found == []

@@ -526,6 +526,15 @@ def test_empty_member_rejected():
         check_satisfying_disjoint(SetFamily(3, [[]]), 2)
 
 
+def test_family_of_the_empty_set_has_kappa_one():
+    assert spread_kappa(SetFamily(3, [[]])) == 1.0
+
+
+def test_find_spread_link_refuses_an_empty_family():
+    with pytest.raises(FamilyError, match="nonempty n-uniform"):
+        find_spread_link(SetFamily(3, [], uniform=2), 1, 1)
+
+
 def test_contrapositive_random_corpus():
     for seed in range(100):
         r = 2 + seed % 2
