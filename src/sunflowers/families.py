@@ -159,8 +159,8 @@ class SetFamily:
     @classmethod
     def _canonical(cls, ground_size: int, elements: Iterable[tuple[int, ...]]) -> "SetFamily":
         """The family of `elements`, the members' ascending element tuples
-        already in canonical order, as the parsers and `gen_sunflower` and
-        `gen_transversal` make them: no sort (`_build` still checks the order)."""
+        already in canonical order, as the parsers and the deterministic
+        generators make them: no sort (`_build` still checks the order)."""
         return cls.__new__(cls)._build(ground_size, elements, None)
 
     def _build(self, ground_size: int, elements: Iterable, uniform: Optional[int]) -> "SetFamily":
