@@ -119,7 +119,8 @@ def certified_compare(
         if scale > 0 and span <= EQUALITY_REL_TOL * scale:
             return "="
         if d >= _MAX_COMPARE_DIGITS:
-            raise ArithmeticError("bound comparison undecided at maximum precision")
+            raise ArithmeticError(
+                f"bound comparison undecided at maximum precision {_MAX_COMPARE_DIGITS} digits")
         d *= 2
 
 
@@ -253,7 +254,7 @@ def falling_factorial_bound(n: int, d: int, r: int) -> int:
     families whose pairwise intersections have size at most d."""
     if d < 0 or r < 2 or n < d:
         raise ValueError(f"need 0 <= d <= n and r >= 2, got n={n}, d={d}, r={r}")
-    return (r - 1) ** (d + 1) * math.factorial(n) // math.factorial(n - d)
+    return (r - 1) ** (d + 1) * math.perm(n, d)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import generators as gen_mod
 from .families import (
+    DEFAULT_SIZE_BUDGET,
     ElementSet,
     FamilyError,
     SetFamily,
@@ -323,8 +324,8 @@ def cmd_experiment(args) -> int:
     lo, hi, step = args.alpha_grid
     _require(step > 0 and 0 < lo <= hi < 1, "need 0 < start <= stop < 1 and step > 0")
     count = (hi - lo) // step + 1
-    _require(count <= gen_mod.DEFAULT_SIZE_BUDGET,
-             f"--alpha-grid: {count} rows exceed budget {gen_mod.DEFAULT_SIZE_BUDGET}")
+    _require(count <= DEFAULT_SIZE_BUDGET,
+             f"--alpha-grid: {count} rows exceed budget {DEFAULT_SIZE_BUDGET}")
     rows = []  # all made before the header is written, so a refusal writes nothing
     for i in range(count):
         alpha = lo + i * step

@@ -13,7 +13,7 @@ every W of a size, the bad pairs and the pairs whose union W u S holds a
 member other than S, on Python-int bitsets indexed by W's position:
 x + 2|F| bitsets of C(x, px) bits, about (x + 2|F|) C(x, px) / 8 bytes,
 beside a few bit planes of the per-W bad counts; an audit whose
-(x + 2|F|) C(x, px) exceeds `_PASS_BITS_LIMIT` (2^30 bits, 128 MiB) is
+(x + 2|F|) C(x, px) exceeds `families._BITS_LIMIT` (2^30 bits, 128 MiB) is
 refused before the pass starts.  The x element bitsets,
 the one enumeration of W (the few W an audit names are read off them),
 come from the lex-order recursion, and the last few tables are kept.
@@ -33,6 +33,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .families import (
+    _BITS_LIMIT,
     ElementSet,
     FamilyError,
     Rational,
@@ -41,8 +42,6 @@ from .families import (
     elements_of,
     is_d_intersecting,
 )
-
-_PASS_BITS_LIMIT = 1 << 30  # most bits, (x + 2|F|) C(x, px), an audit's W pass may hold
 
 
 def _decode_masks(masks: Sequence[int], union: int, meet: int) -> Optional[tuple[int, int]]:
@@ -60,15 +59,15 @@ def _decode_masks(masks: Sequence[int], union: int, meet: int) -> Optional[tuple
 
 def _audit_setup(family: SetFamily, w_size: int, d: int) -> tuple[int, Fraction, int]:
     """Check an audit's input, and the size of its W pass against
-    `_PASS_BITS_LIMIT`, and return (n, p, num_w), on every call, whether
+    `_BITS_LIMIT`, and return (n, p, num_w), on every call, whether
     or not the family keeps its W pass (`_kept_pass`)."""
     x = family.ground_size
     if not 0 < w_size < x:
         raise ValueError(f"need 0 < w_size < x = {x}, got {w_size}")
     num_w = math.comb(x, w_size)
     bits = (x + 2 * len(family)) * num_w
-    if bits > _PASS_BITS_LIMIT:
-        raise ValueError(f"the W pass needs {bits} bitset bits, over budget {_PASS_BITS_LIMIT}")
+    if bits > _BITS_LIMIT:
+        raise ValueError(f"the W pass needs {bits} bitset bits, over budget {_BITS_LIMIT}")
     n = family.uniformity
     if n is None:
         raise FamilyError("audit needs an n-uniform family")

@@ -17,6 +17,9 @@ from typing import Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequ
 #: Exact rational input: int, str (like "1/3") or Fraction; floats are refused.
 Rational = Union[int, str, Fraction]
 
+DEFAULT_SIZE_BUDGET = 1_000_000  # most members of a generated family, and rows of an experiment
+_BITS_LIMIT = 1 << 30  # most bits of a family's masks, of a block of draws, and of a W pass
+
 
 class FamilyError(ValueError):
     """Invalid construction of a set, family, or certificate."""

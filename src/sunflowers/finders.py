@@ -320,19 +320,12 @@ def find_any(
                     status="found", sunflower=flower, trace=trace, method="recursive"
                 )
         if strategy == "recursive":
-            return SearchOutcome(
-                status="unknown",
-                trace=trace,
-                method="recursive",
-                note="hypothesis not met; absence not established",
-            )
-    if math.comb(len(family), r) > budget:
-        return SearchOutcome(
-            status="unknown",
-            trace=trace,
-            method="brute-force",
-            note=f"{math.comb(len(family), r)} r-subsets exceed budget {budget}",
-        )
+            return SearchOutcome(status="unknown", trace=trace, method="recursive",
+                                 note="hypothesis not met; absence not established")
+    subsets = math.comb(len(family), r)
+    if subsets > budget:
+        return SearchOutcome(status="unknown", trace=trace, method="brute-force",
+                             note=f"{subsets} r-subsets exceed budget {budget}")
     flower = brute_force_sunflower(family, r)
     if flower is not None:
         return SearchOutcome(status="found", sunflower=flower, trace=trace, method="brute-force")

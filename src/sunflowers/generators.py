@@ -18,7 +18,8 @@ import math
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .families import SetFamily, _subset_masks, is_L_intersecting, is_sunflower
+from .families import (DEFAULT_SIZE_BUDGET, _BITS_LIMIT, SetFamily, _subset_masks,
+                        is_L_intersecting, is_sunflower)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -27,9 +28,7 @@ class GeneratorError(ValueError):
     """Infeasible generator parameters or a failed self-check."""
 
 
-DEFAULT_SIZE_BUDGET = 1_000_000  # most members of a generated family
 DEFAULT_DRAW_BUDGET = 100_000  # gen_random_L_intersecting's default number of draws
-_BITS_LIMIT = 1 << 30  # most bits of a family's masks, and of one block of draws
 _DRAW_ROWS = 512  # rows of uniforms in one block of `_n_subset_masks`
 
 
@@ -130,18 +129,18 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
     if count < 0 or count > total:
         raise GeneratorError(f"cannot draw {count} distinct {n}-subsets of {x} (total {total})")
     _check_size(count, x, "subsets", seeded=True)
-    if 4096 < total <= 4 * count:  # the enumeration below lists total > count masks
-        _check_size(total, x, "listed subsets")
-    rng = _rng(seed)
-    if total <= max(4096, 4 * count):
+    short = total <= 4096  # a list this short is made uncharged
+    if short or total <= 4 * count:  # sample from the list of all C(x, n) masks
+        if not short:
+            _check_size(total, x, "listed subsets")
+        idx = _rng(seed).choice(total, size=count, replace=False)
         all_masks = list(_subset_masks(range(x), n))
-        idx = rng.choice(total, size=count, replace=False)
         masks = [all_masks[i] for i in sorted(int(i) for i in idx)]
         return SetFamily.from_masks(x, masks, uniform=n)
     # total > 4*count, so rejection converges quickly
     chosen: set[int] = set()
     cap = 200 * count + 1000
-    for mask in _n_subset_masks(rng, x, n, cap):
+    for mask in _n_subset_masks(_rng(seed), x, n, cap):
         chosen.add(mask)
         if len(chosen) == count:
             return SetFamily.from_masks(x, chosen, uniform=n)

@@ -68,7 +68,8 @@ def _link_counts(masks: Sequence[int]) -> Counter:
     member's submasks."""
     budget = sum(1 << m.bit_count() for m in masks)
     if budget > _ENUMERATION_LIMIT:
-        raise ValueError(f"link enumeration needs {budget} submask visits, over budget")
+        raise ValueError(f"link enumeration needs {budget} submask visits, "
+                         f"over budget {_ENUMERATION_LIMIT}")
     totals = Counter(chain.from_iterable(map(submasks, masks)))
     del totals[0]
     return totals

@@ -216,9 +216,9 @@ def test_an_audit_over_the_bit_budget_is_refused_before_the_pass(monkeypatch, ca
 
 def test_the_bit_budget_counts_every_bitset_of_the_pass(monkeypatch):
     bits = (6 + 2 * len(MATCHING)) * 20  # C(6, 3) = 20 W sets
-    monkeypatch.setattr(encoding, "_PASS_BITS_LIMIT", bits)
+    monkeypatch.setattr(encoding, "_BITS_LIMIT", bits)
     assert audit_encoding_bound(MATCHING, 3, 1).passed
-    monkeypatch.setattr(encoding, "_PASS_BITS_LIMIT", bits - 1)
+    monkeypatch.setattr(encoding, "_BITS_LIMIT", bits - 1)
     with pytest.raises(ValueError, match=f"needs {bits} bitset bits"):
         audit_encoding_bound(MATCHING, 3, 1)
 
