@@ -184,6 +184,15 @@ def _exact_str(value: int) -> str:
     return str(decimal.Decimal(value))
 
 
+def _check_log10(log10_value: float) -> None:
+    """Refuse an exact bound before it is made when its log10, a float
+    estimate, passes _MAX_EXACT_DIGITS by over 1000, far more than the
+    estimate can err; nearer the limit, `_check_exact` counts the digits."""
+    if log10_value > _MAX_EXACT_DIGITS + 1000:
+        raise ValueError(f"exact value has about {math.floor(log10_value) + 1} digits, "
+                         f"over the limit of {_MAX_EXACT_DIGITS}")
+
+
 def erdos_rado_bound(n: int, r: int) -> int:
     """n! * (r-1)^n, the classical factorial sunflower threshold."""
     if n < 1 or r < 2:
@@ -255,6 +264,11 @@ def falling_factorial_bound(n: int, d: int, r: int) -> int:
     if d < 0 or r < 2 or n < d:
         raise ValueError(f"need 0 <= d <= n and r >= 2, got n={n}, d={d}, r={r}")
     return (r - 1) ** (d + 1) * math.perm(n, d)
+
+
+def _log10_falling(n: int, d: int, r: int) -> float:
+    """log10 of falling_factorial_bound(n, d, r), by lgamma and log10."""
+    return (math.lgamma(n + 1) - math.lgamma(n - d + 1)) / math.log(10) + (d + 1) * math.log10(r - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +360,7 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     log_base = _log_base(log_base)
     # each step in d multiplies the falling factorial by (r-1)(n-d) >= 1,
     # so row d = n is the largest: refuse it before any interval
+    _check_log10(_log10_falling(n, n, r))
     _check_exact(falling_factorial_bound(n, n, r))
     rows = []
     for d in range(1, n + 1):
@@ -402,6 +417,12 @@ _BOUNDS = {
     "falling-factorial": (falling_factorial_bound, ("n", "d", "r")),
 }
 BOUND_NAMES = tuple(_BOUNDS)
+#: name -> log10 of the exact bound from the parameters it reads, checked before the bound
+_LOG10 = {
+    "erdos-rado": lambda n, r: math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1),
+    "l-intersecting": lambda n, s, r: n * math.log10(s + 1) + s * math.log10(pigeonhole_limit(n, r)),
+    "falling-factorial": _log10_falling,
+}
 #: The parameters that each name of `BOUND_NAMES`, and "crossover", reads.
 PARAMETERS_READ = {**{name: reads for name, (_, reads) in _BOUNDS.items()},
                    "crossover": ("n", "r", "C", "digits", "log_base")}
@@ -428,7 +449,13 @@ def bound_report(
     missing = [p for p in reads if given[p] is None]
     if missing:
         raise MissingParameterError(f"bound '{which}' needs parameters: {', '.join(missing)}")
-    value = bound(*(given[p] for p in reads))
+    args = [given[p] for p in reads]
+    try:
+        log10 = _LOG10[which](*args) if which in _LOG10 else 0.0
+    except ValueError:  # a parameter out of the bound's domain: the bound says which
+        log10 = 0.0
+    _check_log10(log10)
+    value = bound(*args)
     params = {p: str(given[p]) if p in ("C", "log_base") else given[p]
               for p in reads if p != "digits"}
     if isinstance(value, RealBoundValue):

@@ -31,6 +31,7 @@ from .families import (
     FamilyError,
     SetFamily,
     Sunflower,
+    _positive_fraction,
     intersection_profile,
     is_d_intersecting,
     is_L_intersecting,
@@ -193,12 +194,13 @@ def cmd_check(args) -> int:
     family, digest = _load(args.family)
     L = None if args.L is None else ",".join(map(str, args.L))  # echoed as it is used
     params = {"L": L, "d": args.d, "uniform": args.uniform}
+    d_verdict = None if args.d is None else is_d_intersecting(family, args.d)  # refuses d < 0 first
     profile = intersection_profile(family)  # kept on the family: the verdicts read it again
     verdicts = {}
     if args.L is not None:
         verdicts["L_intersecting"] = is_L_intersecting(family, args.L)
     if args.d is not None:
-        verdicts["d_intersecting"] = is_d_intersecting(family, args.d)
+        verdicts["d_intersecting"] = d_verdict
     if args.uniform is not None:
         verdicts["uniform"] = family.uniformity == args.uniform
     outputs = {
@@ -342,11 +344,12 @@ def cmd_encode_audit(args) -> int:
     started = time.perf_counter()
     family, digest = _load(args.family)
     params = {"px": args.px, "d": args.d, "delta": args.delta}
+    delta = None if args.delta is None else _positive_fraction(args.delta, "delta")  # before the pass
     audit = encoding_mod.audit_encoding_bound(family, args.px, args.d)
     outputs: dict = {"encoding": audit}
     ok = audit.passed
-    if args.delta is not None:
-        markov = encoding_mod.audit_markov_step(family, args.px, args.delta, args.d)
+    if delta is not None:
+        markov = encoding_mod.audit_markov_step(family, args.px, delta, args.d)
         outputs["markov"] = markov
         ok = ok and markov.holds
     _emit(args, params, outputs, started, digest=digest)

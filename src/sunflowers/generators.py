@@ -160,10 +160,10 @@ def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, 
     the whole budget would give.
     """
     if n == 0:
-        # the empty set is the only 0-subset; a second copy never passes
-        # the L-check since 0 is not an allowed size when L is empty
-        kept = [0][:target_count]
-        return kept, "target" if len(kept) >= target_count else "proved-maximal"
+        # the empty set, the only 0-subset, is kept if a draw is allowed
+        kept = [0][:min(target_count, budget)]
+        stop = "proved-maximal" if kept else "budget"
+        return kept, "target" if len(kept) >= target_count else stop
     kept: list[int] = []
     total = math.comb(x, n)
     rejected = 0

@@ -143,7 +143,7 @@ def greedy_L_masks_by_full_budget(x, n, allowed, target_count, seed, budget):
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     if n == 0:
-        return [0][: max(target_count, 0)]
+        return [0][: min(target_count, budget)]
     kept = []
     for mask in n_subset_masks(rng, budget):
         if len(kept) >= target_count:

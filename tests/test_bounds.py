@@ -359,6 +359,49 @@ def test_crossover_refuses_an_oversized_row_before_any_interval(monkeypatch, cap
     assert captured.out == "" and "4394 digits" in captured.err
 
 
+def test_an_exact_report_far_over_the_digit_limit_is_refused_before_it_is_made(
+        monkeypatch, capsys):
+    # lgamma and log10 of the parameters put these values at millions of digits
+    from sunflowers import bounds
+    from sunflowers.cli import main
+
+    def no_value(*args):
+        raise AssertionError("the exact value was computed")
+
+    monkeypatch.setattr(bounds.math, "factorial", no_value)
+    monkeypatch.setattr(bounds.math, "perm", no_value)
+    for argv, digits in ((["erdos-rado", "-n", "1000000", "-r", "3"], 5866739),
+                         (["falling-factorial", "-n", "3000000", "-d", "3000000", "-r", "3"],
+                          19031575),
+                         (["crossover", "-n", "200000", "-r", "3"], 1033557)):
+        assert main(["bounds", "--which", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: exact value has about {digits} digits, over the limit of 4300\n"
+    # a parameter outside the bound's domain is still refused by the bound itself
+    with pytest.raises(ValueError, match="need 0 <= d <= n"):
+        bound_report("falling-factorial", n=10**6, d=10**7, r=3)
+    with pytest.raises(ValueError, match="need n >= 1 and r >= 2"):
+        bound_report("erdos-rado", n=10**6, r=1)
+
+
+def test_the_digit_limit_is_a_rule_for_reports_only():
+    assert erdos_rado_bound(2000, 3) == math.factorial(2000) * 2**2000
+    with pytest.raises(ValueError, match="has about 6338 digits, over the limit of 4300"):
+        bound_report("erdos-rado", n=2000, r=3)
+    # 1700! * 2^1700 has 5268 digits, within 1000 of the limit: counted exactly
+    with pytest.raises(ValueError, match="has 5268 digits, over the limit of 4300"):
+        bound_report("erdos-rado", n=1700, r=3)
+
+
+def test_falling_factorial_bound_is_the_quotient_of_two_factorials():
+    for n in range(40):
+        for d in range(n + 1):
+            for r in (2, 3, 7):
+                expected = (r - 1) ** (d + 1) * math.factorial(n) // math.factorial(n - d)
+                assert falling_factorial_bound(n, d, r) == expected
+
+
 def test_one_digit_is_accepted():
     assert rlogn_bound(4, 3, digits=1).digits == 1
     assert len(crossover_report(4, 3, digits=1).rows) == 4

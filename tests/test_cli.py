@@ -81,6 +81,20 @@ def test_check_refuses_a_negative_uniformity(capsys, triangle):
     assert "--uniform: uniformity must be >= 0" in err
 
 
+def test_check_refuses_a_negative_d_before_the_profile(capsys, triangle, monkeypatch):
+    from sunflowers import families
+
+    def no_profile(*args):
+        raise AssertionError("the intersection profile was built")
+
+    with pytest.raises(families.FamilyError) as refused:
+        families.is_d_intersecting(families.SetFamily(3), -1)
+    monkeypatch.setattr(cli, "intersection_profile", no_profile)
+    monkeypatch.setattr(families, "intersection_profile", no_profile)
+    code, out, err = run(capsys, "check", triangle, "--L", "0,1", "--d", "-1")
+    assert (code, out, err) == (3, "", f"error: {refused.value}\n")
+
+
 # -- find -------------------------------------------------------------------
 
 def test_find_sunflower(capsys, tmp_path):
@@ -544,6 +558,22 @@ def test_encode_audit_validation(capsys, matching):
     assert code == 3
 
 
+def test_encode_audit_refuses_a_nonpositive_delta_before_the_pass(capsys, matching, monkeypatch):
+    from sunflowers import encoding, families
+
+    def no_pass(*args):
+        raise AssertionError("the audit started")
+
+    with pytest.raises(ValueError) as refused:
+        encoding.audit_markov_step(families.SetFamily(6, [[0, 1]]), 3, 0, 1)
+    monkeypatch.setattr(encoding, "_bad_members_by_w", no_pass)
+    monkeypatch.setattr(cli, "intersection_profile", no_pass)
+    monkeypatch.setattr(families, "intersection_profile", no_pass)
+    code, out, err = run(capsys, "encode-audit", matching, "--px", "3", "--d", "1",
+                         "--delta", "0")
+    assert (code, out, err) == (3, "", f"error: {refused.value}\n")
+
+
 # -- gen ---------------------------------------------------------------------------
 
 def test_gen_sunflower_text(capsys):
@@ -592,6 +622,14 @@ def test_gen_random_l_names_its_stop_reason(capsys):
                          "--count", "5", "--seed", "7")
     assert code == 0 and len(out.splitlines()) == 1 + 5
     assert "stopped: target" in err
+
+
+@pytest.mark.parametrize("budget, sets, stop", [("0", [], "budget"), ("1", [[]], "proved-maximal")])
+def test_gen_random_l_of_empty_sets_honours_the_budget(capsys, budget, sets, stop):
+    code, out, err = run(capsys, "gen", "random-l", "5", "0", "--L", "", "--count", "3",
+                         "--seed", "1", "--budget", budget, "--format", "json")
+    assert code == 0 and json.loads(out)["sets"] == sets
+    assert err == f"note: reached {len(sets)} of 3 sets; stopped: {stop}\n"
 
 
 # -- README -------------------------------------------------------------------------

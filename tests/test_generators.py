@@ -259,6 +259,16 @@ def test_gen_random_l_stops_long_before_a_huge_budget(monkeypatch):
     assert huge == gen_random_L_intersecting(12, 2, [0, 1], 70, seed=3, budget=50_000)
 
 
+@pytest.mark.parametrize("target, budget, count, stop", [
+    (3, 0, 0, "budget"), (3, 1, 1, "proved-maximal"), (1, 1, 1, "target"), (0, 0, 0, "target"),
+])
+def test_gen_random_l_of_empty_sets_keeps_one_only_if_a_draw_is_allowed(target, budget, count,
+                                                                        stop):
+    stops = []
+    fam = gen_random_L_intersecting(4, 0, [], target, seed=1, budget=budget, on_stop=stops.append)
+    assert fam.masks == (0,) * count and stops == [stop]
+
+
 def test_gen_random_l_validates_L():
     with pytest.raises(GeneratorError):
         gen_random_L_intersecting(8, 3, [3], 5, seed=1)

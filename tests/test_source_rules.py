@@ -171,3 +171,29 @@ def test_only_families_builds_a_set_value_from_elements():
         and node.func.id == "ElementSet"
     ]
     assert found == []
+
+
+def test_the_bit_limit_is_stated_once():
+    # 2^30 bits caps generated masks, a block of draws and an audit's W pass
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None
+        and ast.unparse(node.value) == "1 << 30"
+    ]
+    assert len(found) == 1 and found[0].startswith("families.py:")
+
+
+def test_bounds_takes_factorials_only_for_n_factorial_and_the_multinomial():
+    # n!/(n-d)! is `math.perm`; a quotient of two factorials makes both in full
+    tree = ast.parse((SOURCE / "bounds.py").read_text(), filename="bounds.py")
+    found = {
+        str(getattr(top, "name", top.lineno))
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "factorial" and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "math"
+    }
+    assert found == {"erdos_rado_bound", "l_multinomial_bound"}
