@@ -17,6 +17,7 @@ integer bounds (and the CLI subcommands that use only them) never load it.
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -184,12 +185,20 @@ def _exact_str(value: int) -> str:
     return str(decimal.Decimal(value))
 
 
-def _check_log10(log10_value: float) -> None:
-    """Refuse an exact bound before it is made when its log10, a float
-    estimate, passes _MAX_EXACT_DIGITS by over 1000, far more than the
-    estimate can err; nearer the limit, `_check_exact` counts the digits."""
-    if log10_value > _MAX_EXACT_DIGITS + 1000:
-        raise ValueError(f"exact value has about {math.floor(log10_value) + 1} digits, "
+def _check_log10(log10: Callable[..., float], params: dict) -> None:
+    """Refuse an exact bound before it is made when log10(**params), a float
+    estimate, passes _MAX_EXACT_DIGITS by over 1000, far more than it can err
+    (nearer, `_check_exact` counts), or overflows a float, naming the largest parameter."""
+    try:
+        value = log10(**params)
+        digits = math.floor(value) + 1  # raises OverflowError if value overflowed to inf
+    except ValueError:  # a parameter out of the bound's domain: the bound says which
+        return
+    except OverflowError:
+        name = max((p for p, v in params.items() if type(v) is int), key=lambda p: abs(params[p]))
+        raise OverflowError(f"parameter {name} is too large to estimate the size of the bound")
+    if value > _MAX_EXACT_DIGITS + 1000:
+        raise ValueError(f"exact value has about {digits} digits, "
                          f"over the limit of {_MAX_EXACT_DIGITS}")
 
 
@@ -234,26 +243,30 @@ def _validated_l(n: int, L: Iterable[int]) -> tuple[int, ...]:
     return ls
 
 
+def _gap_binomials(n: int, L: Iterable[int]) -> list[tuple[int, int]]:
+    """Pairs (c, p) whose binomials C(c, p) multiply to the multinomial of
+    the gaps l1+1, l2-l1, ..., n-ls-1 of L: p is a gap, c the running sum."""
+    ls = _validated_l(n, L)
+    parts = [ls[0] + 1, *(b - a for a, b in zip(ls, ls[1:])), n - ls[-1] - 1]
+    if sum(parts) != n:
+        raise InvariantError(f"gap factorial arguments sum to {sum(parts)}, not {n}")
+    return list(zip(itertools.accumulate(parts), parts))
+
+
 def l_multinomial_bound(n: int, L: Iterable[int], r: int) -> int:
     """n! * m^s divided by the gap factorials of L = {l1 < ... < ls}.
 
     The denominator is (l1+1)! * (l2-l1)! * ... * (ls-l_{s-1})! * (n-ls-1)!,
-    whose arguments sum to n, so the quotient is an exact multinomial
-    coefficient times m^s.  Always at most l_intersecting_bound(n, |L|, r).
+    so the quotient is an exact multinomial coefficient, taken as a product
+    of binomials, times m^s.  Always at most l_intersecting_bound(n, |L|, r).
     """
     m = pigeonhole_limit(n, r)  # checks n >= 1 and r >= 2
-    ls = _validated_l(n, L)
-    parts = [ls[0] + 1]
-    parts += [b - a for a, b in zip(ls, ls[1:])]
-    parts.append(n - ls[-1] - 1)
-    if sum(parts) != n:
-        raise InvariantError(f"gap factorial arguments sum to {sum(parts)}, not {n}")
-    denom = math.prod(math.factorial(p) for p in parts)
-    multinomial, rem = divmod(math.factorial(n), denom)
-    if rem:
-        raise InvariantError("gap factorials do not divide n!")
-    value = multinomial * m ** len(ls)
-    if value > l_intersecting_bound(n, len(ls), r):
+    steps = _gap_binomials(n, L)
+    multinomial, s = math.prod(math.comb(c, p) for c, p in steps), len(steps) - 1
+    value = multinomial * m**s
+    # a multinomial of s + 1 parts is at most (s+1)^n; bit lengths decide most without the power
+    if (multinomial.bit_length() > n * ((s + 1).bit_length() - 1)
+            and value > l_intersecting_bound(n, s, r)):
         raise InvariantError("multinomial bound exceeds the L-intersecting bound")
     return value
 
@@ -266,9 +279,16 @@ def falling_factorial_bound(n: int, d: int, r: int) -> int:
     return (r - 1) ** (d + 1) * math.perm(n, d)
 
 
-def _log10_falling(n: int, d: int, r: int) -> float:
-    """log10 of falling_factorial_bound(n, d, r), by lgamma and log10."""
-    return (math.lgamma(n + 1) - math.lgamma(n - d + 1)) / math.log(10) + (d + 1) * math.log10(r - 1)
+def _log10_comb(c: int, k: int) -> float:
+    """log10 C(c, k), 0 <= k <= c, by Stirling's formula to well under a
+    digit.  No two large logs are subtracted, so it holds far past 2^53."""
+    k = min(k, c - k)
+    if k == 0:
+        return 0.0
+    x = k / c
+    tail = -math.log1p(-x) / x if x else 1.0  # -(c - k) log(1 - x) = k (1 - x) tail
+    return (k * (math.log(c) - math.log(k) + (1 - x) * tail)
+            - 0.5 * math.log(2 * math.pi * k * (1 - x))) / math.log(10)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +380,7 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     log_base = _log_base(log_base)
     # each step in d multiplies the falling factorial by (r-1)(n-d) >= 1,
     # so row d = n is the largest: refuse it before any interval
-    _check_log10(_log10_falling(n, n, r))
+    _check_log10(_LOG10["falling-factorial"], {"n": n, "d": n, "r": r})
     _check_exact(falling_factorial_bound(n, n, r))
     rows = []
     for d in range(1, n + 1):
@@ -421,7 +441,10 @@ BOUND_NAMES = tuple(_BOUNDS)
 _LOG10 = {
     "erdos-rado": lambda n, r: math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1),
     "l-intersecting": lambda n, s, r: n * math.log10(s + 1) + s * math.log10(pigeonhole_limit(n, r)),
-    "falling-factorial": _log10_falling,
+    "falling-factorial": lambda n, d, r: (_log10_comb(n, d) + math.lgamma(d + 1) / math.log(10)
+                                          + (d + 1) * math.log10(r - 1)),
+    "l-multinomial": lambda n, L, r: (sum(_log10_comb(c, p) for c, p in _gap_binomials(n, L))
+                                      + len(L) * math.log10(pigeonhole_limit(n, r))),
 }
 #: The parameters that each name of `BOUND_NAMES`, and "crossover", reads.
 PARAMETERS_READ = {**{name: reads for name, (_, reads) in _BOUNDS.items()},
@@ -449,15 +472,11 @@ def bound_report(
     missing = [p for p in reads if given[p] is None]
     if missing:
         raise MissingParameterError(f"bound '{which}' needs parameters: {', '.join(missing)}")
-    args = [given[p] for p in reads]
-    try:
-        log10 = _LOG10[which](*args) if which in _LOG10 else 0.0
-    except ValueError:  # a parameter out of the bound's domain: the bound says which
-        log10 = 0.0
-    _check_log10(log10)
-    value = bound(*args)
-    params = {p: str(given[p]) if p in ("C", "log_base") else given[p]
-              for p in reads if p != "digits"}
+    args = {p: given[p] for p in reads}
+    if which in _LOG10:
+        _check_log10(_LOG10[which], args)
+    value = bound(**args)
+    params = {p: str(v) if p in ("C", "log_base") else v for p, v in args.items() if p != "digits"}
     if isinstance(value, RealBoundValue):
         return BoundReport(name=which, params=params, value=value.decimal, exact=False,
                            digits=value.digits, lower=value.lower, upper=value.upper,

@@ -29,7 +29,7 @@ class GeneratorError(ValueError):
 
 
 DEFAULT_DRAW_BUDGET = 100_000  # gen_random_L_intersecting's default number of draws
-_DRAW_ROWS = 512  # rows of uniforms in one block of `_n_subset_masks`
+_DRAW_ROWS = 512  # rows of uniforms in the largest block of `_n_subset_masks`
 
 
 def _check_size(members: int, x: int, noun: str, seeded: bool = False) -> None:
@@ -56,15 +56,15 @@ def _n_subset_masks(rng, x: int, n: int, max_draws: int):
     """Up to max_draws uniform n-subset masks of {0..x-1}, 1 <= n <= x.
 
     Batched: each draw takes the positions of the n smallest entries in a
-    row of iid uniforms, which is a uniform n-subset.  The fixed block
-    size keeps stream consumption (and thus output) seed-deterministic.
-    Rows are packed little-endian, so byte j of a row holds elements
-    8j..8j+7 and the row's bytes read as one integer are its mask.
+    row of iid uniforms, which is a uniform n-subset.  Blocks start at 64
+    rows and double up to _DRAW_ROWS; rows leave the Philox stream in order
+    whatever the blocks, so the masks depend on the seed alone.  A row packs
+    little-endian: byte j holds elements 8j..8j+7, and its bytes are the mask.
     """
     import numpy as np
-    drawn = 0
+    drawn, rows = 0, 64
     while drawn < max_draws:
-        block = min(_DRAW_ROWS, max_draws - drawn)
+        block = min(rows, max_draws - drawn)
         picks = np.argpartition(rng.random((block, x)), n - 1, axis=1)[:, :n]
         hit = np.zeros((block, x), dtype=bool)
         np.put_along_axis(hit, picks, True, axis=1)
@@ -73,7 +73,7 @@ def _n_subset_masks(rng, x: int, n: int, max_draws: int):
         data = packed.tobytes()
         for start in range(0, len(data), width):
             yield int.from_bytes(data[start:start + width], "little")
-        drawn += block
+        drawn, rows = drawn + block, min(2 * rows, _DRAW_ROWS)
 
 
 def gen_sunflower(core_size: int, petal_size: int, r: int) -> SetFamily:
@@ -137,14 +137,15 @@ def gen_random_uniform(x: int, n: int, count: int, seed: int) -> SetFamily:
         all_masks = list(_subset_masks(range(x), n))
         masks = [all_masks[i] for i in sorted(int(i) for i in idx)]
         return SetFamily.from_masks(x, masks, uniform=n)
-    # total > 4*count, so rejection converges quickly
+    # total > 4*count, so rejection converges quickly; count 0 draws nothing
     chosen: set[int] = set()
     cap = 200 * count + 1000
-    for mask in _n_subset_masks(_rng(seed), x, n, cap):
+    draws = _n_subset_masks(_rng(seed), x, n, cap)
+    while len(chosen) < count:
+        if (mask := next(draws, None)) is None:  # all cap draws are spent
+            raise GeneratorError(f"rejection sampling exceeded {cap} attempts")
         chosen.add(mask)
-        if len(chosen) == count:
-            return SetFamily.from_masks(x, chosen, uniform=n)
-    raise GeneratorError(f"rejection sampling exceeded {cap} attempts")
+    return SetFamily.from_masks(x, chosen, uniform=n)
 
 
 def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, budget: int):

@@ -69,6 +69,103 @@ def test_l_multinomial_at_most_power_form_exhaustively():
                 assert l_multinomial_bound(n, L, r) <= l_intersecting_bound(n, len(L), r)
 
 
+def multinomial_by_factorials(n, L, r):
+    parts = [L[0] + 1, *(b - a for a, b in zip(L, L[1:])), n - L[-1] - 1]
+    multinomial, rem = divmod(math.factorial(n), math.prod(math.factorial(p) for p in parts))
+    assert rem == 0
+    return multinomial * pigeonhole_limit(n, r) ** len(L)
+
+
+def test_l_multinomial_is_the_factorial_quotient_on_a_grid():
+    # every L for n <= 12; above, every L of one or two sizes and 200 seeded others
+    import random
+
+    rng = random.Random(0)
+    for n in range(1, 40):
+        if n <= 12:
+            grid = [[i for i in range(n) if bits >> i & 1] for bits in range(1, 1 << n)]
+        else:
+            grid = [[a] for a in range(n)] + [[a, b] for a in range(n) for b in range(a + 1, n)]
+            grid += [sorted(rng.sample(range(n), rng.randint(3, n))) for _ in range(200)]
+        for L in grid:
+            for r in (2, 3):
+                assert l_multinomial_bound(n, L, r) == multinomial_by_factorials(n, L, r), (n, L)
+
+
+def test_l_multinomial_checks_its_invariant_without_the_power_form(monkeypatch):
+    from sunflowers import bounds
+
+    def no_power(*args):
+        raise AssertionError("the power form was made")
+
+    # n(n-1) * m^2 is far below 3^n * m^2: the bit lengths settle it
+    monkeypatch.setattr(bounds, "l_intersecting_bound", no_power)
+    n = 10**7
+    assert l_multinomial_bound(n, [0, 1], 3) == n * (n - 1) * pigeonhole_limit(n, 3) ** 2
+    monkeypatch.undo()
+    # a multinomial over (s+1)^n is still caught
+    monkeypatch.setattr(bounds.math, "comb", lambda c, p: 3**c)
+    with pytest.raises(bounds.InvariantError, match="exceeds the L-intersecting bound"):
+        l_multinomial_bound(6, [1, 3], 3)
+
+
+def test_l_multinomial_far_over_the_digit_limit_is_refused_before_it_is_made(
+        monkeypatch, capsys):
+    from sunflowers import bounds
+    from sunflowers.cli import main
+
+    def no_value(*args):
+        raise AssertionError("the exact value was computed")
+
+    monkeypatch.setattr(bounds.math, "comb", no_value)
+    # C(10^7, 5 * 10^6) * (10^14 - 10^7 + 1) has 3010311 digits
+    assert main(["bounds", "--which", "l-multinomial", "-n", "10000000", "--L", "4999999",
+                 "-r", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: exact value has about 3010311 digits, over the limit of 4300\n"
+
+
+def test_log10_comb_is_within_a_tenth_of_a_digit():
+    from sunflowers.bounds import _log10_comb
+
+    for c in range(0, 300, 7):
+        for k in range(c + 1):
+            assert abs(_log10_comb(c, k) - math.log10(math.comb(c, k))) < 0.1, (c, k)
+    # no difference of two logs near 10^20 is taken: lgamma's would be off by thousands of digits
+    for c, k in ((2**62 + 2**9, 2), (2**70 + 2**17, 3), (10**25 + 12345, 100), (10**300, 7)):
+        assert abs(_log10_comb(c, k) - math.log10(math.comb(c, k))) < 0.1, (c, k)
+
+
+def test_falling_factorial_near_2_to_the_62_is_not_refused():
+    # a difference of two lgamma values near 2^62 errs by thousands of digits; this has 38
+    n = 2**62 + 2**9
+    assert bound_report("falling-factorial", n=n, d=2, r=3).value == str(8 * n * (n - 1))
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["erdos-rado", "-n", str(10**309), "-r", "3"], "n"),
+    (["falling-factorial", "-n", str(10**309), "-d", str(10**309), "-r", "3"], "n"),
+    (["crossover", "-n", str(10**309), "-r", "3"], "n"),
+    (["l-intersecting", "-n", "3", "-s", str(10**309), "-r", "3"], "s"),
+    (["l-multinomial", "-n", str(10**309), "--L", str(10**309 // 2), "-r", "3"], "n"),
+])
+def test_a_parameter_too_large_for_a_float_is_refused_by_name(capsys, argv, name):
+    from sunflowers.cli import main
+
+    assert main(["bounds", "--which", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter {name} is too large to estimate the size of the bound\n"
+
+
+def test_a_small_bound_of_a_huge_parameter_is_exact():
+    # the estimates stay finite here, so these values of about 310 and 930 digits are made
+    n = 10**309
+    assert bound_report("falling-factorial", n=n, d=1, r=3).value == str(4 * n)
+    assert bound_report("l-multinomial", n=n, L=[0], r=3).value == str(n * (n * n - n + 1))
+
+
 def test_falling_factorial_bound_values():
     assert falling_factorial_bound(5, 0, 4) == 3
     assert falling_factorial_bound(3, 1, 3) == 12

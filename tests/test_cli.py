@@ -595,6 +595,14 @@ def test_gen_requires_seed_for_random(capsys):
     assert code == 3 and "--seed" in err
 
 
+def test_gen_random_uniform_of_no_sets_over_a_large_ground(capsys):
+    # C(60, 5) sets is the rejection path; C(10, 2) is the listing one
+    for x, n in (("60", "5"), ("10", "2")):
+        assert run(capsys, "gen", "random-uniform", x, n, "0", "--seed", "1") == (0, f"x={x}\n", "")
+        code, out, err = run(capsys, "gen", "random-uniform", x, n, "0", "--seed", "-1")
+        assert code == 3 and out == "" and "seed must be >= 0" in err
+
+
 def test_gen_round_trips_through_check(capsys, tmp_path):
     code, out, _ = run(capsys, "gen", "transversal", "2", "2")
     fam = write_family(tmp_path, "tv.txt", out)

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sunflowers import generators
 from sunflowers import (
@@ -180,6 +180,21 @@ def test_gen_random_uniform_edges():
         gen_random_uniform(8, 3, 2, seed=-1)
 
 
+def test_gen_random_uniform_of_no_sets_on_the_rejection_path(monkeypatch):
+    # C(60, 5) is far over 4096, so count 0 takes the rejection path
+    fam = gen_random_uniform(60, 5, 0, seed=1)
+    assert len(fam) == 0 and fam.ground_size == 60
+    with pytest.raises(GeneratorError, match="seed must be >= 0, got -1"):
+        gen_random_uniform(60, 5, 0, seed=-1)
+
+    def no_draw(*args):
+        raise AssertionError("a mask was drawn")
+        yield
+
+    monkeypatch.setattr(generators, "_n_subset_masks", no_draw)
+    assert gen_random_uniform(60, 5, 0, seed=1) == fam
+
+
 def test_gen_sunflower_has_one_intersection_size():
     fam = gen_sunflower(1, 1, 4)
     assert [s.elements for s in fam.members] == [(0, 1), (0, 2), (0, 3), (0, 4)]
@@ -277,3 +292,49 @@ def test_gen_random_l_validates_L():
 def test_gen_random_l_rejects_negative_budget():
     with pytest.raises(GeneratorError, match="budget"):
         gen_random_L_intersecting(8, 3, [0, 1], 5, seed=1, budget=-1)
+
+
+# -- the draw loop -------------------------------------------------------------------
+
+def masks_row_at_a_time(seed, x, n, max_draws):
+    """The masks of `_n_subset_masks`, one row of uniforms per draw, and
+    the generator that drew them."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    masks = []
+    for _ in range(max_draws):
+        row = rng.random((1, x))[0]
+        masks.append(sum(1 << int(e) for e in np.argsort(row)[:n]))
+    return masks, rng
+
+
+@given(seed=st.integers(0, 2**64 - 1), n=st.integers(1, 40), spare=st.integers(0, 30),
+       max_draws=st.one_of(st.integers(0, 63), st.integers(64, 960), st.integers(961, 1100)))
+@settings(max_examples=25)
+@example(seed=0, n=4, spare=5, max_draws=64)
+@example(seed=1, n=6, spare=6, max_draws=192)
+@example(seed=2, n=1, spare=39, max_draws=960)
+@example(seed=3, n=33, spare=32, max_draws=961)
+def test_n_subset_masks_are_the_rows_drawn_one_at_a_time(seed, n, spare, max_draws):
+    # blocks of 64, 128, 256, then 512 rows end at 64, 192, 448, 960, 1472, ...
+    rng = generators._rng(seed)
+    got = list(generators._n_subset_masks(rng, n + spare, n, max_draws))
+    expected, reference = masks_row_at_a_time(seed, n + spare, n, max_draws)
+    assert got == expected
+    # no row past max_draws was drawn: both streams go on alike
+    assert rng.random(3).tolist() == reference.random(3).tolist()
+
+
+def test_the_first_draw_over_a_wide_ground_set_stays_small():
+    # one 512-row block of 32000 uniforms, with its argpartition indices, took 250 MiB
+    import tracemalloc
+
+    draws = generators._n_subset_masks(generators._rng(1), 32000, 2, 10**6)
+    tracemalloc.start()
+    try:
+        first = next(draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.bit_count() == 2 and peak < 40 * 2**20

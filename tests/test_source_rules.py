@@ -186,7 +186,8 @@ def test_the_bit_limit_is_stated_once():
 
 
 def test_bounds_takes_factorials_only_for_n_factorial_and_the_multinomial():
-    # n!/(n-d)! is `math.perm`; a quotient of two factorials makes both in full
+    # n!/(n-d)! is `math.perm` and the multinomial a product of `math.comb`:
+    # a quotient of two factorials makes both in full.  Only n! is left.
     tree = ast.parse((SOURCE / "bounds.py").read_text(), filename="bounds.py")
     found = {
         str(getattr(top, "name", top.lineno))
@@ -196,4 +197,4 @@ def test_bounds_takes_factorials_only_for_n_factorial_and_the_multinomial():
         and node.func.attr == "factorial" and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "math"
     }
-    assert found == {"erdos_rado_bound", "l_multinomial_bound"}
+    assert found == {"erdos_rado_bound"}
