@@ -18,6 +18,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import sys
 import time
 from fractions import Fraction
@@ -53,7 +54,20 @@ EXIT_ERROR = 3
 EXIT_INTERNAL = 4
 
 
+class _HelpFormatter(argparse.RawDescriptionHelpFormatter):
+    """argparse's formatter, with the width read once per process, not per argument added."""
+    width = None  # the terminal's columns - 2, as argparse computes it
+
+    def __init__(self, prog):
+        if _HelpFormatter.width is None:
+            _HelpFormatter.width = shutil.get_terminal_size().columns - 2
+        super().__init__(prog, width=_HelpFormatter.width)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_HelpFormatter, **kwargs)
+
     def error(self, message):  # usage errors belong to the error band, not "unknown"
         self.print_usage(sys.stderr)
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
@@ -387,8 +401,7 @@ def _require(condition: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="sunflowers", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="sunflowers", description=__doc__)
 
     def add_common(p, default="json"):
         p.add_argument("--format", choices=("json", "text"), default=default,

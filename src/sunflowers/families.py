@@ -382,10 +382,12 @@ def _sunflower_indices(masks: Sequence[int], r: int) -> Optional[list[int]]:
     examined.
     """
     for i in range(len(masks) - r + 1):
-        first = masks[i]
+        meets = list(map(masks[i].__and__, masks[i + 1:]))
+        if len(set(meets)) > len(meets) - (r - 2):
+            continue  # no group can hold r - 1 masks: masks[i] heads no witness
         groups: dict[int, list[int]] = {}  # meet with masks[i] -> later positions
-        for k, m in enumerate(masks[i + 1:], i + 1):
-            groups.setdefault(m & first, []).append(k)
+        for k, c in enumerate(meets, i + 1):
+            groups.setdefault(c, []).append(k)
         best: Optional[list[int]] = None
         for c, positions in groups.items():
             if best is not None and best[0] < positions[0]:

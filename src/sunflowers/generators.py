@@ -165,7 +165,7 @@ def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, 
         kept = [0][:min(target_count, budget)]
         stop = "proved-maximal" if kept else "budget"
         return kept, "target" if len(kept) >= target_count else stop
-    kept: list[int] = []
+    kept: dict[int, None] = {}  # the kept masks in draw order, and a set of them
     total = math.comb(x, n)
     rejected = 0
     compatible: Optional[set[int]] = None
@@ -177,18 +177,18 @@ def _greedy_L_masks(rng, x: int, n: int, allowed: frozenset, target_count: int, 
                 continue
             compatible = {c for c in compatible if (c & mask).bit_count() in allowed}
         # a duplicate of a kept set intersects it in n elements, n not in L
-        elif not all((mask & m).bit_count() in allowed for m in kept):
+        elif mask in kept or not all((mask & m).bit_count() in allowed for m in kept):
             rejected += 1
             if rejected == total:
                 compatible = {
                     c for c in _subset_masks(range(x), n)
-                    if all((c & m).bit_count() in allowed for m in kept)
+                    if c not in kept and all((c & m).bit_count() in allowed for m in kept)
                 }
             continue
-        kept.append(mask)
+        kept[mask] = None
     if len(kept) >= target_count:
-        return kept, "target"
-    return kept, "proved-maximal" if compatible == set() else "budget"
+        return list(kept), "target"
+    return list(kept), "proved-maximal" if compatible == set() else "budget"
 
 
 def gen_random_L_intersecting(

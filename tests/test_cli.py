@@ -1,8 +1,10 @@
+import argparse
 import hashlib
 import io
 import json
 import os
 import shlex
+import shutil
 import subprocess
 import sys
 
@@ -786,6 +788,42 @@ def test_unknown_subcommand_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 3
+
+
+def _parsers(parser):
+    """`parser` and every parser under it, depth first."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
+def test_the_help_width_is_read_once_per_process(monkeypatch):
+    # argparse's stock formatter asks the terminal for its width in its
+    # constructor, and `add_argument` makes one per argument: 74 per build
+    real = shutil.get_terminal_size
+    calls = []
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(cli._HelpFormatter, "width", None)
+    cli.build_parser()
+    cli.build_parser()
+    assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
+def test_help_is_what_the_stock_formatter_gives_at_the_same_width(monkeypatch, columns):
+    monkeypatch.setenv("COLUMNS", columns)
+    monkeypatch.setattr(cli._HelpFormatter, "width", None)
+    parsers = list(_parsers(cli.build_parser()))
+    assert len(parsers) == 13  # the top level, 7 subcommands and 5 `gen` kinds
+    ours = [(p.format_help(), p.format_usage()) for p in parsers]
+    # the top level keeps its description's line breaks; no subparser has one
+    parsers[0].formatter_class = argparse.RawDescriptionHelpFormatter
+    for p in parsers[1:]:
+        assert p.description is None
+        p.formatter_class = argparse.HelpFormatter
+    assert ours == [(p.format_help(), p.format_usage()) for p in parsers]
 
 
 def test_a_type_error_is_an_internal_error(capsys, triangle, monkeypatch):

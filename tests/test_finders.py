@@ -99,6 +99,12 @@ def small_families(draw, max_members=14):
 @example((3, [[0], [1]]), 3)
 @example((4, [[], [0, 1], [2], [3]]), 4)
 @example((4, [[0, 1], [0, 2], [3]]), 3)  # the third set avoids both petals but not the core
+# transversals, both absent: at r = 3 every first member is skipped, at r = 4
+# only the last two are, and the others search large groups
+@example((12, [list(s.elements) for s in gen_transversal(6, 2).members]), 3)
+@example((9, [list(s.elements) for s in gen_transversal(3, 3).members]), 4)
+# the first member's meets are all distinct; the second heads a disjoint sunflower
+@example((6, [[0, 1, 2], [0, 3], [1, 4], [2, 5]]), 3)
 def test_brute_force_returns_the_first_witness_of_a_full_scan(fam, r):
     x, sets = fam
     family = SetFamily(x, sets)

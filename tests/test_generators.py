@@ -248,6 +248,7 @@ def greedy_case(draw):
 
 
 @given(greedy_case())
+@example((12, 2, {0, 1}, 68, 0, 5000))  # saturates: only 66 pairs, so duplicates are drawn
 def test_gen_random_l_equals_full_budget_greedy(case):
     x, n, L, target, seed, budget = case
     fam = gen_random_L_intersecting(x, n, L, target, seed, budget)

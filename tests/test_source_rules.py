@@ -198,3 +198,35 @@ def test_bounds_takes_factorials_only_for_n_factorial_and_the_multinomial():
         and node.func.value.id == "math"
     }
     assert found == {"erdos_rado_bound"}
+
+
+def test_cli_makes_every_parser_with_the_one_formatter():
+    # argparse's stock formatter asks the terminal for its width once per
+    # argument added; `_Parser` gives every parser `_HelpFormatter`, which
+    # asks once per process.  A parser made another way, or a formatter
+    # named anywhere else, would bring the per-argument query back.
+    allowed = {
+        "get_terminal_size": "_HelpFormatter",
+        "HelpFormatter": "_HelpFormatter",  # any of argparse's formatter classes
+        "formatter_class": "_Parser",
+        "ArgumentParser": "_Parser",
+        "parser_class": None,
+    }
+    tree = ast.parse((SOURCE / "cli.py").read_text(), filename="cli.py")
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.keyword) and node.arg:
+                name = node.arg
+            else:
+                continue
+            own = name == "_HelpFormatter"
+            kind = "HelpFormatter" if name.endswith("HelpFormatter") and not own else name
+            if kind in allowed and owner != allowed[kind]:
+                found.append(f"cli.py:{node.lineno} {owner}: {name}")
+    assert found == []
