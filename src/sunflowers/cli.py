@@ -25,7 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import generators as gen_mod
 from .families import (
     DEFAULT_SIZE_BUDGET,
     ElementSet,
@@ -382,6 +381,8 @@ def _seed(args, use: str = "random generation") -> int:
 
 
 def _gen_random_l(args) -> SetFamily:
+    from . import generators as gen_mod
+
     stops: list[str] = []
     family = gen_mod.gen_random_L_intersecting(
         args.x, args.n, args.L, args.count, _seed(args), args.budget,
@@ -400,7 +401,8 @@ def _require(condition: bool, message: str) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser() -> _Parser:
+def build_parser(argv=None) -> _Parser:
+    """The parser of the command line `argv`; every parser when it is None."""
     parser = _Parser(prog="sunflowers", description=__doc__)
 
     def add_common(p, default="json"):
@@ -476,6 +478,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen", help="generate fixture families")
     gensub = p.add_subparsers(dest="kind", required=True)
+    # argparse runs only the subcommand named exactly, so another one never reaches `gen`'s kinds
+    if argv and sub.choices.get(argv[0], p) is not p:
+        return parser
+    from . import generators as gen_mod
 
     def add_gen(name, make, *ints):
         g = gensub.add_parser(name)
@@ -506,7 +512,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     # No reference to the parser outlives parsing: its reference cycles are
     # then collected young instead of piling up in the oldest generation.
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, ArithmeticError) as exc:

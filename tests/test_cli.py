@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -826,6 +827,39 @@ def test_help_is_what_the_stock_formatter_gives_at_the_same_width(monkeypatch, c
     assert ours == [(p.format_help(), p.format_usage()) for p in parsers]
 
 
+@pytest.mark.parametrize("argv,count", [
+    *((["check", "f"], 8), (["find", "f", "--r", "3"], 8), (["bounds"], 8), (["spread"], 8),
+      (["experiment"], 8), (["encode-audit"], 8)),  # `gen` left without its kinds
+    *((["gen", "sunflower", "1", "2", "3"], 13), (["-h"], 13), (["--", "check"], 13),
+      (["frobnicate"], 13), ([], 13), (None, 13)),
+])
+def test_only_a_command_line_that_can_name_gen_builds_its_kinds(argv, count):
+    assert len(list(_parsers(cli.build_parser(argv)))) == count
+
+
+@pytest.mark.parametrize("argv", [
+    "", "-h", "frobnicate", "find", "find -h", "check {fam} --L 1", "find {fam} --r 3",
+    "check {fam} --L x", "gen", "gen -h", "gen random-l -h", "gen frobnicate",
+    "-- gen transversal 2 2", "find gen --r 3",
+])
+def test_a_command_line_runs_as_with_every_parser_built(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    fam = write_family(tmp_path, "gen", "x=3\n0 1\n0 2\n1 2\n")  # `find gen` names this file
+
+    def outcome():
+        try:
+            code = main(shlex.split(argv.format(fam=fam)))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        return code, re.sub(r'("wall_time_s": )[-+.e0-9]+', r"\1-", out), err
+
+    ours = outcome()
+    every = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv=None: every())
+    assert ours == outcome()
+
+
 def test_a_type_error_is_an_internal_error(capsys, triangle, monkeypatch):
     # no input raises TypeError on purpose: argparse turns a flag parser's
     # into a usage error, so one reaching `main` is a defect
@@ -940,7 +974,8 @@ print(new())
 sunflowers.SetFamily
 print(new())
 import sunflowers.cli
-watched = ("dataclasses", "numpy", "sunflowers.spread", "sunflowers.encoding")
+watched = ("dataclasses", "numpy", "sunflowers.spread", "sunflowers.encoding",
+           "sunflowers.generators")
 print(new(watched))
 with contextlib.redirect_stdout(io.StringIO()):
     code = sunflowers.cli.main(sys.argv[1:])
@@ -950,6 +985,9 @@ print(code, new(watched))
 
 def test_each_subcommand_starts_with_only_the_modules_it_runs(triangle):
     # the package loads a module when one of its names is first used, and the
-    # CLI imports `spread` and `encoding` only in the subcommands that run them
+    # CLI imports `spread`, `encoding` and `generators` only in the subcommands
+    # that run them
     assert _fresh_python(MODULES_LOADED_BY, "check", triangle, "--L", "1") == [
         "-", "sunflowers.families", "-", "0", "-"]
+    assert _fresh_python(MODULES_LOADED_BY, "gen", "transversal", "2", "2") == [
+        "-", "sunflowers.families", "-", "0", "sunflowers.generators"]

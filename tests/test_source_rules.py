@@ -95,6 +95,24 @@ def test_no_module_imports_numpy_at_module_level():
     assert found == []
 
 
+def test_cli_imports_generators_only_inside_functions():
+    # only a `gen` command line runs a generator: `check`, `find`, `bounds`,
+    # `spread` and `encode-audit` start without the module
+    path = SOURCE / "cli.py"
+    found = []
+    for node in _run_at_import(ast.parse(path.read_text(), filename=str(path)).body):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["sunflowers" if node.level else "", node.module]))
+            names = [base] + [f"{base}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        if any(name.split(".")[:2] == ["sunflowers", "generators"] for name in names):
+            found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_imports_dataclasses():
     # the records are NamedTuples: `dataclasses` would cost every CLI process
     # its import and an `exec` per record class
