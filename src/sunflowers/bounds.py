@@ -248,8 +248,6 @@ def _gap_binomials(n: int, L: Iterable[int]) -> list[tuple[int, int]]:
     the gaps l1+1, l2-l1, ..., n-ls-1 of L: p is a gap, c the running sum."""
     ls = _validated_l(n, L)
     parts = [ls[0] + 1, *(b - a for a, b in zip(ls, ls[1:])), n - ls[-1] - 1]
-    if sum(parts) != n:
-        raise InvariantError(f"gap factorial arguments sum to {sum(parts)}, not {n}")
     return list(zip(itertools.accumulate(parts), parts))
 
 

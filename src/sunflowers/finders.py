@@ -39,18 +39,6 @@ class FinderError(ValueError):
     """Precondition violation in a finder."""
 
 
-class NotUniformError(FinderError):
-    pass
-
-
-class ProfileNotSingletonError(FinderError):
-    pass
-
-
-class BelowDezaThresholdError(FinderError):
-    pass
-
-
 class LemmaViolationError(InvariantError):
     """A finder broke a theorem: a witness failed its sunflower
     certificate, or a search found none above a bound that guarantees one.
@@ -150,16 +138,16 @@ def deza_extract(family: SetFamily, r: int) -> Sunflower:
         raise FinderError(f"need r >= 2, got {r}")
     n = family.uniformity
     if n is None or n < 1:
-        raise NotUniformError("family must be n-uniform with n >= 1")
+        raise FinderError("family must be n-uniform with n >= 1")
     profile = intersection_profile(family)
     if len(profile) != 1:
-        raise ProfileNotSingletonError(
+        raise FinderError(
             f"intersection profile {sorted(profile)} is not a single size"
         )
     (t,) = profile
     threshold = pigeonhole_limit(n, r) + 1  # max(r, n^2-n+2)
     if len(family) < threshold:
-        raise BelowDezaThresholdError(
+        raise FinderError(
             f"family size {len(family)} is below max(r, n^2-n+2) = {threshold}"
         )
     core = family.masks[0]
@@ -271,7 +259,7 @@ def l_intersecting_find(
         raise FinderError(f"need r >= 2, got {r}")
     n = family.uniformity
     if n is None or n < 1:
-        raise NotUniformError("family must be n-uniform with n >= 1")
+        raise FinderError("family must be n-uniform with n >= 1")
     try:
         sizes = _validated_l(n, L)
     except ValueError as exc:

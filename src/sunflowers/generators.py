@@ -1,10 +1,10 @@
 """Deterministic and seeded constructions of families with known structure.
 
 Every generator re-verifies its advertised property before returning and
-aborts on failure; randomized generators take an explicit seed and use a
-counter-based PRNG (numpy Philox), so identical (parameters, seed) always
-produce the identical family.  Rejection-sampling budgets are explicit --
-no generator can loop silently forever.
+raises InvariantError on failure; randomized generators take an explicit
+seed and use a counter-based PRNG (numpy Philox), so identical (parameters,
+seed) always produce the identical family.  Rejection-sampling budgets are
+explicit -- no generator can loop silently forever.
 
 numpy loads on first use, when a seeded generator makes its PRNG or
 draws subsets, so importing this module and the deterministic generators
@@ -18,14 +18,14 @@ import math
 from itertools import product
 from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from .families import (DEFAULT_SIZE_BUDGET, _BITS_LIMIT, SetFamily, _subset_masks,
-                        is_L_intersecting, is_sunflower)
+from .families import (DEFAULT_SIZE_BUDGET, _BITS_LIMIT, InvariantError, SetFamily,
+                        _subset_masks, is_L_intersecting, is_sunflower)
 
 if TYPE_CHECKING:
     import numpy as np
 
 class GeneratorError(ValueError):
-    """Infeasible generator parameters or a failed self-check."""
+    """Infeasible generator parameters or a stated limit exceeded."""
 
 
 DEFAULT_DRAW_BUDGET = 100_000  # gen_random_L_intersecting's default number of draws
@@ -90,7 +90,7 @@ def gen_sunflower(core_size: int, petal_size: int, r: int) -> SetFamily:
                                       for s in range(core_size, x, petal_size)])
     got = is_sunflower(family.members)
     if got is None or got.elements != core:
-        raise GeneratorError("sunflower self-check failed")
+        raise InvariantError("sunflower self-check failed")
     return family
 
 
@@ -105,7 +105,7 @@ def gen_transversal(blocks: int, block_size: int) -> SetFamily:
     # the product of ascending disjoint blocks is already in canonical order
     family = SetFamily._canonical(blocks * block_size, product(*ranges))
     if len(family) != count or family.uniformity != blocks:
-        raise GeneratorError("transversal self-check failed")
+        raise InvariantError("transversal self-check failed")
     return family
 
 
@@ -227,7 +227,7 @@ def gen_random_L_intersecting(
     kept, stop = _greedy_L_masks(_rng(seed), x, n, allowed, target_count, budget)
     family = SetFamily.from_masks(x, kept, uniform=n)
     if not is_L_intersecting(family, allowed):
-        raise GeneratorError("L-intersecting self-check failed")
+        raise InvariantError("L-intersecting self-check failed")
     if on_stop is not None:
         on_stop(stop)
     return family

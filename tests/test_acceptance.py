@@ -33,7 +33,6 @@ from sunflowers import (
     sample_satisfying,
     spread_kappa,
 )
-from sunflowers.cli import main as cli_main
 from sunflowers.encoding import audit_encoding_bound, audit_markov_step
 from sunflowers.generators import (
     gen_all_k_subsets,
@@ -42,6 +41,8 @@ from sunflowers.generators import (
     gen_sunflower,
     gen_transversal,
 )
+
+from _cli import run, strip_wall_time, write_family
 
 TRIANGLE = SetFamily(3, [[0, 1], [1, 2], [0, 2]])
 
@@ -392,31 +393,12 @@ def test_criterion_09_crossover():
 # 10. reproducibility of seeded subcommands
 # ---------------------------------------------------------------------------
 
-def _run_cli(capsys, argv):
-    code = cli_main(argv)
-    out = capsys.readouterr().out
-    return code, out
-
-
-def _strip_wall_time(text):
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError:
-        return text  # CSV or family file: compare raw bytes
-    if isinstance(data, dict):
-        data.pop("wall_time_s", None)
-    return json.dumps(data, sort_keys=True)
-
-
 @pytest.fixture
 def cli_fixture_files(tmp_path):
-    seven = tmp_path / "seven.txt"
-    seven.write_text("x=14\n" + "".join(f"{2*i} {2*i+1}\n" for i in range(7)))
-    matching = tmp_path / "matching.txt"
-    matching.write_text("x=6\n0 1\n2 3\n4 5\n")
-    triangle = tmp_path / "triangle.txt"
-    triangle.write_text("x=3\n0 1\n0 2\n1 2\n")
-    return str(seven), str(matching), str(triangle)
+    return (write_family(tmp_path, "seven.txt",
+                         "x=14\n" + "".join(f"{2*i} {2*i+1}\n" for i in range(7))),
+            write_family(tmp_path, "matching.txt", "x=6\n0 1\n2 3\n4 5\n"),
+            write_family(tmp_path, "triangle.txt", "x=3\n0 1\n0 2\n1 2\n"))
 
 
 def test_criterion_10_reproducibility(capsys, cli_fixture_files):
@@ -438,10 +420,10 @@ def test_criterion_10_reproducibility(capsys, cli_fixture_files):
             ["encode-audit", matching, "--px", "3", "--d", "1", "--delta", "1/2"],
         ]
         for argv in corpus:
-            code1, out1 = _run_cli(capsys, argv)
-            code2, out2 = _run_cli(capsys, argv)
+            code1, out1, _ = run(capsys, *argv)
+            code2, out2, _ = run(capsys, *argv)
             assert code1 == code2
-            assert _strip_wall_time(out1) == _strip_wall_time(out2), argv
+            assert strip_wall_time(out1) == strip_wall_time(out2), argv
         return f"{len(corpus)} subcommands replayed"
 
     inner()

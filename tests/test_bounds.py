@@ -20,6 +20,8 @@ from sunflowers.bounds import (
     three_sunflower_bound,
 )
 
+from _cli import run, strip_wall_time
+
 
 def as_mpf(decimal_str, dps=120):
     with mp.workdps(dps):
@@ -362,6 +364,19 @@ def test_crossover_overlapping_row_doubles_but_keeps_first_decimal(monkeypatch):
     assert row.smaller == plain.smaller
 
 
+def test_a_row_undecided_at_the_precision_limit_is_refused(monkeypatch, capsys):
+    # an enclosure of row 1 that straddles the falling factorial at every precision
+    from sunflowers.cli import main
+
+    trivial = Fraction(falling_factorial_bound(6, 1, 3))
+    calls = _record_intervals(monkeypatch, lambda d, dps, interval: (trivial - 1, trivial + 1))
+    code = main(["bounds", "--which", "crossover", "-n", "6", "-r", "3", "--digits", "32"])
+    out, err = capsys.readouterr()
+    assert code == 3 and calls == [(1, 32 * 2**k) for k in range(8)]  # 32, 64, ..., 4096
+    assert out == ""
+    assert err == "error: bound comparison undecided at maximum precision 4096 digits\n"
+
+
 def test_crossover_columns_monotone():
     rep = crossover_report(12, 3, 1, digits=50)
     trivials = [int(r.falling_factorial) for r in rep.rows]
@@ -408,25 +423,22 @@ def test_digits_below_one_refused_before_any_interval(monkeypatch):
 
 
 def test_exact_values_do_not_depend_on_the_int_str_limit(capsys):
-    import re
     import sys
 
     from sunflowers.bounds import _exact_str
-    from sunflowers.cli import main
 
-    def run(*argv):
-        code = main(["bounds", "--which", *argv])
-        out, err = capsys.readouterr()
-        return code, re.sub(r'"wall_time_s": [^,\n]+', '"wall_time_s": 0', out), err
+    def run_bounds(*argv):
+        code, out, err = run(capsys, "bounds", "--which", *argv)
+        return code, strip_wall_time(out), err
 
     default = sys.get_int_max_str_digits()
     runs = {}
     for limit in (default, 640, 0):
         sys.set_int_max_str_digits(limit)
         try:
-            runs[limit] = [run("crossover", "-n", "400", "-r", "3"),
-                           run("erdos-rado", "-n", "1400", "-r", "3"),
-                           run("erdos-rado", "-n", "1500", "-r", "3")]
+            runs[limit] = [run_bounds("crossover", "-n", "400", "-r", "3"),
+                           run_bounds("erdos-rado", "-n", "1400", "-r", "3"),
+                           run_bounds("erdos-rado", "-n", "1500", "-r", "3")]
             assert _exact_str(10**4300 - 1) == "9" * 4300
             with pytest.raises(ValueError, match="has 4301 digits, over the limit of 4300"):
                 _exact_str(10**4300)

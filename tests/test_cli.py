@@ -3,7 +3,6 @@ import hashlib
 import io
 import json
 import os
-import re
 import shlex
 import shutil
 import subprocess
@@ -15,22 +14,7 @@ import sunflowers
 from sunflowers import bounds, cli
 from sunflowers.cli import main
 
-
-def run(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-def run_json(capsys, *argv):
-    code, out, err = run(capsys, *argv)
-    return code, json.loads(out), err
-
-
-def write_family(tmp_path, name, text):
-    path = tmp_path / name
-    path.write_text(text)
-    return str(path)
+from _cli import run, run_json, strip_wall_time, write_family
 
 
 @pytest.fixture
@@ -680,12 +664,6 @@ def test_readme_cli_examples_run(capsys, tmp_path):
 
 # -- reproducibility and global flags ------------------------------------------------
 
-def strip_wall_time(report_text):
-    data = json.loads(report_text)
-    data.pop("wall_time_s", None)
-    return json.dumps(data, sort_keys=True)
-
-
 def test_seeded_reports_reproducible(capsys, tmp_path):
     fam = write_family(tmp_path, "f.txt", "x=8\n0 1\n2 3\n4 5\n6 7\n")
     argvs = [
@@ -852,7 +830,7 @@ def test_a_command_line_runs_as_with_every_parser_built(capsys, monkeypatch, tmp
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        return code, re.sub(r'("wall_time_s": )[-+.e0-9]+', r"\1-", out), err
+        return code, strip_wall_time(out), err
 
     ours = outcome()
     every = cli.build_parser

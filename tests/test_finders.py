@@ -26,13 +26,7 @@ from sunflowers import (
 from sunflowers import families, finders
 from sunflowers.cli import main
 from sunflowers.formats import dump_family_text
-from sunflowers.finders import (
-    BelowDezaThresholdError,
-    FinderError,
-    LemmaViolationError,
-    NotUniformError,
-    ProfileNotSingletonError,
-)
+from sunflowers.finders import FinderError, LemmaViolationError
 from sunflowers.generators import (
     gen_all_k_subsets,
     gen_random_L_intersecting,
@@ -256,7 +250,7 @@ def test_deza_star():
 
 def test_deza_triangle_below_threshold():
     # size 3 = n^2-n+1: one below the threshold, and indeed not a sunflower
-    with pytest.raises(BelowDezaThresholdError):
+    with pytest.raises(FinderError, match=r"family size 3 is below max\(r, n\^2-n\+2\) = 4"):
         deza_extract(TRIANGLE, 3)
     assert brute_force_sunflower(TRIANGLE, 3) is None
 
@@ -270,11 +264,11 @@ def test_deza_threshold_cannot_drop_at_n2():
 
 def test_deza_error_codes_distinct():
     mixed = SetFamily(6, [[0, 1], [0, 2], [3, 4], [0, 5]])  # profile {0, 1}
-    with pytest.raises(ProfileNotSingletonError):
+    with pytest.raises(FinderError, match=r"intersection profile \[0, 1\] is not a single size"):
         deza_extract(mixed, 2)
-    with pytest.raises(NotUniformError):
+    with pytest.raises(FinderError, match="family must be n-uniform with n >= 1"):
         deza_extract(SetFamily(4, [[0], [1, 2], [2, 3], [0, 3]]), 2)
-    with pytest.raises(FinderError):
+    with pytest.raises(FinderError, match="need r >= 2, got 1"):
         deza_extract(TRIANGLE, 1)
 
 
@@ -333,7 +327,7 @@ def test_preconditions():
         l_intersecting_find(TRIANGLE, [2], 3)  # sizes must stay below n
     with pytest.raises(FinderError):
         l_intersecting_find(TRIANGLE, [0], 3)  # family is {1}-intersecting
-    with pytest.raises(NotUniformError):
+    with pytest.raises(FinderError, match="family must be n-uniform with n >= 1"):
         l_intersecting_find(SetFamily(4, [[0], [1, 2]]), [0], 2)
     with pytest.raises(FinderError):
         l_intersecting_find(TRIANGLE, [1], 1)
@@ -390,6 +384,37 @@ def test_failed_lift_certificate_is_an_internal_error(monkeypatch, tmp_path, cap
     captured = capsys.readouterr()
     assert code == 4
     assert captured.out == "" and "certificate verification failed" in captured.err
+
+
+FORGED = Sunflower((ElementSet([0, 4]), ElementSet([1, 4])), ElementSet([4]))  # not members
+
+
+@pytest.mark.parametrize("fam, r, patched, wrong, message", [
+    # a profile forged to {1} on disjoint pairs sends them to the extraction
+    (SetFamily(8, [[0, 1], [2, 3], [4, 5], [6, 7]]), 3, "intersection_profile",
+     lambda family: frozenset({1}), "common intersection has size 0, pairwise size is 1"),
+    # a profile forged to {1, 2} on 8 disjoint triples: the pivot meets only itself
+    (SetFamily(24, [[3 * i, 3 * i + 1, 3 * i + 2] for i in range(8)]), 3,
+     "intersection_profile", lambda family: frozenset({1, 2}),
+     "pigeonhole guarantee for the pivot failed"),
+    # a pivot subset that no member holds
+    (gen_all_k_subsets(5, 2), 3, "_subset_masks", lambda elements, k: iter([1 << 63]),
+     "pigeonhole guarantee for the pivot link failed"),
+    (SetFamily(6, [[0, 1], [2, 3]]), 2, "_search", lambda *args: FORGED,
+     "certificate uses sets outside the family"),
+], ids=["deza-core", "pivot", "pivot-link", "members"])
+def test_a_broken_extraction_step_is_an_internal_error(monkeypatch, tmp_path, capsys, fam, r,
+                                                       patched, wrong, message):
+    monkeypatch.setattr(finders, patched, wrong)
+    with pytest.raises(LemmaViolationError, match=message):
+        find_any(fam, r, strategy="recursive")
+    path = tmp_path / "fam.txt"
+    path.write_text(dump_family_text(fam))
+    code = main(["find", str(path), "--r", str(r), "--strategy", "recursive"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert captured.out == ""
+    assert captured.err == f"internal error: LemmaViolationError('{message}')\n"
 
 
 GUARANTEE_CASES = [

@@ -164,6 +164,38 @@ def test_gen_refuses_just_over_each_size_limit(monkeypatch, capsys, argv, patche
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize("argv, patched, wrong, message", [
+    (["sunflower", "1", "1", "3"], "is_sunflower", lambda sets: None,
+     "sunflower self-check failed"),
+    (["transversal", "2", "2"], "product", lambda *blocks: iter([(0, 2)]),
+     "transversal self-check failed"),
+    (["random-l", "6", "2", "--L", "0", "--count", "2", "--seed", "1"], "_greedy_L_masks",
+     lambda *args: ([0b011, 0b110], "target"), "L-intersecting self-check failed"),
+], ids=["sunflower", "transversal", "random-l"])
+def test_a_failed_self_check_is_an_internal_error(monkeypatch, capsys, argv, patched, wrong,
+                                                  message):
+    from sunflowers.cli import main
+
+    monkeypatch.setattr(generators, patched, wrong)
+    assert main(["gen", *argv]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"internal error: InvariantError('{message}')\n")
+
+
+def test_the_rejection_cap_is_a_stated_limit(monkeypatch, capsys):
+    # C(60, 5) > 4 x 3, so the draws are rejection-sampled; one repeated mask never gives 3
+    from sunflowers.cli import main
+
+    monkeypatch.setattr(generators, "_n_subset_masks",
+                        lambda rng, x, n, cap: iter([0b11111] * cap))
+    with pytest.raises(GeneratorError, match="rejection sampling exceeded 1600 attempts"):
+        gen_random_uniform(60, 5, 3, seed=1)
+    assert main(["gen", "random-uniform", "60", "5", "3", "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rejection sampling exceeded 1600 attempts\n"
+
+
 def test_gen_wide_fixtures_below_the_bit_budget(capsys):
     from sunflowers.cli import main
 

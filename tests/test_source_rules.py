@@ -248,3 +248,47 @@ def test_cli_makes_every_parser_with_the_one_formatter():
             if kind in allowed and owner != allowed[kind]:
                 found.append(f"cli.py:{node.lineno} {owner}: {name}")
     assert found == []
+
+
+
+def _exception_bases_and_raises():
+    """Each class's bases, and each `raise` with its place, across the package."""
+    bases, raises = {}, []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(b) for b in node.bases]
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                raises.append((f"{path.name}:{node.lineno}", node.exc))
+    return bases, raises
+
+
+def test_each_exit_band_has_one_exception_family():
+    # the CLI maps a ValueError to exit 3 and any other exception to exit 4:
+    # input refusals and stated limits are ValueErrors, and every self-check
+    # and proof invariant is an InvariantError, a RuntimeError
+    import builtins
+
+    bases, _ = _exception_bases_and_raises()
+
+    def root(name):
+        while name in bases and len(bases[name]) == 1:
+            name = bases[name][0]
+        return name
+
+    errors = {name: root(name) for name in bases
+              if isinstance(getattr(builtins, root(name), None), type)
+              and issubclass(getattr(builtins, root(name)), BaseException)}
+    assert errors == {"FamilyError": "ValueError", "ParseError": "ValueError",
+                      "FinderError": "ValueError", "MissingParameterError": "ValueError",
+                      "GeneratorError": "ValueError", "InvariantError": "RuntimeError",
+                      "LemmaViolationError": "RuntimeError"}
+
+
+def test_every_self_check_raises_invariant_error():
+    # a failed self-check is a defect (exit 4), never a refused input (exit 3)
+    _, raises = _exception_bases_and_raises()
+    found = [f"{where} {ast.unparse(exc)}" for where, exc in raises
+             if "self-check" in ast.unparse(exc)
+             and not (isinstance(exc, ast.Call) and ast.unparse(exc.func) == "InvariantError")]
+    assert found == []

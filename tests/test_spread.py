@@ -179,6 +179,24 @@ def test_spread_link_reports_clauses():
     assert res.size_clause_ok  # link has 3 members >= 3^(2-1)
 
 
+def test_a_spread_link_that_is_not_maximal_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # the star's best T is {0}; a link that returns the whole family still holds it at |T| = 1
+    from sunflowers import spread
+    from sunflowers.cli import main
+    from sunflowers.families import InvariantError
+
+    monkeypatch.setattr(spread, "link", lambda family, t: family)
+    star = SetFamily(4, [[0, 1], [0, 2], [0, 3]])
+    with pytest.raises(InvariantError, match="spread link is not maximal"):
+        find_spread_link(star, 1, 2)
+    path = tmp_path / "star.txt"
+    path.write_text("x=4\n0 1\n0 2\n0 3\n")
+    assert main(["spread", str(path), "--kappa", "1", "--d", "2"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "internal error: InvariantError('spread link is not maximal')\n")
+
+
 # -- satisfying probability -----------------------------------------------------------
 
 def test_exact_single_set_closed_form():
