@@ -41,7 +41,7 @@ def _raw_to_fraction(raw) -> Fraction:
     # and nan by a negative bit count (their mantissa is 0, like zero's)
     sign, man, exp, bc = raw
     if bc < 0:
-        raise ArithmeticError("non-finite interval endpoint; raise --digits")
+        raise ValueError("non-finite interval endpoint; raise --digits")
     v = Fraction(int(man)) * Fraction(2) ** exp
     return -v if sign else v
 
@@ -80,7 +80,10 @@ def _enclosure(exact: int, make: Callable, digits: int) -> FracInterval:
     from mpmath import iv
 
     old = iv.dps
-    iv.dps = digits + 15
+    try:
+        iv.dps = digits + 15
+    except OverflowError:  # mpmath converts the digits to bits through a float
+        raise ValueError("parameter digits is too large to set an interval precision") from None
     try:
         lo_raw, hi_raw = make(iv)._mpi_
     finally:
@@ -120,7 +123,7 @@ def certified_compare(
         if scale > 0 and span <= EQUALITY_REL_TOL * scale:
             return "="
         if d >= _MAX_COMPARE_DIGITS:
-            raise ArithmeticError(
+            raise ValueError(
                 f"bound comparison undecided at maximum precision {_MAX_COMPARE_DIGITS} digits")
         d *= 2
 
@@ -196,7 +199,7 @@ def _check_log10(log10: Callable[..., float], params: dict) -> None:
         return
     except OverflowError:
         name = max((p for p, v in params.items() if type(v) is int), key=lambda p: abs(params[p]))
-        raise OverflowError(f"parameter {name} is too large to estimate the size of the bound")
+        raise ValueError(f"parameter {name} is too large to estimate the size of the bound")
     if value > _MAX_EXACT_DIGITS + 1000:
         raise ValueError(f"exact value has about {digits} digits, "
                          f"over the limit of {_MAX_EXACT_DIGITS}")

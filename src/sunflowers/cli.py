@@ -8,7 +8,8 @@ report rerun with identical inputs, parameters, and seeds is byte-
 identical apart from the wall_time_s field.
 
 Exit codes: 0 success/true, 1 definitive-false, 2 unknown/budget
-exceeded, 3 usage or input errors, 4 internal errors.
+exceeded, 3 usage or input errors (a ValueError, which every refusal
+raises, or an OSError), 4 internal errors: any other exception.
 """
 
 from __future__ import annotations
@@ -516,10 +517,10 @@ def main(argv=None) -> int:
     args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, ArithmeticError) as exc:
+    except (ValueError, OSError) as exc:  # the whole input band: refusals and unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except Exception as exc:  # pragma: no cover - internal failure band
+    except Exception as exc:  # a defect, an ArithmeticError included
         print(f"internal error: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -295,7 +295,7 @@ def is_d_intersecting(family: SetFamily, d: int) -> bool:
     """True iff every pairwise intersection has size at most d (L = {0..d})."""
     if d < 0:
         raise FamilyError(f"d must be >= 0, got {d}")
-    return is_L_intersecting(family, range(d + 1))
+    return max(intersection_profile(family), default=0) <= d
 
 
 def link(family: SetFamily, t: ElementSet) -> SetFamily:
@@ -342,22 +342,28 @@ def is_sunflower(sets: Sequence[ElementSet]) -> Optional[ElementSet]:
     return ElementSet.from_mask(core)
 
 
-def _petal_positions(
-    masks: Sequence[int], start: int, need: int, core: int, used: int
-) -> Optional[list[int]]:
-    """Positions, from `start` on and first in combinations order, of
-    `need` masks that hold `core` and whose petals avoid `used` and each
-    other.  Depth first; a prefix that fails is never extended."""
-    if need == 0:
-        return []
-    seen = core | used
-    for pos in range(start, len(masks) - need + 1):
-        m = masks[pos]
-        if m & seen == core:  # m holds the core and avoids every petal so far
-            rest = _petal_positions(masks, pos + 1, need - 1, core, used | (m & ~core))
-            if rest is not None:
-                return [pos] + rest
-    return None
+def _petal_positions(masks: Sequence[int], need: int, core: int) -> Optional[list[int]]:
+    """Positions, first in combinations order, of `need` masks that hold
+    `core` and whose petals avoid each other.  Depth first on a stack of
+    the chosen positions, not by recursion, so no petal count meets the
+    interpreter's recursion limit; a prefix that fails is never extended."""
+    chosen: list[int] = []
+    seen, stack = core, []  # the core and the chosen petals; `seen` before each choice
+    pos, limit = 0, len(masks) - need + 1  # the next position lies in [pos, limit)
+    while len(chosen) < need:
+        while pos < limit and masks[pos] & seen != core:
+            pos += 1
+        if pos < limit:  # masks[pos] holds the core and avoids every petal so far
+            chosen.append(pos)
+            stack.append(seen)
+            seen |= masks[pos]
+            pos, limit = pos + 1, limit + 1
+        elif chosen:  # no later mask extends the prefix: drop its last position
+            seen = stack.pop()
+            pos, limit = chosen.pop() + 1, limit - 1
+        else:
+            return None
+    return chosen
 
 
 def _sunflower_indices(masks: Sequence[int], r: int) -> Optional[list[int]]:
@@ -394,7 +400,7 @@ def _sunflower_indices(masks: Sequence[int], r: int) -> Optional[list[int]]:
                 break
             if len(positions) < r - 1:
                 continue
-            rest = _petal_positions([masks[k] for k in positions], 0, r - 1, c, 0)
+            rest = _petal_positions([masks[k] for k in positions], r - 1, c)
             if rest is not None and (best is None or positions[rest[0]] < best[0]):
                 best = [positions[p] for p in rest]
         if best is not None:
@@ -412,7 +418,7 @@ def find_r_disjoint(family: SetFamily, r: int) -> Optional[list[ElementSet]]:
     """
     if r < 1:
         raise FamilyError(f"r must be >= 1, got {r}")
-    chosen = _petal_positions(family.masks, 0, r, 0, 0)
+    chosen = _petal_positions(family.masks, r, 0)
     if chosen is None:
         return None
     witness = [family.members[i] for i in chosen]

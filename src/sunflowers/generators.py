@@ -215,7 +215,7 @@ def gen_random_L_intersecting(
     extend.
     """
     allowed = frozenset(int(e) for e in L)
-    if not allowed <= frozenset(range(n)):
+    if not all(0 <= e < n for e in allowed):
         raise GeneratorError(f"L must be a subset of {{0..{n - 1}}}, got {sorted(allowed)}")
     if target_count < 0:
         raise GeneratorError(f"target_count must be >= 0, got {target_count}")

@@ -226,8 +226,10 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
     trials.  Unless a block is that minimum, its raw words take at most
     8 * _SAMPLE_BLOCK bytes.
     """
+    if not 0 < Fraction(alpha) < 1:  # before a float conversion that can overflow
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     alpha = float(Fraction(alpha))
-    if not 0 < alpha < 1:
+    if not 0 < alpha < 1:  # rounded to 0.0 or 1.0: the uint64 threshold needs alpha < 1
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

@@ -538,11 +538,24 @@ def test_a_non_finite_endpoint_is_refused_not_read_as_zero():
     from sunflowers.bounds import _raw_to_fraction
 
     for raw in (libmp.finf, libmp.fninf, libmp.fnan):
-        with pytest.raises(ArithmeticError, match="non-finite interval endpoint; raise --digits"):
+        with pytest.raises(ValueError, match="non-finite interval endpoint; raise --digits"):
             _raw_to_fraction(raw)
     assert _raw_to_fraction(libmp.fzero) == 0
     assert _raw_to_fraction(libmp.from_int(-12)) == -12
     assert _raw_to_fraction(libmp.from_rational(3, 8, 53)) == Fraction(3, 8)
+
+
+def test_digits_too_many_for_an_interval_precision_are_refused_by_name():
+    # mpmath turns digits into bits through a float, which overflows past about 10^308
+    digits = 10**400
+    for evaluate in (lambda: rlogn_bound(5, 3, digits=digits),
+                     lambda: three_sunflower_bound(3, 2, digits=digits),
+                     lambda: d_intersecting_bound(5, 2, 3, digits=digits),
+                     lambda: crossover_report(5, 3, digits=digits)):
+        with pytest.raises(ValueError, match="^parameter digits is too large to set an interval "
+                                             "precision$"):
+            evaluate()
+    assert mp.iv.dps == 15  # left as it was
 
 
 # base 1 + 10^-100: log(base) underflows the interval at 50 digits
@@ -550,7 +563,7 @@ NEAR_ONE = Fraction(10**100 + 1, 10**100)
 
 
 def test_a_log_base_near_one_needs_more_digits():
-    with pytest.raises(ArithmeticError, match="non-finite"):
+    with pytest.raises(ValueError, match="non-finite"):
         rlogn_bound(3, 2, log_base=NEAR_ONE)
     value = rlogn_bound(3, 2, digits=120, log_base=NEAR_ONE)
     assert as_mpf(value.lower, 200) < as_mpf(value.upper, 200)

@@ -850,6 +850,19 @@ def test_a_type_error_is_an_internal_error(capsys, triangle, monkeypatch):
     assert "internal error: TypeError('cannot serialize set')" in err
 
 
+@pytest.mark.parametrize("exc", [ZeroDivisionError("division by zero"),
+                                 OverflowError("int too large to convert to float")])
+def test_an_arithmetic_error_is_an_internal_error(capsys, triangle, monkeypatch, exc):
+    # every refusal is a ValueError, so an ArithmeticError reaching `main` is a defect
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "find_any", broken)
+    code, out, err = run(capsys, "find", triangle, "--r", "2")
+    assert code == 4 and out == ""
+    assert err == f"internal error: {exc!r}\n"
+
+
 @pytest.mark.parametrize("argv,message", [
     ("bounds --which rlogn -n 3 -r 2 --log-base 1", "log base must exceed 1, got 1"),
     ("bounds --which pigeonhole-limit -n 0 -r 3", "need n >= 1 and r >= 2, got n=0, r=3"),

@@ -136,6 +136,19 @@ def test_is_d_intersecting():
     assert is_d_intersecting(core2, 2)
 
 
+def test_is_d_intersecting_builds_nothing_the_size_of_d():
+    import tracemalloc
+
+    intersection_profile(TRIANGLE)  # made and kept before the trace
+    tracemalloc.start()
+    try:
+        assert is_d_intersecting(TRIANGLE, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 # -- link --------------------------------------------------------------------
 
 def test_link_basic():
@@ -263,6 +276,12 @@ def test_find_r_disjoint_r1():
 def test_find_r_disjoint_refuses_r0():
     with pytest.raises(FamilyError, match="r must be >= 1, got 0"):
         find_r_disjoint(SetFamily(3, [[0, 1]]), 0)
+
+
+def test_find_r_disjoint_past_the_recursion_limit():
+    # the petal search keeps its chosen positions on a stack, not the call stack
+    fam = SetFamily(1200, [[e] for e in range(1200)])
+    assert [s.elements for s in find_r_disjoint(fam, 1100)] == [(e,) for e in range(1100)]
 
 
 @pytest.mark.parametrize("positions", [[0, 1], [3, 0, 1]], ids=["pair", "last-two-meet"])

@@ -53,6 +53,13 @@ def test_brute_force_disjoint_family():
     assert [s.elements for s in flower.petal_sets] == [(0, 1), (2, 3), (4, 5)]
 
 
+def test_brute_force_past_the_recursion_limit():
+    fam = SetFamily(1200, [[e] for e in range(1200)])
+    flower = brute_force_sunflower(fam, 1100)
+    assert flower.core.elements == ()
+    assert [s.elements for s in flower.petal_sets] == [(e,) for e in range(1100)]
+
+
 def test_brute_force_triangle_absent():
     assert brute_force_sunflower(TRIANGLE, 3) is None
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -318,8 +319,22 @@ def test_gen_random_l_of_empty_sets_keeps_one_only_if_a_draw_is_allowed(target, 
 
 
 def test_gen_random_l_validates_L():
-    with pytest.raises(GeneratorError):
-        gen_random_L_intersecting(8, 3, [3], 5, seed=1)
+    for L in ([3], [-1, 0]):
+        with pytest.raises(GeneratorError, match=re.escape(f"L must be a subset of {{0..2}}, got {L}")):
+            gen_random_L_intersecting(8, 3, L, 5, seed=1)
+
+
+def test_gen_random_l_builds_nothing_the_size_of_n():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(GeneratorError, match="need n <= x"):
+            gen_random_L_intersecting(10, 10**6, [0], 1, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_gen_random_l_rejects_negative_budget():

@@ -115,6 +115,9 @@ TABLE = [
     ("bounds --which nope", 3,
      EMPTY,
      None),
+    (f"bounds --which rlogn -n 5 -r 3 --digits {10**400}", 3,
+     EMPTY,
+     "6819e2c5ddfad432f91c311d12b0f4402b659ab37ac896a0edd19ea4537c0136"),
     ("spread {sunflower} --kappa 2", 1,
      "c9b7cc0a39918aca380c66c2215040e53e6a0ac4c1389b19e1c0c1792565790a",
      EMPTY),
@@ -136,6 +139,9 @@ TABLE = [
     ("spread {triangle} --seed 1", 3,
      EMPTY,
      "f51b5f2070b6acac1886db50785205f9d54cb7b3da273e0ad8b09b61ec566a57"),
+    (f"spread {{wide}} --alpha {10**400} --trials 64 --seed 1", 3,
+     EMPTY,
+     "acbe9d32c98562dfd2261aa702eb2d3615bdf31231462bd1eb1275b3b7b6f0fd"),
     ("experiment {triangle} --alpha-grid 0.2:0.8:0.3 --trials 1000 --seed 2", 0,
      "378789c00a1f62c22a7ef90dda7b48e0c4a4515c434f28914b776b84b6448a77",
      EMPTY),

@@ -292,3 +292,28 @@ def test_every_self_check_raises_invariant_error():
              if "self-check" in ast.unparse(exc)
              and not (isinstance(exc, ast.Call) and ast.unparse(exc.func) == "InvariantError")]
     assert found == []
+
+
+def test_no_raise_names_an_arithmetic_error():
+    # a refusal is a ValueError (exit 3); an ArithmeticError reaching the CLI
+    # is a defect (exit 4), so the package raises none on purpose
+    arithmetic = {"ArithmeticError", "FloatingPointError", "OverflowError", "ZeroDivisionError"}
+    _, raises = _exception_bases_and_raises()
+    found = [f"{where} {ast.unparse(exc)}" for where, exc in raises
+             if arithmetic & {node.id for node in ast.walk(exc) if isinstance(node, ast.Name)}]
+    assert found == []
+
+
+def test_main_sends_exactly_value_and_os_errors_to_exit_three():
+    # the band rule in one sentence: ValueError and OSError exit 3, anything else exits 4
+    tree = ast.parse((SOURCE / "cli.py").read_text(), filename="cli.py")
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    bands = {}
+    for handler in ast.walk(main):
+        if isinstance(handler, ast.ExceptHandler):
+            caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+            for node in ast.walk(handler):
+                if isinstance(node, ast.Return):
+                    bands.setdefault(ast.unparse(node.value), []).extend(map(ast.unparse, caught))
+    assert bands == {"EXIT_ERROR": ["ValueError", "OSError"], "EXIT_INTERNAL": ["Exception"]}

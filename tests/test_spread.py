@@ -383,6 +383,17 @@ def test_sample_reads_alpha_in_any_rational_form():
         sample_satisfying(fam, "1", 10, seed=0)
 
 
+@pytest.mark.parametrize("alpha, shown", [
+    (10**400, str(10**400)),  # too large for a float: refused before the conversion
+    (Fraction(1, 10**400), "0.0"),  # in (0, 1), but its float is not
+    (Fraction(10**20 - 1, 10**20), "1.0"),
+], ids=["past-float", "float-0", "float-1"])
+def test_sample_refuses_an_alpha_whose_float_is_not_in_the_interval(alpha, shown):
+    fam = SetFamily(30, [[0, 1], [2, 3, 4], [5]])
+    with pytest.raises(ValueError, match=rf"^alpha must be in \(0, 1\), got {shown}$"):
+        sample_satisfying(fam, alpha, 64, seed=1)
+
+
 @st.composite
 def sampling_cases(draw):
     """(x, sets, trials) for x in [0, 130] and up to 80 members.  For
