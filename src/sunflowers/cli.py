@@ -371,7 +371,9 @@ def cmd_encode_audit(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    family = args.make(args)  # each generator's subparser carries its call
+    from . import generators as gen_mod
+
+    family = args.make(gen_mod, args)  # each kind's parser carries its call
     _write(dump_family_json(family) if args.format == "json" else dump_family_text(family))
     return EXIT_TRUE
 
@@ -381,9 +383,7 @@ def _seed(args, use: str = "random generation") -> int:
     return args.seed
 
 
-def _gen_random_l(args) -> SetFamily:
-    from . import generators as gen_mod
-
+def _gen_random_l(gen_mod, args) -> SetFamily:
     stops: list[str] = []
     family = gen_mod.gen_random_L_intersecting(
         args.x, args.n, args.L, args.count, _seed(args), args.budget,
@@ -402,25 +402,21 @@ def _require(condition: bool, message: str) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def build_parser(argv=None) -> _Parser:
-    """The parser of the command line `argv`; every parser when it is None."""
-    parser = _Parser(prog="sunflowers", description=__doc__)
+def _add_format(p, default="json"):
+    p.add_argument("--format", choices=("json", "text"), default=default,
+                   help="report rendering (text is rendered from the same JSON)")
 
-    def add_common(p, default="json"):
-        p.add_argument("--format", choices=("json", "text"), default=default,
-                       help="report rendering (text is rendered from the same JSON)")
 
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("check", help="family predicates: uniformity, intersection profile")
+def _check_arguments(p):
     p.add_argument("family")
     p.add_argument("--L", type=_int_list, help="comma-separated allowed intersection sizes")
     p.add_argument("--d", type=int, help="check intersections of size at most d")
     p.add_argument("--uniform", type=int, help="check n-uniformity")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("find", help="search for an r-sunflower")
+
+def _find_arguments(p):
     p.add_argument("family")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGIES[0])
@@ -428,10 +424,11 @@ def build_parser(argv=None) -> _Parser:
                    help="cap on C(|F|, r), the most r-subsets the exact search "
                         f"(method \"brute-force\") can examine, default {DEFAULT_BUDGET}; above it "
                         "the status is unknown (not read by --strategy recursive)")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_find)
 
-    p = sub.add_parser("bounds", help="evaluate named sunflower bounds")
+
+def _bounds_arguments(p):
     p.add_argument("--which", required=True,
                    choices=bounds_mod.BOUND_NAMES + ("crossover", "all"))
     p.add_argument("-n", type=int)
@@ -446,10 +443,11 @@ def build_parser(argv=None) -> _Parser:
     p.add_argument("--log-base", type=lambda text: text if text == "e" else _rational(text),
                    help=f"logarithm base: e or a rational like 2 "
                         f"(default {bounds_mod.DEFAULT_LOG_BASE})")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_bounds)
 
-    p = sub.add_parser("spread", help="spreadness and satisfying probability")
+
+def _spread_arguments(p):
     p.add_argument("family")
     p.add_argument("--kappa", type=_rational, help="exact rational spread parameter")
     p.add_argument("--d", type=int, help="max link set size for the spread link search")
@@ -457,10 +455,11 @@ def build_parser(argv=None) -> _Parser:
     p.add_argument("--trials", type=int, help="Monte Carlo trials (needs --seed)")
     p.add_argument("--seed", type=int)
     p.add_argument("--r", type=int, help="run the r-disjointness consistency report")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_spread)
 
-    p = sub.add_parser("experiment", help="alpha-grid satisfying sweep (CSV)")
+
+def _experiment_arguments(p):
     p.add_argument("family")
     p.add_argument("--alpha-grid", required=True, type=_alpha_grid,
                    help="start:stop:step, e.g. 0.1:0.9:0.1")
@@ -468,45 +467,89 @@ def build_parser(argv=None) -> _Parser:
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_experiment)
 
-    p = sub.add_parser("encode-audit", help="bad-pair encoding and Markov audits")
+
+def _encode_audit_arguments(p):
     p.add_argument("family")
     p.add_argument("--px", type=int, required=True, help="|W|, the exact size of the W sets")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=_rational,
                    help="also audit the Markov tail at this rational delta")
-    add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_encode_audit)
 
-    p = sub.add_parser("gen", help="generate fixture families")
-    gensub = p.add_subparsers(dest="kind", required=True)
-    # argparse runs only the subcommand named exactly, so another one never reaches `gen`'s kinds
-    if argv and sub.choices.get(argv[0], p) is not p:
-        return parser
+
+def _random_l_options(g):
     from . import generators as gen_mod
 
-    def add_gen(name, make, *ints):
-        g = gensub.add_parser(name)
-        for arg in ints:
-            g.add_argument(arg, type=int)
-        g.set_defaults(func=cmd_gen, make=make)
-        return g
-
-    add_gen("sunflower", lambda a: gen_mod.gen_sunflower(a.core, a.petal, a.r), "core", "petal", "r")
-    add_gen("transversal", lambda a: gen_mod.gen_transversal(a.blocks, a.block_size),
-            "blocks", "block_size")
-    add_gen("all-subsets", lambda a: gen_mod.gen_all_k_subsets(a.x, a.k), "x", "k")
-    g = add_gen("random-uniform", lambda a: gen_mod.gen_random_uniform(a.x, a.n, a.count, _seed(a)),
-                "x", "n", "count")
-    g.add_argument("--seed", type=int)
-    g = add_gen("random-l", _gen_random_l, "x", "n")
     g.add_argument("--L", type=_int_list, required=True)
     g.add_argument("--count", type=int, required=True)
     g.add_argument("--seed", type=int)
     g.add_argument("--budget", type=int, default=gen_mod.DEFAULT_DRAW_BUDGET,
                    help="most draws (default %(default)s)")
-    for g in gensub.choices.values():
-        add_common(g, default="text")
 
+
+_GEN = "gen"
+
+# Each subcommand: its help, and the function that adds its arguments and
+# what it runs.  `gen`'s arguments are its kinds, which `build_parser` adds.
+_SUBCOMMANDS = {
+    "check": ("family predicates: uniformity, intersection profile", _check_arguments),
+    "find": ("search for an r-sunflower", _find_arguments),
+    "bounds": ("evaluate named sunflower bounds", _bounds_arguments),
+    "spread": ("spreadness and satisfying probability", _spread_arguments),
+    "experiment": ("alpha-grid satisfying sweep (CSV)", _experiment_arguments),
+    "encode-audit": ("bad-pair encoding and Markov audits", _encode_audit_arguments),
+    _GEN: ("generate fixture families", None),
+}
+
+# Each `gen` kind: its integer arguments, the function that adds its options
+# after them (or None), and its call, given `generators` and the arguments.
+_KINDS = {
+    "sunflower": (("core", "petal", "r"), None,
+                  lambda gen_mod, a: gen_mod.gen_sunflower(a.core, a.petal, a.r)),
+    "transversal": (("blocks", "block_size"), None,
+                    lambda gen_mod, a: gen_mod.gen_transversal(a.blocks, a.block_size)),
+    "all-subsets": (("x", "k"), None, lambda gen_mod, a: gen_mod.gen_all_k_subsets(a.x, a.k)),
+    "random-uniform": (("x", "n", "count"), lambda g: g.add_argument("--seed", type=int),
+                       lambda gen_mod, a: gen_mod.gen_random_uniform(a.x, a.n, a.count, _seed(a))),
+    "random-l": (("x", "n"), _random_l_options, _gen_random_l),
+}
+
+
+def build_parser(argv=None) -> _Parser:
+    """The parser of the command line `argv`; every parser when it is None.
+
+    argparse runs only the subcommand and the `gen` kind named exactly, so
+    a line that names another subcommand builds no kind, and one that
+    names a kind builds only the top level, `gen` and that kind.  A parser
+    left out is registered by name only (None in `choices`): the usage of
+    the parser above it, all of its text such a line can print, reads only
+    the names.
+    """
+    command, kind = [*(argv or ()), None, None][:2]
+    command = command if command in _SUBCOMMANDS else None
+    kind = kind if command == _GEN and kind in _KINDS else None
+    parser = _Parser(prog="sunflowers", description=__doc__)
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+        if kind is not None and name != _GEN:
+            sub.choices[name] = None
+            continue
+        p = sub.add_parser(name, help=help_text)
+        if add_arguments is not None:
+            add_arguments(p)
+    kinds = sub.choices[_GEN].add_subparsers(dest="kind", required=True)
+    for name, (ints, add_options, make) in _KINDS.items():
+        if command not in (None, _GEN) or kind not in (None, name):
+            kinds.choices[name] = None
+            continue
+        g = kinds.add_parser(name)
+        for arg in ints:
+            g.add_argument(arg, type=int)
+        if add_options is not None:
+            add_options(g)
+        _add_format(g, default="text")
+        g.set_defaults(func=cmd_gen, make=make)
     return parser
 
 

@@ -281,9 +281,30 @@ class Sunflower(_SunflowerFields):
 
 def intersection_profile(family: SetFamily) -> frozenset[int]:
     """The set { |A & B| : A, B distinct members }, empty for |F| < 2:
-    one pass over the pairs, made on first use and kept on the family."""
-    return family._table("profile", lambda: frozenset(
-        (a & b).bit_count() for a, b in combinations(family.masks, 2)))
+    made on first use and kept on the family.
+
+    One pass over the pairs, a member's later partners at a time, that
+    stops after the member with which it has seen every size a pair can
+    have: 0 up to the second-largest member size s, or up to s - 1 when
+    the largest is s too, since distinct sets of one size meet in fewer
+    elements (0..n-1 for an n-uniform family)."""
+    def scan():
+        masks = family.masks
+        if len(masks) < 2:
+            return frozenset()
+        if family.uniformity is not None:
+            sizes = family.uniformity
+        else:
+            second, largest = sorted(map(int.bit_count, masks))[-2:]
+            sizes = second + (largest > second)  # how many of 0, 1, ... a pair can have
+        seen: set[int] = set()
+        for i, a in enumerate(masks, 1):
+            seen |= {(a & b).bit_count() for b in masks[i:]}
+            if len(seen) == sizes:
+                break
+        return frozenset(seen)
+
+    return family._table("profile", scan)
 
 
 def is_L_intersecting(family: SetFamily, L: Iterable[int]) -> bool:

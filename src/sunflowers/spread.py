@@ -42,6 +42,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple, Optional, Sequence, Union
 from .families import (
     ElementSet,
     FamilyError,
+    _BITS_LIMIT,
     InvariantError,
     Rational,
     SetFamily,
@@ -214,7 +215,9 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
     in blocks of rows.  Since Philox's `random()` is (raw >> 11) * 2^-53,
     that is exactly `random((trials, x)) < alpha`, with no float
     conversion; for alpha < 1 the threshold fits in a uint64.  An empty
-    member answers every trial.
+    member answers every trial.  More than `families._BITS_LIMIT` (2^30)
+    trials x ground size, one drawn bit per element of each sampled set,
+    are refused before the generator is made.
 
     The test is sliced by trials: a block is kept element-major, packed
     along the trials into one uint64 bitset per element, and each
@@ -231,12 +234,14 @@ def sample_satisfying(family: SetFamily, alpha: Union[float, Rational], trials: 
     alpha = float(Fraction(alpha))
     if not 0 < alpha < 1:  # rounded to 0.0 or 1.0: the uint64 threshold needs alpha < 1
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    x = family.ground_size
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials * x > _BITS_LIMIT:  # one drawn bit per element of each sampled set
+        raise ValueError(f"{trials} trials over {x} elements exceed {_BITS_LIMIT} sampled bits")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     import numpy as np
-    x = family.ground_size
     masks = family.masks
     bitgen = np.random.Philox(key=seed)
     threshold = np.uint64(math.ceil(alpha * 2**53) << 11)

@@ -12,7 +12,8 @@ from itertools import combinations
 
 
 def profile_by_double_loop(sets):
-    """Pairwise intersection sizes via an explicit double loop."""
+    """Pairwise intersection sizes via an explicit double loop over every
+    pair, with no early exit."""
     out = set()
     fsets = [frozenset(s) for s in sets]
     for i in range(len(fsets)):

@@ -430,6 +430,24 @@ def test_spread_alpha_above_the_exact_limit_needs_trials(capsys, tmp_path, monke
     assert code == 0 and report["outputs"]["sampled_satisfying"]["trials"] == 200
 
 
+@pytest.mark.parametrize("trials", [str(10**400), "100000000"], ids=["10**400", "1e8"])
+@pytest.mark.parametrize("argv", [
+    ["spread", "{fam}", "--alpha", "1/2", "--seed", "1"],
+    ["spread", "{fam}", "--r", "2", "--seed", "1"],
+    ["experiment", "{fam}", "--alpha-grid", "0.1:0.2:0.1", "--seed", "1"],
+], ids=["spread-alpha", "spread-r", "experiment"])
+def test_trials_over_the_bit_limit_are_refused_before_any_draw(
+        capsys, tmp_path, monkeypatch, argv, trials):
+    import numpy
+
+    _, out, _ = run(capsys, "gen", "random-uniform", "30", "3", "40", "--seed", "5")
+    fam = write_family(tmp_path, "f30.txt", out)
+    monkeypatch.setattr(numpy.random, "Philox", lambda *a, **k: pytest.fail("drew"))
+    code, out, err = run(capsys, *(a.format(fam=fam) for a in argv), "--trials", trials)
+    assert code == 3 and out == ""
+    assert err == f"error: {trials} trials over 30 elements exceed 1073741824 sampled bits\n"
+
+
 def test_spread_sampling_requires_seed(capsys, triangle):
     code, out, err = run(capsys, "spread", triangle, "--alpha", "1/2", "--trials", "100")
     assert code == 3 and "--seed" in err
@@ -770,12 +788,14 @@ def test_unknown_subcommand_usage_error(capsys):
 
 
 def _parsers(parser):
-    """`parser` and every parser under it, depth first."""
+    """`parser` and every parser built under it, depth first; a name
+    registered without its parser (None) is skipped."""
     yield parser
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for sub in action.choices.values():
-                yield from _parsers(sub)
+                if sub is not None:
+                    yield from _parsers(sub)
 
 
 def test_the_help_width_is_read_once_per_process(monkeypatch):
@@ -805,11 +825,18 @@ def test_help_is_what_the_stock_formatter_gives_at_the_same_width(monkeypatch, c
     assert ours == [(p.format_help(), p.format_usage()) for p in parsers]
 
 
+# one passing line per `gen` kind
+_KIND_LINES = ["gen sunflower 1 2 3", "gen transversal 2 2", "gen all-subsets 4 2",
+               "gen random-uniform 10 3 5 --seed 1",
+               "gen random-l 12 3 --L 0,1 --count 5 --seed 1"]
+
+
 @pytest.mark.parametrize("argv,count", [
     *((["check", "f"], 8), (["find", "f", "--r", "3"], 8), (["bounds"], 8), (["spread"], 8),
       (["experiment"], 8), (["encode-audit"], 8)),  # `gen` left without its kinds
-    *((["gen", "sunflower", "1", "2", "3"], 13), (["-h"], 13), (["--", "check"], 13),
-      (["frobnicate"], 13), ([], 13), (None, 13)),
+    *((["gen"], 13), (["-h"], 13), (["--", "check"], 13),
+      (["frobnicate"], 13), ([], 13), (None, 13), (["gen", "-h"], 13), (["gen", "frobnicate"], 13)),
+    *((line.split(), 3) for line in _KIND_LINES),  # the top level, `gen` and the kind
 ])
 def test_only_a_command_line_that_can_name_gen_builds_its_kinds(argv, count):
     assert len(list(_parsers(cli.build_parser(argv)))) == count
@@ -818,13 +845,19 @@ def test_only_a_command_line_that_can_name_gen_builds_its_kinds(argv, count):
 @pytest.mark.parametrize("argv", [
     "", "-h", "frobnicate", "find", "find -h", "check {fam} --L 1", "find {fam} --r 3",
     "check {fam} --L x", "gen", "gen -h", "gen random-l -h", "gen frobnicate",
-    "-- gen transversal 2 2", "find gen --r 3",
+    "-- gen transversal 2 2", "find gen --r 3", *_KIND_LINES,
+    # a `gen` kind line failing at each level: the top level (whose usage
+    # lists every subcommand), the kind's required option, an integer, a
+    # choice, and the kind's help
+    "gen random-uniform 10 3 5 --seed 1 extra", "gen random-l 12 3 --L 0,1",
+    "gen transversal 2 x", "gen sunflower 1 2 3 --format bogus",
 ])
 def test_a_command_line_runs_as_with_every_parser_built(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     fam = write_family(tmp_path, "gen", "x=3\n0 1\n0 2\n1 2\n")  # `find gen` names this file
 
     def outcome():
+        monkeypatch.setattr(cli._HelpFormatter, "width", None)
         try:
             code = main(shlex.split(argv.format(fam=fam)))
         except SystemExit as exc:
@@ -832,10 +865,13 @@ def test_a_command_line_runs_as_with_every_parser_built(capsys, monkeypatch, tmp
         out, err = capsys.readouterr()
         return code, strip_wall_time(out), err
 
-    ours = outcome()
     every = cli.build_parser
-    monkeypatch.setattr(cli, "build_parser", lambda argv=None: every())
-    assert ours == outcome()
+    for columns in ("40", "80", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        monkeypatch.setattr(cli, "build_parser", every)
+        ours = outcome()
+        monkeypatch.setattr(cli, "build_parser", lambda argv=None: every())
+        assert ours == outcome(), columns
 
 
 def test_a_type_error_is_an_internal_error(capsys, triangle, monkeypatch):

@@ -329,6 +329,25 @@ def test_disjoint_sets_always_sunflower_with_empty_core(r):
     assert is_sunflower(sets) == ElementSet()
 
 
+@st.composite
+def profile_family(draw):
+    """Up to 40 members (780 pairs, several of the profile's chunks) over
+    10 elements: n-uniform for a drawn n, or of mixed sizes; empty and
+    one-member families included."""
+    uniform = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=6)))
+    sizes = (dict(max_size=6) if uniform is None
+             else dict(min_size=uniform, max_size=uniform))
+    sets = draw(st.lists(st.sets(st.integers(min_value=0, max_value=9), **sizes),
+                         max_size=40, unique_by=frozenset))
+    return SetFamily(10, sets)
+
+
+@given(profile_family())
+def test_profile_stopping_early_matches_the_full_pairs_scan(fam):
+    # the pass stops once it has seen every size a pair can have
+    assert intersection_profile(fam) == profile_by_double_loop([s.elements for s in fam.members])
+
+
 @given(small_family(min_members=2))
 def test_uniform_profile_below_n(fam):
     if fam.uniformity is not None and fam.uniformity > 0:

@@ -142,12 +142,18 @@ TABLE = [
     (f"spread {{wide}} --alpha {10**400} --trials 64 --seed 1", 3,
      EMPTY,
      "acbe9d32c98562dfd2261aa702eb2d3615bdf31231462bd1eb1275b3b7b6f0fd"),
+    (f"spread {{wide}} --alpha 1/3 --trials {10**400} --seed 1", 3,
+     EMPTY,
+     "27e9c9312e28ff85715c4bd31c5373d396d84e3f62001b249c5e7fcde77dd18e"),
     ("experiment {triangle} --alpha-grid 0.2:0.8:0.3 --trials 1000 --seed 2", 0,
      "378789c00a1f62c22a7ef90dda7b48e0c4a4515c434f28914b776b84b6448a77",
      EMPTY),
     ("experiment {triangle} --alpha-grid 0.2:0.8:0.3 --trials 1000", 3,
      EMPTY,
      "d573b0d7ed5bc602d9fb4cde0352d8d21bd09c796926636d4e68bb13e59dd927"),
+    ("experiment {wide} --alpha-grid 0.1:0.2:0.1 --trials 100000000 --seed 1", 3,
+     EMPTY,
+     "7e10778ec16e64bf97cf6433aaa97f8a1fa43fa99298052d13d675e9e599c391"),
     ("encode-audit {seven} --px 3 --d 1 --delta 1/2", 0,
      "0da41ab0de936819ced3dd2d50edb7a92b51a5021b93b3605a2d936d0f1e934f",
      EMPTY),

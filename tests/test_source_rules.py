@@ -317,3 +317,21 @@ def test_main_sends_exactly_value_and_os_errors_to_exit_three():
                 if isinstance(node, ast.Return):
                     bands.setdefault(ast.unparse(node.value), []).extend(map(ast.unparse, caught))
     assert bands == {"EXIT_ERROR": ["ValueError", "OSError"], "EXIT_INTERNAL": ["Exception"]}
+
+
+def test_cli_writes_each_subcommand_and_kind_name_once():
+    # the parsers of a `gen` kind line register the other names by name
+    # only; one table read by both builds keeps the two from drifting.  A
+    # subcommand's body may use the same word as a report key.
+    from sunflowers import cli
+
+    names = [*cli._SUBCOMMANDS, *cli._KINDS]
+    assert len(cli._SUBCOMMANDS) == 7 and len(cli._KINDS) == 5
+    tree = ast.parse((SOURCE / "cli.py").read_text(), filename="cli.py")
+    written = [
+        node.value
+        for top in tree.body if not getattr(top, "name", "").startswith("cmd_")
+        for node in ast.walk(top)
+        if isinstance(node, ast.Constant) and node.value in names
+    ]
+    assert sorted(written) == sorted(names)

@@ -394,6 +394,19 @@ def test_sample_refuses_an_alpha_whose_float_is_not_in_the_interval(alpha, shown
         sample_satisfying(fam, alpha, 64, seed=1)
 
 
+def test_sample_refuses_trials_over_the_bit_limit_before_the_generator(monkeypatch):
+    import numpy
+
+    from sunflowers import spread
+
+    fam = SetFamily(30, [[0, 1], [2, 3, 4], [5]])
+    monkeypatch.setattr(spread, "_BITS_LIMIT", 30 * 64)
+    assert sample_satisfying(fam, "1/2", 64, seed=1).trials == 64  # at the limit
+    monkeypatch.setattr(numpy.random, "Philox", lambda *a, **k: pytest.fail("drew"))
+    with pytest.raises(ValueError, match=r"^65 trials over 30 elements exceed 1920 sampled bits$"):
+        sample_satisfying(fam, "1/2", 65, seed=1)
+
+
 @st.composite
 def sampling_cases(draw):
     """(x, sets, trials) for x in [0, 130] and up to 80 members.  For
