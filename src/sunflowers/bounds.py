@@ -98,29 +98,22 @@ def _check_digits(digits: int) -> None:
         raise ValueError(f"digits must be >= 1, got {digits}")
 
 
-def certified_compare(
-    make_a: Callable[[int], FracInterval],
-    make_b: Callable[[int], FracInterval],
-    digits: int = DEFAULT_DIGITS,
-) -> str:
-    """Compare two interval-valued quantities: '<', '>', or '=' (certified).
-
-    Each maker returns an enclosing rational interval at the requested
-    precision.  Precision doubles until the intervals are disjoint or
-    their joint span is below EQUALITY_REL_TOL relative.
-    """
+def certified_compare(make: Callable[[int], FracInterval], exact: Fraction,
+                      digits: int = DEFAULT_DIGITS) -> str:
+    """Compare an interval-valued quantity with an exact rational: '<', '>',
+    or '=' (certified).  `make(d)` encloses it at d digits; precision
+    doubles until the interval excludes `exact` or its span is below
+    EQUALITY_REL_TOL relative."""
     _check_digits(digits)
     d = digits
     while True:
-        a_lo, a_hi = make_a(d)
-        b_lo, b_hi = make_b(d)
-        if a_hi < b_lo:
+        lo, hi = make(d)
+        if hi < exact:
             return "<"
-        if b_hi < a_lo:
+        if exact < lo:
             return ">"
-        span = max(a_hi, b_hi) - min(a_lo, b_lo)
-        scale = max(abs(a_lo), abs(a_hi), abs(b_lo), abs(b_hi))
-        if scale > 0 and span <= EQUALITY_REL_TOL * scale:
+        scale = max(abs(lo), abs(hi))  # exact lies within [lo, hi]
+        if scale > 0 and hi - lo <= EQUALITY_REL_TOL * scale:
             return "="
         if d >= _MAX_COMPARE_DIGITS:
             raise ValueError(
@@ -189,9 +182,10 @@ def _exact_str(value: int) -> str:
 
 
 def _check_log10(log10: Callable[..., float], params: dict) -> None:
-    """Refuse an exact bound before it is made when log10(**params), a float
-    estimate, passes _MAX_EXACT_DIGITS by over 1000, far more than it can err
-    (nearer, `_check_exact` counts), or overflows a float, naming the largest parameter."""
+    """Refuse a bound before it is made when log10(**params), a float estimate,
+    overflows (naming the largest parameter), or for an exact bound passes
+    _MAX_EXACT_DIGITS by over 1000, far more than it can err (nearer, `_check_exact`
+    counts), or for an interval-valued one, which reads digits, `decimal.MAX_EMAX` in size."""
     try:
         value = log10(**params)
         digits = math.floor(value) + 1  # raises OverflowError if value overflowed to inf
@@ -200,7 +194,10 @@ def _check_log10(log10: Callable[..., float], params: dict) -> None:
     except OverflowError:
         name = max((p for p, v in params.items() if type(v) is int), key=lambda p: abs(params[p]))
         raise ValueError(f"parameter {name} is too large to estimate the size of the bound")
-    if value > _MAX_EXACT_DIGITS + 1000:
+    if "digits" in params and abs(value) > decimal.MAX_EMAX:
+        raise ValueError(f"value has a decimal exponent of about {digits - 1}, "
+                         f"over the limit of {decimal.MAX_EMAX} in size")
+    if "digits" not in params and value > _MAX_EXACT_DIGITS + 1000:
         raise ValueError(f"exact value has about {digits} digits, "
                          f"over the limit of {_MAX_EXACT_DIGITS}")
 
@@ -292,6 +289,15 @@ def _log10_comb(c: int, k: int) -> float:
             - 0.5 * math.log(2 * math.pi * k * (1 - x))) / math.log(10)
 
 
+def _log10_crlog(c: Fraction, r: int, x: int, log_base: Rational) -> float:
+    """log10(c r log x) to a base that `_log_base` has coerced, in floats
+    for terms of any size; ValueError unless c, r > 0 and x > 1."""
+    ln_base = (1.0 if log_base == "e" else math.log1p(log_base - 1) if log_base < 2  # near 1
+               else math.log(log_base.numerator) - math.log(log_base.denominator))
+    return (math.log10(c.numerator) - math.log10(c.denominator) + math.log10(r)
+            + math.log10(math.log(x) / ln_base))
+
+
 # ---------------------------------------------------------------------------
 # Interval-valued bounds
 # ---------------------------------------------------------------------------
@@ -381,19 +387,15 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     log_base = _log_base(log_base)
     # each step in d multiplies the falling factorial by (r-1)(n-d) >= 1,
     # so row d = n is the largest: refuse it before any interval
-    _check_log10(_LOG10["falling-factorial"], {"n": n, "d": n, "r": r})
+    _check_log10(_BOUNDS["falling-factorial"][2], {"n": n, "d": n, "r": r})
     _check_exact(falling_factorial_bound(n, n, r))
     rows = []
     for d in range(1, n + 1):
         trivial = falling_factorial_bound(n, d, r)
         interval = _d_intersecting_interval(n, d, r, c, digits, log_base)
-        verdict = certified_compare(
-            lambda dps, d=d, interval=interval: (
-                interval if dps == digits else _d_intersecting_interval(n, d, r, c, dps, log_base)
-            ),
-            lambda dps: (Fraction(trivial), Fraction(trivial)),
-            digits=digits,
-        )
+        verdict = certified_compare(lambda dps, d=d, interval=interval: (
+            interval if dps == digits else _d_intersecting_interval(n, d, r, c, dps, log_base)
+        ), trivial, digits)
         smaller = {"<": "d-intersecting", ">": "falling-factorial", "=": "equal"}[verdict]
         rows.append(CrossoverRow(d=d, d_intersecting=_real_value(interval, digits).decimal,
                                  falling_factorial=_exact_str(trivial), smaller=smaller))
@@ -424,31 +426,32 @@ class MissingParameterError(ValueError):
     """A bound was asked for without a parameter it reads."""
 
 
-#: name -> (function, the parameters it reads, in argument order): the one
-#: statement of them.  `bound_report` checks, passes and echoes them, and
-#: the CLI reads exactly the flags that give them.
+#: name -> (function, the parameters it reads, in argument order, log10 of
+#: its value from them or None): the one statement of them.  `bound_report`
+#: checks that size, passes and echoes them, and the CLI reads exactly their flags.
 _BOUNDS = {
-    "erdos-rado": (erdos_rado_bound, ("n", "r")),
-    "pigeonhole-limit": (pigeonhole_limit, ("n", "r")),
-    "l-intersecting": (l_intersecting_bound, ("n", "s", "r")),
-    "l-multinomial": (l_multinomial_bound, ("n", "L", "r")),
-    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits")),
-    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base")),
-    "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base")),
-    "falling-factorial": (falling_factorial_bound, ("n", "d", "r")),
+    "erdos-rado": (erdos_rado_bound, ("n", "r"),
+                   lambda n, r: math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1)),
+    "pigeonhole-limit": (pigeonhole_limit, ("n", "r"), None),
+    "l-intersecting": (l_intersecting_bound, ("n", "s", "r"), lambda n, s, r: (
+        n * math.log10(s + 1) + s * math.log10(pigeonhole_limit(n, r)))),
+    "l-multinomial": (l_multinomial_bound, ("n", "L", "r"), lambda n, L, r: (
+        sum(_log10_comb(c, p) for c, p in _gap_binomials(n, L))
+        + len(L) * math.log10(pigeonhole_limit(n, r)))),
+    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits"), lambda n, s, digits: (
+        math.log10(n * n - n + 1)
+        + math.log10(2) * (3 * (s - 1) + (1 + 5**0.5 / 5) * ((s - 1) * n)))),
+    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base"),
+              lambda n, r, C, digits, log_base: n * _log10_crlog(C, r, n, log_base)),
+    "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base"),
+                       lambda n, d, r, C, digits, log_base: (
+                           n * math.log10(4 * r) + d * _log10_crlog(C, r, r * d, log_base))),
+    "falling-factorial": (falling_factorial_bound, ("n", "d", "r"), lambda n, d, r: (
+        _log10_comb(n, d) + math.lgamma(d + 1) / math.log(10) + (d + 1) * math.log10(r - 1))),
 }
 BOUND_NAMES = tuple(_BOUNDS)
-#: name -> log10 of the exact bound from the parameters it reads, checked before the bound
-_LOG10 = {
-    "erdos-rado": lambda n, r: math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1),
-    "l-intersecting": lambda n, s, r: n * math.log10(s + 1) + s * math.log10(pigeonhole_limit(n, r)),
-    "falling-factorial": lambda n, d, r: (_log10_comb(n, d) + math.lgamma(d + 1) / math.log(10)
-                                          + (d + 1) * math.log10(r - 1)),
-    "l-multinomial": lambda n, L, r: (sum(_log10_comb(c, p) for c, p in _gap_binomials(n, L))
-                                      + len(L) * math.log10(pigeonhole_limit(n, r))),
-}
 #: The parameters that each name of `BOUND_NAMES`, and "crossover", reads.
-PARAMETERS_READ = {**{name: reads for name, (_, reads) in _BOUNDS.items()},
+PARAMETERS_READ = {**{name: reads for name, (_, reads, _) in _BOUNDS.items()},
                    "crossover": ("n", "r", "C", "digits", "log_base")}
 
 
@@ -465,7 +468,7 @@ def bound_report(
     base = _log_base(log_base)
     if which not in _BOUNDS:
         raise ValueError(f"unknown bound {which!r}")
-    bound, reads = _BOUNDS[which]
+    bound, reads, log10 = _BOUNDS[which]
     if L is not None:
         L = sorted(set(L))
         s = len(L) if s is None else s
@@ -474,8 +477,8 @@ def bound_report(
     if missing:
         raise MissingParameterError(f"bound '{which}' needs parameters: {', '.join(missing)}")
     args = {p: given[p] for p in reads}
-    if which in _LOG10:
-        _check_log10(_LOG10[which], args)
+    if log10 is not None:
+        _check_log10(log10, args)
     value = bound(**args)
     params = {p: str(v) if p in ("C", "log_base") else v for p, v in args.items() if p != "digits"}
     if isinstance(value, RealBoundValue):

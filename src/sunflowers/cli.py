@@ -28,6 +28,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from .families import (
     DEFAULT_SIZE_BUDGET,
+    _BITS_LIMIT,
     ElementSet,
     FamilyError,
     SetFamily,
@@ -247,27 +248,33 @@ def cmd_find(args) -> int:
     return {"found": EXIT_TRUE, "absent": EXIT_FALSE, "unknown": EXIT_UNKNOWN}[outcome.status]
 
 
-# The flag that gives each bound parameter; which parameters a bound reads
-# is `bounds.PARAMETERS_READ`, and --which all reads every flag.
-_FLAGS = {"n": "-n", "r": "-r", "s": "-s", "L": "--L", "d": "-d", "C": "-C",
-          "digits": "--digits", "log_base": "--log-base"}
+# Each bound parameter: its flag, type, the default a report echoes when it is not
+# given, and its help ({}: that default).  `bounds.PARAMETERS_READ` says which a bound reads.
+_BOUND_FLAGS = {
+    "n": ("-n", int, None, None),
+    "r": ("-r", int, None, None),
+    "s": ("-s", int, None, None),
+    "L": ("--L", _int_list, None, "comma-separated intersection sizes"),
+    "d": ("-d", int, None, None),
+    "C": ("-C", _rational, bounds_mod.DEFAULT_C, "free constant (rational, default {})"),
+    "digits": ("--digits", int, bounds_mod.DEFAULT_DIGITS, "significant digits (default {})"),
+    "log_base": ("--log-base", lambda text: text if text == "e" else _rational(text),
+                 bounds_mod.DEFAULT_LOG_BASE, "logarithm base: e or a rational like 2 (default {})"),
+}
 
 
 def cmd_bounds(args) -> int:
     started = time.perf_counter()
+    given = {p: getattr(args, p) for p in _BOUND_FLAGS}
     if args.which != "all":
         reads = bounds_mod.PARAMETERS_READ[args.which]
         if "s" in reads and args.s is None:
             reads += ("L",)  # s is then the number of distinct sizes in --L
-        unread = [flag for p, flag in _FLAGS.items()
-                  if getattr(args, p) is not None and p not in reads]
+        unread = [_BOUND_FLAGS[p][0] for p, v in given.items() if v is not None and p not in reads]
         _require(not unread, f"--which {args.which} does not read {', '.join(unread)}")
     # the parameters echo the library's defaults for the flags not given
-    C = bounds_mod.DEFAULT_C if args.C is None else args.C
-    digits = bounds_mod.DEFAULT_DIGITS if args.digits is None else args.digits
-    log_base = bounds_mod.DEFAULT_LOG_BASE if args.log_base is None else args.log_base
-    common = dict(n=args.n, r=args.r, s=args.s, L=args.L, d=args.d,
-                  C=C, digits=digits, log_base=log_base)
+    common = {p: default if given[p] is None else given[p]
+              for p, (_, _, default, _) in _BOUND_FLAGS.items()}
     params = {"which": args.which, **common}
     if args.which in bounds_mod.BOUND_NAMES:
         outputs = {"bound": bounds_mod.bound_report(args.which, **common)}
@@ -281,7 +288,8 @@ def cmd_bounds(args) -> int:
                     outputs["bounds"].append(bounds_mod.bound_report(name, **common))
                 except bounds_mod.MissingParameterError:
                     continue  # a parameter the bound reads was not given
-        outputs["crossover"] = bounds_mod.crossover_report(args.n, args.r, C, digits, log_base)
+        outputs["crossover"] = bounds_mod.crossover_report(
+            args.n, args.r, common["C"], common["digits"], common["log_base"])
     _emit(args, params, outputs, started)
     return EXIT_TRUE
 
@@ -342,6 +350,10 @@ def cmd_experiment(args) -> int:
     count = (hi - lo) // step + 1
     _require(count <= DEFAULT_SIZE_BUDGET,
              f"--alpha-grid: {count} rows exceed budget {DEFAULT_SIZE_BUDGET}")
+    bits = args.trials * family.ground_size  # a row over the limit is refused by the row
+    _require(bits > _BITS_LIMIT or count * bits <= _BITS_LIMIT,
+             f"--alpha-grid: {count} rows of {args.trials} trials over {family.ground_size} "
+             f"elements exceed {_BITS_LIMIT} sampled bits")
     rows = []  # all made before the header is written, so a refusal writes nothing
     for i in range(count):
         alpha = lo + i * step
@@ -402,80 +414,54 @@ def _require(condition: bool, message: str) -> None:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_format(p, default="json"):
+def _add_format(p, default):
     p.add_argument("--format", choices=("json", "text"), default=default,
                    help="report rendering (text is rendered from the same JSON)")
 
 
-def _check_arguments(p):
-    p.add_argument("family")
+def _check_options(p):
     p.add_argument("--L", type=_int_list, help="comma-separated allowed intersection sizes")
     p.add_argument("--d", type=int, help="check intersections of size at most d")
     p.add_argument("--uniform", type=int, help="check n-uniformity")
-    _add_format(p)
-    p.set_defaults(func=cmd_check)
 
 
-def _find_arguments(p):
-    p.add_argument("family")
+def _find_options(p):
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--strategy", choices=STRATEGIES, default=STRATEGIES[0])
     p.add_argument("--budget", type=int,
                    help="cap on C(|F|, r), the most r-subsets the exact search "
                         f"(method \"brute-force\") can examine, default {DEFAULT_BUDGET}; above it "
                         "the status is unknown (not read by --strategy recursive)")
-    _add_format(p)
-    p.set_defaults(func=cmd_find)
 
 
-def _bounds_arguments(p):
+def _bounds_options(p):
     p.add_argument("--which", required=True,
                    choices=bounds_mod.BOUND_NAMES + ("crossover", "all"))
-    p.add_argument("-n", type=int)
-    p.add_argument("-r", type=int)
-    p.add_argument("-s", type=int)
-    p.add_argument("--L", type=_int_list, help="comma-separated intersection sizes")
-    p.add_argument("-d", type=int)
-    p.add_argument("-C", type=_rational,
-                   help=f"free constant (rational, default {bounds_mod.DEFAULT_C})")
-    p.add_argument("--digits", type=int,
-                   help=f"significant digits (default {bounds_mod.DEFAULT_DIGITS})")
-    p.add_argument("--log-base", type=lambda text: text if text == "e" else _rational(text),
-                   help=f"logarithm base: e or a rational like 2 "
-                        f"(default {bounds_mod.DEFAULT_LOG_BASE})")
-    _add_format(p)
-    p.set_defaults(func=cmd_bounds)
+    for flag, parse, default, help_text in _BOUND_FLAGS.values():
+        p.add_argument(flag, type=parse, help=help_text and help_text.format(default))
 
 
-def _spread_arguments(p):
-    p.add_argument("family")
+def _spread_options(p):
     p.add_argument("--kappa", type=_rational, help="exact rational spread parameter")
     p.add_argument("--d", type=int, help="max link set size for the spread link search")
     p.add_argument("--alpha", type=_rational, help="density for satisfying probability")
     p.add_argument("--trials", type=int, help="Monte Carlo trials (needs --seed)")
     p.add_argument("--seed", type=int)
     p.add_argument("--r", type=int, help="run the r-disjointness consistency report")
-    _add_format(p)
-    p.set_defaults(func=cmd_spread)
 
 
-def _experiment_arguments(p):
-    p.add_argument("family")
+def _experiment_options(p):
     p.add_argument("--alpha-grid", required=True, type=_alpha_grid,
                    help="start:stop:step, e.g. 0.1:0.9:0.1")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_experiment)
 
 
-def _encode_audit_arguments(p):
-    p.add_argument("family")
+def _encode_audit_options(p):
     p.add_argument("--px", type=int, required=True, help="|W|, the exact size of the W sets")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--delta", type=_rational,
                    help="also audit the Markov tail at this rational delta")
-    _add_format(p)
-    p.set_defaults(func=cmd_encode_audit)
 
 
 def _random_l_options(g):
@@ -490,16 +476,20 @@ def _random_l_options(g):
 
 _GEN = "gen"
 
-# Each subcommand: its help, and the function that adds its arguments and
-# what it runs.  `gen`'s arguments are its kinds, which `build_parser` adds.
+# Each subcommand: its help, positional arguments, the function that adds its options
+# after them, its --format default (None: no --format) and command (`gen`'s kinds run).
 _SUBCOMMANDS = {
-    "check": ("family predicates: uniformity, intersection profile", _check_arguments),
-    "find": ("search for an r-sunflower", _find_arguments),
-    "bounds": ("evaluate named sunflower bounds", _bounds_arguments),
-    "spread": ("spreadness and satisfying probability", _spread_arguments),
-    "experiment": ("alpha-grid satisfying sweep (CSV)", _experiment_arguments),
-    "encode-audit": ("bad-pair encoding and Markov audits", _encode_audit_arguments),
-    _GEN: ("generate fixture families", None),
+    "check": ("family predicates: uniformity, intersection profile", ("family",),
+              _check_options, "json", cmd_check),
+    "find": ("search for an r-sunflower", ("family",), _find_options, "json", cmd_find),
+    "bounds": ("evaluate named sunflower bounds", (), _bounds_options, "json", cmd_bounds),
+    "spread": ("spreadness and satisfying probability", ("family",),
+               _spread_options, "json", cmd_spread),
+    "experiment": ("alpha-grid satisfying sweep (CSV)", ("family",),
+                   _experiment_options, None, cmd_experiment),
+    "encode-audit": ("bad-pair encoding and Markov audits", ("family",),
+                     _encode_audit_options, "json", cmd_encode_audit),
+    _GEN: ("generate fixture families", (), None, None, None),
 }
 
 # Each `gen` kind: its integer arguments, the function that adds its options
@@ -531,13 +521,19 @@ def build_parser(argv=None) -> _Parser:
     kind = kind if command == _GEN and kind in _KINDS else None
     parser = _Parser(prog="sunflowers", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, (help_text, add_arguments) in _SUBCOMMANDS.items():
+    for name, (help_text, positionals, add_options, report_format, run) in _SUBCOMMANDS.items():
         if kind is not None and name != _GEN:
             sub.choices[name] = None
             continue
         p = sub.add_parser(name, help=help_text)
-        if add_arguments is not None:
-            add_arguments(p)
+        for arg in positionals:
+            p.add_argument(arg)
+        if add_options is not None:
+            add_options(p)
+        if report_format is not None:
+            _add_format(p, report_format)
+        if run is not None:
+            p.set_defaults(func=run)
     kinds = sub.choices[_GEN].add_subparsers(dest="kind", required=True)
     for name, (ints, add_options, make) in _KINDS.items():
         if command not in (None, _GEN) or kind not in (None, name):
@@ -548,7 +544,7 @@ def build_parser(argv=None) -> _Parser:
             g.add_argument(arg, type=int)
         if add_options is not None:
             add_options(g)
-        _add_format(g, default="text")
+        _add_format(g, "text")
         g.set_defaults(func=cmd_gen, make=make)
     return parser
 

@@ -1,5 +1,7 @@
+import decimal
 import json
 import math
+import time
 from fractions import Fraction
 
 import mpmath as mp
@@ -168,6 +170,51 @@ def test_a_small_bound_of_a_huge_parameter_is_exact():
     assert bound_report("l-multinomial", n=n, L=[0], r=3).value == str(n * (n * n - n + 1))
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rlogn", "-n", str(10**400), "-r", "3"], "parameter n is too large to estimate"),
+    (["three-sunflower", "-n", "5", "-s", str(10**400)], "parameter s is too large to estimate"),
+    (["d-intersecting", "-n", "5", "-d", str(10**400), "-r", "3"],
+     "parameter d is too large to estimate"),
+    (["rlogn", "-n", str(10**18), "-r", "3"], f"over the limit of {decimal.MAX_EMAX} in size"),
+    (["rlogn", "-n", str(10**17), "-r", "3", "-C", f"1/{10**40}"],
+     f"over the limit of {decimal.MAX_EMAX} in size"),
+], ids=["rlogn-n", "three-sunflower-s", "d-intersecting-d", "rlogn-emax", "rlogn-emin"])
+def test_an_interval_bound_too_large_is_refused_before_any_interval(
+        capsys, monkeypatch, argv, message):
+    from sunflowers import bounds
+    from sunflowers.cli import main
+
+    monkeypatch.setattr(bounds, "_enclosure", lambda *args: pytest.fail("an interval was made"))
+    started = time.perf_counter()
+    assert main(["bounds", "--which", *argv]) == 3
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_an_interval_bound_is_not_held_to_the_exact_digit_limit():
+    # (3 ln 100000)^100000 has about 153 831 digits, far over the 4300 of an
+    # exact value, and within decimal.MAX_EMAX: its estimate lets it through
+    from sunflowers.bounds import _BOUNDS, _check_log10
+
+    args = dict(n=100000, r=3, C=Fraction(1), digits=10, log_base="e")
+    assert 153830 < _BOUNDS["rlogn"][2](**args) < 153831
+    _check_log10(_BOUNDS["rlogn"][2], args)
+
+
+@pytest.mark.parametrize("log_base", ["e", Fraction(7, 3), Fraction(1001, 1000), Fraction(10**30)])
+def test_each_size_estimate_is_within_a_tenth_of_a_digit_of_its_bound(log_base):
+    from sunflowers.bounds import _BOUNDS
+
+    given = dict(n=12, r=3, s=2, L=[0, 2], d=4, C=Fraction(3, 2), digits=20, log_base=log_base)
+    for name, (_, reads, log10) in _BOUNDS.items():
+        if log10 is None:
+            continue
+        value = bound_report(name, **given).value
+        estimate = log10(**{p: given[p] for p in reads})
+        assert abs(estimate - float(mp.log10(mp.mpf(value)))) < 0.1, (name, estimate, value)
+
+
 def test_falling_factorial_bound_values():
     assert falling_factorial_bound(5, 0, 4) == 3
     assert falling_factorial_bound(3, 1, 3) == 12
@@ -286,9 +333,9 @@ def test_error_bounds_are_tiny_and_enclosing():
 def test_certified_compare_decides():
     a = lambda dps: (Fraction(1), Fraction(1))
     b = lambda dps: (Fraction(2), Fraction(2))
-    assert certified_compare(a, b) == "<"
-    assert certified_compare(b, a) == ">"
-    assert certified_compare(a, a) == "="
+    assert certified_compare(a, 2) == "<"
+    assert certified_compare(b, Fraction(1)) == ">"
+    assert certified_compare(a, 1) == "="
 
 
 def test_crossover_rows_match_direct_calls():
@@ -309,7 +356,7 @@ def test_crossover_rows_match_direct_calls():
             assert row.falling_factorial == str(trivial)
             verdict = certified_compare(
                 lambda dps: _d_intersecting_interval(n, row.d, 3, Fraction(C), dps, log_base),
-                lambda dps: (Fraction(trivial), Fraction(trivial)),
+                trivial,
                 digits=digits,
             )
             smaller = {"<": "d-intersecting", ">": "falling-factorial", "=": "equal"}[verdict]
@@ -408,7 +455,7 @@ def test_digits_below_one_refused_before_any_interval(monkeypatch):
 
     monkeypatch.setattr(bounds, "_enclosure", no_interval)
     entries = (
-        lambda digits: certified_compare(no_interval, no_interval, digits=digits),
+        lambda digits: certified_compare(no_interval, 1, digits=digits),
         lambda digits: three_sunflower_bound(3, 2, digits),
         lambda digits: rlogn_bound(4, 3, digits=digits),
         lambda digits: d_intersecting_bound(4, 2, 3, digits=digits),
@@ -516,7 +563,7 @@ def test_one_digit_is_accepted():
     assert len(crossover_report(4, 3, digits=1).rows) == 4
     # overlapping intervals at 1 digit: the precision must widen, not stall
     overlapping = lambda dps: (Fraction(1), Fraction(1) + Fraction(1, 10**dps))
-    assert certified_compare(overlapping, lambda dps: (Fraction(1), Fraction(1)), digits=1) == "="
+    assert certified_compare(overlapping, 1, digits=1) == "="
 
 
 def test_cli_refuses_digits_below_one(capsys):

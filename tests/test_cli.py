@@ -545,6 +545,21 @@ def test_experiment_refuses_a_grid_over_the_row_budget_before_any_row(
     assert "--alpha-grid: 8000001 rows exceed budget 1000000" in err
 
 
+def test_experiment_refuses_a_sweep_over_the_bit_limit_before_any_row(
+        capsys, tmp_path, monkeypatch):
+    from sunflowers import spread
+
+    _, out, _ = run(capsys, "gen", "random-uniform", "30", "3", "40", "--seed", "1")
+    fam = write_family(tmp_path, "f30.txt", out)
+    monkeypatch.setattr(spread, "sample_satisfying", lambda *args: pytest.fail("sampled"))
+    # each row's 30 000 000 trials x 30 elements fit 2^30 bits; the 99 rows do not
+    code, out, err = run(capsys, "experiment", fam, "--alpha-grid", "0.01:0.99:0.01",
+                         "--trials", "30000000", "--seed", "1")
+    assert code == 3 and out == ""
+    assert err == ("error: --alpha-grid: 99 rows of 30000000 trials over 30 elements "
+                   "exceed 1073741824 sampled bits\n")
+
+
 # -- encode-audit ----------------------------------------------------------------
 
 def test_encode_audit_pass(capsys, matching):

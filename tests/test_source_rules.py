@@ -335,3 +335,37 @@ def test_cli_writes_each_subcommand_and_kind_name_once():
         if isinstance(node, ast.Constant) and node.value in names
     ]
     assert sorted(written) == sorted(names)
+
+
+def test_cli_adds_positionals_formats_and_commands_only_in_build_parser():
+    # a subcommand's row in `_SUBCOMMANDS` states its positional arguments,
+    # its --format default and its command, and `build_parser` adds them
+    tree = ast.parse((SOURCE / "cli.py").read_text(), filename="cli.py")
+    found = []
+    for top in tree.body:
+        if getattr(top, "name", None) == "build_parser":
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = ast.unparse(node.func)
+            first = node.args[0] if node.args else None
+            positional = (func.endswith(".add_argument") and isinstance(first, ast.Constant)
+                          and not first.value.startswith("-"))
+            if positional or func == "_add_format" or func.endswith(".set_defaults"):
+                found.append(f"cli.py:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
+def test_the_bounds_parser_reads_exactly_the_bound_flags():
+    # `_BOUND_FLAGS` is the one list of the bound flags: the parser adds
+    # them from it, and `cmd_bounds` checks and echoes them from it
+    import argparse
+
+    from sunflowers import cli
+
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    options = [flag for action in sub.choices["bounds"]._actions for flag in action.option_strings
+               if flag not in ("-h", "--help", "--which", "--format")]
+    assert options == [flag for flag, *_ in cli._BOUND_FLAGS.values()]
