@@ -181,25 +181,43 @@ def _exact_str(value: int) -> str:
     return str(decimal.Decimal(value))
 
 
-def _check_log10(log10: Callable[..., float], params: dict) -> None:
-    """Refuse a bound before it is made when log10(**params), a float estimate,
-    overflows (naming the largest parameter), or for an exact bound passes
-    _MAX_EXACT_DIGITS by over 1000, far more than it can err (nearer, `_check_exact`
-    counts), or for an interval-valued one, which reads digits, `decimal.MAX_EMAX` in size."""
+def _check_log10(which: str, params: dict) -> None:
+    """Refuse bound `which` before it is made when its row's float estimate of
+    log10 of its value overflows (naming the largest parameter) or fails the
+    row's limit.  An estimate that raises ValueError, as an interval row's
+    does outside its bound's domain, leaves the refusal to the bound itself."""
+    _, _, limit, log10 = _BOUNDS[which]
+    if log10 is None:
+        return
     try:
         value = log10(**params)
-        digits = math.floor(value) + 1  # raises OverflowError if value overflowed to inf
-    except ValueError:  # a parameter out of the bound's domain: the bound says which
+        math.floor(value)  # raises OverflowError if value overflowed to inf
+    except ValueError:
         return
     except OverflowError:
         name = max((p for p, v in params.items() if type(v) is int), key=lambda p: abs(params[p]))
         raise ValueError(f"parameter {name} is too large to estimate the size of the bound")
-    if "digits" in params and abs(value) > decimal.MAX_EMAX:
-        raise ValueError(f"value has a decimal exponent of about {digits - 1}, "
-                         f"over the limit of {decimal.MAX_EMAX} in size")
-    if "digits" not in params and value > _MAX_EXACT_DIGITS + 1000:
-        raise ValueError(f"exact value has about {digits} digits, "
+    limit(value)
+
+
+def _exact_limit(log10: float) -> None:
+    """An exact bound's: refuse one past _MAX_EXACT_DIGITS by over 1000 digits,
+    far more than its estimate can err (nearer, `_check_exact` counts)."""
+    if log10 > _MAX_EXACT_DIGITS + 1000:
+        raise ValueError(f"exact value has about {math.floor(log10) + 1} digits, "
                          f"over the limit of {_MAX_EXACT_DIGITS}")
+
+
+def _exponent_limit(log10: float) -> None:
+    """An interval-valued bound's: refuse a decimal exponent past `decimal.MAX_EMAX` in size."""
+    if abs(log10) > decimal.MAX_EMAX:
+        raise ValueError(f"value has a decimal exponent of about {math.floor(log10)}, "
+                         f"over the limit of {decimal.MAX_EMAX} in size")
+
+
+def _outside_domain() -> float:
+    """A size estimate outside its bound's domain, where a huge parameter could overflow it first."""
+    raise ValueError("outside the bound's domain")
 
 
 def erdos_rado_bound(n: int, r: int) -> int:
@@ -292,10 +310,17 @@ def _log10_comb(c: int, k: int) -> float:
 def _log10_crlog(c: Fraction, r: int, x: int, log_base: Rational) -> float:
     """log10(c r log x) to a base that `_log_base` has coerced, in floats
     for terms of any size; ValueError unless c, r > 0 and x > 1."""
-    ln_base = (1.0 if log_base == "e" else math.log1p(log_base - 1) if log_base < 2  # near 1
-               else math.log(log_base.numerator) - math.log(log_base.denominator))
+    if log_base == "e":
+        log10_ln_base = 0.0
+    elif log_base >= 2:
+        log10_ln_base = math.log10(math.log(log_base.numerator) - math.log(log_base.denominator))
+    else:  # ln b = u log1p(u)/u for u = b - 1 in (0, 1), which may be below any float
+        u = log_base - 1
+        f = float(u)
+        log10_ln_base = (math.log10(u.numerator) - math.log10(u.denominator)
+                         + math.log10(math.log1p(f) / f if f else 1.0))
     return (math.log10(c.numerator) - math.log10(c.denominator) + math.log10(r)
-            + math.log10(math.log(x) / ln_base))
+            + math.log10(math.log(x)) - log10_ln_base)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +412,7 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     log_base = _log_base(log_base)
     # each step in d multiplies the falling factorial by (r-1)(n-d) >= 1,
     # so row d = n is the largest: refuse it before any interval
-    _check_log10(_BOUNDS["falling-factorial"][2], {"n": n, "d": n, "r": r})
+    _check_log10("falling-factorial", {"n": n, "d": n, "r": r})
     _check_exact(falling_factorial_bound(n, n, r))
     rows = []
     for d in range(1, n + 1):
@@ -426,32 +451,36 @@ class MissingParameterError(ValueError):
     """A bound was asked for without a parameter it reads."""
 
 
-#: name -> (function, the parameters it reads, in argument order, log10 of
-#: its value from them or None): the one statement of them.  `bound_report`
-#: checks that size, passes and echoes them, and the CLI reads exactly their flags.
+#: name -> (function, the parameters it reads, in argument order, the limit
+#: and the float estimate of log10 of its value from them, or None): the one
+#: statement of them.  `bound_report` checks that size, passes and echoes
+#: them, and the CLI reads exactly their flags.
 _BOUNDS = {
-    "erdos-rado": (erdos_rado_bound, ("n", "r"),
+    "erdos-rado": (erdos_rado_bound, ("n", "r"), _exact_limit,
                    lambda n, r: math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1)),
-    "pigeonhole-limit": (pigeonhole_limit, ("n", "r"), None),
-    "l-intersecting": (l_intersecting_bound, ("n", "s", "r"), lambda n, s, r: (
+    "pigeonhole-limit": (pigeonhole_limit, ("n", "r"), None, None),
+    "l-intersecting": (l_intersecting_bound, ("n", "s", "r"), _exact_limit, lambda n, s, r: (
         n * math.log10(s + 1) + s * math.log10(pigeonhole_limit(n, r)))),
-    "l-multinomial": (l_multinomial_bound, ("n", "L", "r"), lambda n, L, r: (
+    "l-multinomial": (l_multinomial_bound, ("n", "L", "r"), _exact_limit, lambda n, L, r: (
         sum(_log10_comb(c, p) for c, p in _gap_binomials(n, L))
         + len(L) * math.log10(pigeonhole_limit(n, r)))),
-    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits"), lambda n, s, digits: (
-        math.log10(n * n - n + 1)
-        + math.log10(2) * (3 * (s - 1) + (1 + 5**0.5 / 5) * ((s - 1) * n)))),
-    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base"),
-              lambda n, r, C, digits, log_base: n * _log10_crlog(C, r, n, log_base)),
+    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits"), _exponent_limit,
+                        lambda n, s, digits: _outside_domain() if n < 1 or s < 1 else (
+                            math.log10(n * n - n + 1)
+                            + math.log10(2) * (3 * (s - 1) + (1 + 5**0.5 / 5) * ((s - 1) * n)))),
+    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base"), _exponent_limit,
+              lambda n, r, C, digits, log_base: _outside_domain() if n < 2 or r < 2 else (
+                  n * _log10_crlog(C, r, n, log_base))),
     "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base"),
-                       lambda n, d, r, C, digits, log_base: (
+                       _exponent_limit, lambda n, d, r, C, digits, log_base: (
+                           _outside_domain() if n < 1 or d < 1 or r < 2 else
                            n * math.log10(4 * r) + d * _log10_crlog(C, r, r * d, log_base))),
-    "falling-factorial": (falling_factorial_bound, ("n", "d", "r"), lambda n, d, r: (
+    "falling-factorial": (falling_factorial_bound, ("n", "d", "r"), _exact_limit, lambda n, d, r: (
         _log10_comb(n, d) + math.lgamma(d + 1) / math.log(10) + (d + 1) * math.log10(r - 1))),
 }
 BOUND_NAMES = tuple(_BOUNDS)
 #: The parameters that each name of `BOUND_NAMES`, and "crossover", reads.
-PARAMETERS_READ = {**{name: reads for name, (_, reads, _) in _BOUNDS.items()},
+PARAMETERS_READ = {**{name: reads for name, (_, reads, *_) in _BOUNDS.items()},
                    "crossover": ("n", "r", "C", "digits", "log_base")}
 
 
@@ -468,7 +497,7 @@ def bound_report(
     base = _log_base(log_base)
     if which not in _BOUNDS:
         raise ValueError(f"unknown bound {which!r}")
-    bound, reads, log10 = _BOUNDS[which]
+    bound, reads, *_ = _BOUNDS[which]
     if L is not None:
         L = sorted(set(L))
         s = len(L) if s is None else s
@@ -477,8 +506,7 @@ def bound_report(
     if missing:
         raise MissingParameterError(f"bound '{which}' needs parameters: {', '.join(missing)}")
     args = {p: given[p] for p in reads}
-    if log10 is not None:
-        _check_log10(log10, args)
+    _check_log10(which, args)
     value = bound(**args)
     params = {p: str(v) if p in ("C", "log_base") else v for p, v in args.items() if p != "digits"}
     if isinstance(value, RealBoundValue):

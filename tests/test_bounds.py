@@ -178,9 +178,18 @@ def test_a_small_bound_of_a_huge_parameter_is_exact():
     (["rlogn", "-n", str(10**18), "-r", "3"], f"over the limit of {decimal.MAX_EMAX} in size"),
     (["rlogn", "-n", str(10**17), "-r", "3", "-C", f"1/{10**40}"],
      f"over the limit of {decimal.MAX_EMAX} in size"),
-], ids=["rlogn-n", "three-sunflower-s", "d-intersecting-d", "rlogn-emax", "rlogn-emin"])
-def test_an_interval_bound_too_large_is_refused_before_any_interval(
-        capsys, monkeypatch, argv, message):
+    # outside the bound's domain, the bound's own refusal comes before the size's
+    (["three-sunflower", "-n", str(10**400), "-s", "0"], "need n >= 1 and s >= 1, got"),
+    (["three-sunflower", "-n", str(-10**400), "-s", "2"], "need n >= 1 and s >= 1, got"),
+    (["rlogn", "-n", str(10**400), "-r", "1"], "need n >= 2 (so log n > 0) and r >= 2, got"),
+    (["d-intersecting", "-n", str(10**400), "-d", "2", "-r", "1"],
+     "need n >= 1, d >= 1, r >= 2, got"),
+    (["d-intersecting", "-n", str(-10**400), "-d", "2", "-r", "3"],
+     "need n >= 1, d >= 1, r >= 2, got"),
+], ids=["rlogn-n", "three-sunflower-s", "d-intersecting-d", "rlogn-emax", "rlogn-emin",
+        "three-sunflower-s-0", "three-sunflower-n-negative", "rlogn-r-1", "d-intersecting-r-1",
+        "d-intersecting-n-negative"])
+def test_an_interval_bound_is_refused_before_any_interval(capsys, monkeypatch, argv, message):
     from sunflowers import bounds
     from sunflowers.cli import main
 
@@ -198,21 +207,43 @@ def test_an_interval_bound_is_not_held_to_the_exact_digit_limit():
     from sunflowers.bounds import _BOUNDS, _check_log10
 
     args = dict(n=100000, r=3, C=Fraction(1), digits=10, log_base="e")
-    assert 153830 < _BOUNDS["rlogn"][2](**args) < 153831
-    _check_log10(_BOUNDS["rlogn"][2], args)
+    assert 153830 < _BOUNDS["rlogn"][3](**args) < 153831
+    _check_log10("rlogn", args)
 
 
-@pytest.mark.parametrize("log_base", ["e", Fraction(7, 3), Fraction(1001, 1000), Fraction(10**30)])
+@pytest.mark.parametrize("log_base", [
+    "e", Fraction(7, 3), Fraction(1001, 1000), Fraction(10**30),
+    Fraction(10**310 + 1, 10**310), Fraction(10**400 + 1, 10**400),  # b - 1 below any float
+])
 def test_each_size_estimate_is_within_a_tenth_of_a_digit_of_its_bound(log_base):
     from sunflowers.bounds import _BOUNDS
 
-    given = dict(n=12, r=3, s=2, L=[0, 2], d=4, C=Fraction(3, 2), digits=20, log_base=log_base)
-    for name, (_, reads, log10) in _BOUNDS.items():
+    given = dict(n=12, r=3, s=2, L=[0, 2], d=4, C=Fraction(3, 2), digits=450, log_base=log_base)
+    for name, (_, reads, _, log10) in _BOUNDS.items():
         if log10 is None:
             continue
         value = bound_report(name, **given).value
         estimate = log10(**{p: given[p] for p in reads})
         assert abs(estimate - float(mp.log10(mp.mpf(value)))) < 0.1, (name, estimate, value)
+
+
+@pytest.mark.parametrize("exponent", [310, 400])
+@pytest.mark.parametrize("which, extra", [("rlogn", []), ("d-intersecting", ["-d", "2"]),
+                                          ("all", ["-d", "2"])])
+def test_a_log_base_below_any_float_above_one_is_evaluated_as_given(
+        capsys, exponent, which, extra):
+    # ln b for b = 1 + 10^-exponent underflows the interval at 50 digits, not the size estimate
+    from sunflowers.cli import main
+
+    argv = ["bounds", "--which", which, "-n", "3", "-r", "3", *extra,
+            "--log-base", f"{10**exponent + 1}/{10**exponent}"]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == "error: non-finite interval endpoint; raise --digits\n"
+    assert main([*argv, "--digits", "420"]) == 0
+    outputs = json.loads(capsys.readouterr().out)["outputs"]
+    if which == "rlogn":  # (3 ln 3 / ln b)^3, and ln b = 10^-exponent to far more than 20 digits
+        assert outputs["bound"]["value"].startswith("3.58011619238854977")
+        assert outputs["bound"]["value"].endswith(f"e+{3 * exponent + 1}")
 
 
 def test_falling_factorial_bound_values():

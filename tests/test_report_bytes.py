@@ -136,6 +136,9 @@ TABLE = [
     (f"bounds --which d-intersecting -n 5 -d {10**400} -r 3", 3,
      EMPTY,
      "3771a1d0bc8a296fde45760bc93cb9d60a0efd7707c2f84ca5f4a8327f17e878"),
+    (f"bounds --which rlogn -n {10**400} -r 1", 3,
+     EMPTY,
+     "a713488d535b6e0202eb50792200f7cf7bb2cea2bc8a3eeb31fb5307e2bebbc0"),
     ("spread {sunflower} --kappa 2", 1,
      "c9b7cc0a39918aca380c66c2215040e53e6a0ac4c1389b19e1c0c1792565790a",
      EMPTY),
