@@ -73,10 +73,13 @@ def _iv_log(value, log_base: Rational):
 FracInterval = tuple[Fraction, Fraction]
 
 
-def _enclosure(exact: int, make: Callable, digits: int) -> FracInterval:
-    """exact times the interval `make(iv)` evaluates with mpmath's `iv`
-    context at `digits` digits and 15 guard digits, as exact rational
-    endpoints.  exact > 0, so the scaling keeps the endpoints in order."""
+def _enclosure(make: Callable, digits: int, times: int = 1, base: int = 1,
+               power: int = 0) -> FracInterval:
+    """times * base**power (times, base >= 1) times the interval `make(iv)`
+    evaluates with mpmath's `iv` context at `digits` digits and 15 guard
+    digits, as exact rational endpoints.  A decimal exponent past
+    `decimal.MAX_EMAX` in size is refused, from bit lengths, before the
+    factor or any endpoint is made."""
     from mpmath import iv
 
     old = iv.dps
@@ -88,7 +91,17 @@ def _enclosure(exact: int, make: Callable, digits: int) -> FracInterval:
         lo_raw, hi_raw = make(iv)._mpi_
     finally:
         iv.dps = old
-    return exact * _raw_to_fraction(lo_raw), exact * _raw_to_fraction(hi_raw)
+    (_, _, lo_exp, lo_bc), (_, _, hi_exp, hi_bc) = lo_raw, hi_raw
+    # a finite endpoint lies below 2^(exp + bc), and from 2^(exp + bc - 1) unless 0, the factor
+    # in [2^low, 2^(low + power + 1)), and 301029995663981/10^15 is just below log10(2)
+    low = power * (base.bit_length() - 1) + times.bit_length() - 1
+    if min(lo_bc, hi_bc) >= 0 and (  # `_raw_to_fraction` refuses a non-finite endpoint
+            (hi_exp + hi_bc - 1 + low) * 301029995663981 > (decimal.MAX_EMAX + 1) * 10**15
+            or (lo_exp + lo_bc + low + power + 1) * 301029995663981 < -decimal.MAX_EMAX * 10**15):
+        raise ValueError(
+            f"value has a decimal exponent over the limit of {decimal.MAX_EMAX} in size")
+    lo, hi, factor = _raw_to_fraction(lo_raw), _raw_to_fraction(hi_raw), times * base**power
+    return factor * lo, factor * hi
 
 
 def _check_digits(digits: int) -> None:
@@ -182,11 +195,12 @@ def _exact_str(value: int) -> str:
 
 
 def _check_log10(which: str, params: dict) -> None:
-    """Refuse bound `which` before it is made when its row's float estimate of
-    log10 of its value overflows (naming the largest parameter) or fails the
-    row's limit.  An estimate that raises ValueError, as an interval row's
-    does outside its bound's domain, leaves the refusal to the bound itself."""
-    _, _, limit, log10 = _BOUNDS[which]
+    """Refuse exact bound `which` before it is made when its row's float
+    estimate of log10 of its value overflows (naming the largest parameter)
+    or passes _MAX_EXACT_DIGITS by over 1000 digits, far more than it can err
+    (nearer, `_check_exact` counts).  An estimate that raises ValueError, as
+    each does outside its bound's domain, leaves the refusal to the bound."""
+    log10 = _BOUNDS[which][2]
     if log10 is None:
         return
     try:
@@ -197,22 +211,9 @@ def _check_log10(which: str, params: dict) -> None:
     except OverflowError:
         name = max((p for p, v in params.items() if type(v) is int), key=lambda p: abs(params[p]))
         raise ValueError(f"parameter {name} is too large to estimate the size of the bound")
-    limit(value)
-
-
-def _exact_limit(log10: float) -> None:
-    """An exact bound's: refuse one past _MAX_EXACT_DIGITS by over 1000 digits,
-    far more than its estimate can err (nearer, `_check_exact` counts)."""
-    if log10 > _MAX_EXACT_DIGITS + 1000:
-        raise ValueError(f"exact value has about {math.floor(log10) + 1} digits, "
+    if value > _MAX_EXACT_DIGITS + 1000:
+        raise ValueError(f"exact value has about {math.floor(value) + 1} digits, "
                          f"over the limit of {_MAX_EXACT_DIGITS}")
-
-
-def _exponent_limit(log10: float) -> None:
-    """An interval-valued bound's: refuse a decimal exponent past `decimal.MAX_EMAX` in size."""
-    if abs(log10) > decimal.MAX_EMAX:
-        raise ValueError(f"value has a decimal exponent of about {math.floor(log10)}, "
-                         f"over the limit of {decimal.MAX_EMAX} in size")
 
 
 def _outside_domain() -> float:
@@ -307,22 +308,6 @@ def _log10_comb(c: int, k: int) -> float:
             - 0.5 * math.log(2 * math.pi * k * (1 - x))) / math.log(10)
 
 
-def _log10_crlog(c: Fraction, r: int, x: int, log_base: Rational) -> float:
-    """log10(c r log x) to a base that `_log_base` has coerced, in floats
-    for terms of any size; ValueError unless c, r > 0 and x > 1."""
-    if log_base == "e":
-        log10_ln_base = 0.0
-    elif log_base >= 2:
-        log10_ln_base = math.log10(math.log(log_base.numerator) - math.log(log_base.denominator))
-    else:  # ln b = u log1p(u)/u for u = b - 1 in (0, 1), which may be below any float
-        u = log_base - 1
-        f = float(u)
-        log10_ln_base = (math.log10(u.numerator) - math.log10(u.denominator)
-                         + math.log10(math.log1p(f) / f if f else 1.0))
-    return (math.log10(c.numerator) - math.log10(c.denominator) + math.log10(r)
-            + math.log10(math.log(x)) - log10_ln_base)
-
-
 # ---------------------------------------------------------------------------
 # Interval-valued bounds
 # ---------------------------------------------------------------------------
@@ -337,9 +322,9 @@ def three_sunflower_bound(n: int, s: int, digits: int = DEFAULT_DIGITS) -> RealB
     if n < 1 or s < 1:
         raise ValueError(f"need n >= 1 and s >= 1, got n={n}, s={s}")
     _check_digits(digits)
-    return _real_value(_enclosure((n * n - n + 1) * 8 ** (s - 1), lambda iv: iv.exp(
+    return _real_value(_enclosure(lambda iv: iv.exp(
         (iv.mpf(1) + iv.sqrt(iv.mpf(5)) / iv.mpf(5)) * iv.mpf(n * (s - 1)) * iv.log(iv.mpf(2))
-    ), digits), digits)
+    ), digits, n * n - n + 1, 8, s - 1), digits)
 
 
 def rlogn_bound(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_DIGITS,
@@ -350,15 +335,15 @@ def rlogn_bound(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFAULT_D
     c = _positive_fraction(C, "C")
     _check_digits(digits)
     base = _log_base(log_base)
-    return _real_value(_enclosure(1, lambda iv: (
+    return _real_value(_enclosure(lambda iv: (
         _iv_fraction(c) * iv.mpf(r) * _iv_log(iv.mpf(n), base)) ** n, digits), digits)
 
 
 def _d_intersecting_interval(
     n: int, d: int, r: int, C: Fraction, digits: int, log_base: Rational
 ) -> FracInterval:
-    return _enclosure((4 * r) ** n, lambda iv: (
-        _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(r * d), log_base)) ** d, digits)
+    return _enclosure(lambda iv: (
+        _iv_fraction(C) * iv.mpf(r) * _iv_log(iv.mpf(r * d), log_base)) ** d, digits, 1, 4 * r, n)
 
 
 def d_intersecting_bound(n: int, d: int, r: int, C: Rational = DEFAULT_C,
@@ -451,31 +436,27 @@ class MissingParameterError(ValueError):
     """A bound was asked for without a parameter it reads."""
 
 
-#: name -> (function, the parameters it reads, in argument order, the limit
-#: and the float estimate of log10 of its value from them, or None): the one
-#: statement of them.  `bound_report` checks that size, passes and echoes
-#: them, and the CLI reads exactly their flags.
+#: name -> (function, the parameters it reads, in argument order, and an
+#: exact bound's float estimate of log10 of its value from them, or None):
+#: the one statement of them.  `bound_report` checks that size, passes and
+#: echoes them, and the CLI reads exactly their flags.
 _BOUNDS = {
-    "erdos-rado": (erdos_rado_bound, ("n", "r"), _exact_limit,
-                   lambda n, r: math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1)),
-    "pigeonhole-limit": (pigeonhole_limit, ("n", "r"), None, None),
-    "l-intersecting": (l_intersecting_bound, ("n", "s", "r"), _exact_limit, lambda n, s, r: (
+    "erdos-rado": (erdos_rado_bound, ("n", "r"), lambda n, r: (
+        _outside_domain() if n < 1 or r < 2 else
+        math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1))),
+    "pigeonhole-limit": (pigeonhole_limit, ("n", "r"), None),
+    "l-intersecting": (l_intersecting_bound, ("n", "s", "r"), lambda n, s, r: (
+        _outside_domain() if n < 1 or s < 1 or r < 2 else
         n * math.log10(s + 1) + s * math.log10(pigeonhole_limit(n, r)))),
-    "l-multinomial": (l_multinomial_bound, ("n", "L", "r"), _exact_limit, lambda n, L, r: (
+    "l-multinomial": (l_multinomial_bound, ("n", "L", "r"), lambda n, L, r: (
+        _outside_domain() if n < 1 or r < 2 else  # `_gap_binomials` checks L
         sum(_log10_comb(c, p) for c, p in _gap_binomials(n, L))
         + len(L) * math.log10(pigeonhole_limit(n, r)))),
-    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits"), _exponent_limit,
-                        lambda n, s, digits: _outside_domain() if n < 1 or s < 1 else (
-                            math.log10(n * n - n + 1)
-                            + math.log10(2) * (3 * (s - 1) + (1 + 5**0.5 / 5) * ((s - 1) * n)))),
-    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base"), _exponent_limit,
-              lambda n, r, C, digits, log_base: _outside_domain() if n < 2 or r < 2 else (
-                  n * _log10_crlog(C, r, n, log_base))),
-    "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base"),
-                       _exponent_limit, lambda n, d, r, C, digits, log_base: (
-                           _outside_domain() if n < 1 or d < 1 or r < 2 else
-                           n * math.log10(4 * r) + d * _log10_crlog(C, r, r * d, log_base))),
-    "falling-factorial": (falling_factorial_bound, ("n", "d", "r"), _exact_limit, lambda n, d, r: (
+    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits"), None),
+    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base"), None),
+    "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base"), None),
+    "falling-factorial": (falling_factorial_bound, ("n", "d", "r"), lambda n, d, r: (
+        _outside_domain() if d < 0 or r < 2 or n < d else
         _log10_comb(n, d) + math.lgamma(d + 1) / math.log(10) + (d + 1) * math.log10(r - 1))),
 }
 BOUND_NAMES = tuple(_BOUNDS)

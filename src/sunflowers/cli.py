@@ -15,6 +15,7 @@ raises, or an OSError), 4 internal errors: any other exception.
 from __future__ import annotations
 
 import argparse
+import decimal
 import hashlib
 import io
 import json
@@ -78,8 +79,9 @@ def jsonable(obj):
     """Recursively convert report objects to JSON-native values."""
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
+    if isinstance(obj, Fraction):  # as str(obj), by a path the int-to-str limit does not govern
+        num, den = (str(decimal.Decimal(part)) for part in obj.as_integer_ratio())
+        return num if den == "1" else f"{num}/{den}"
     if isinstance(obj, ElementSet):
         return list(obj.elements)
     if isinstance(obj, Sunflower):
@@ -184,12 +186,25 @@ def _int_list(text: str) -> list[int]:
 
 
 def _rational(text: str) -> Fraction:
-    """The one parser of rational flags: argparse names the flag."""
+    """The one parser of rational flags: argparse names the flag.  A
+    numerator or denominator in lowest terms of more than
+    `bounds._MAX_EXACT_DIGITS` digits is refused before it is made: only an
+    exponent makes one much longer than the text."""
+    limit = bounds_mod._MAX_EXACT_DIGITS
+    mantissa, e, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        # past this exponent every value but 0 has a part over the limit, so
+        # only the mantissa is read: it tells 0 and checks the form
+        huge = bool(e) and abs(int(exponent)) > limit + len(text)
+        value = Fraction(mantissa + "e0" if huge else text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational like 2, 1/3, or 0.25, got {text!r}") from None
+    big = max(abs(value.numerator), value.denominator)  # 10**limit has over 3 * limit bits
+    if value and (huge or big.bit_length() > 3 * limit and big >= 10**limit):
+        raise argparse.ArgumentTypeError(
+            f"expected a numerator and denominator of at most {limit} digits, got {text!r}")
+    return value
 
 
 def _alpha_grid(text: str) -> tuple[Fraction, ...]:
@@ -359,7 +374,7 @@ def cmd_experiment(args) -> int:
         alpha = lo + i * step
         est = spread_mod.sample_satisfying(family, alpha, args.trials, seed + i)
         exact = spread_mod.exact_satisfying(family, alpha) if spread_mod.exact_fits(family) else ""
-        rows.append(f"{est.alpha!r},{est.estimate!r},{est.stderr!r},{exact}\n")
+        rows.append(f"{est.alpha!r},{est.estimate!r},{est.stderr!r},{jsonable(exact)}\n")
     _write("alpha,estimate,stderr,exact\n" + "".join(rows))
     return EXIT_TRUE
 

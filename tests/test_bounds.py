@@ -163,6 +163,24 @@ def test_a_parameter_too_large_for_a_float_is_refused_by_name(capsys, argv, name
     assert captured.err == f"error: parameter {name} is too large to estimate the size of the bound\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["erdos-rado", "-n", str(10**400), "-r", "1"], "need n >= 1 and r >= 2, got"),
+    (["l-intersecting", "-n", str(10**400), "-s", "1", "-r", "1"],
+     "need n >= 1, s >= 1, r >= 2, got"),
+    (["l-multinomial", "-n", str(10**400), "--L", str(10**400 // 2), "-r", "1"],
+     "need n >= 1 and r >= 2, got"),
+    (["falling-factorial", "-n", str(10**400), "-d", str(10**400), "-r", "1"],
+     "need 0 <= d <= n and r >= 2, got"),
+])
+def test_an_exact_bound_outside_its_domain_gives_its_own_message(capsys, argv, message):
+    # the size estimate would overflow on these parameters; the bound's domain check comes first
+    from sunflowers.cli import main
+
+    assert main(["bounds", "--which", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+
+
 def test_a_small_bound_of_a_huge_parameter_is_exact():
     # the estimates stay finite here, so these values of about 310 and 930 digits are made
     n = 10**309
@@ -170,11 +188,13 @@ def test_a_small_bound_of_a_huge_parameter_is_exact():
     assert bound_report("l-multinomial", n=n, L=[0], r=3).value == str(n * (n * n - n + 1))
 
 
+EXPONENT_REFUSAL = f"value has a decimal exponent over the limit of {decimal.MAX_EMAX} in size"
+
+
 @pytest.mark.parametrize("argv, message", [
-    (["rlogn", "-n", str(10**400), "-r", "3"], "parameter n is too large to estimate"),
-    (["three-sunflower", "-n", "5", "-s", str(10**400)], "parameter s is too large to estimate"),
-    (["d-intersecting", "-n", "5", "-d", str(10**400), "-r", "3"],
-     "parameter d is too large to estimate"),
+    (["rlogn", "-n", str(10**400), "-r", "3"], EXPONENT_REFUSAL),
+    (["three-sunflower", "-n", "5", "-s", str(10**400)], EXPONENT_REFUSAL),
+    (["d-intersecting", "-n", "5", "-d", str(10**400), "-r", "3"], EXPONENT_REFUSAL),
     (["rlogn", "-n", str(10**18), "-r", "3"], f"over the limit of {decimal.MAX_EMAX} in size"),
     (["rlogn", "-n", str(10**17), "-r", "3", "-C", f"1/{10**40}"],
      f"over the limit of {decimal.MAX_EMAX} in size"),
@@ -190,10 +210,13 @@ def test_a_small_bound_of_a_huge_parameter_is_exact():
         "three-sunflower-s-0", "three-sunflower-n-negative", "rlogn-r-1", "d-intersecting-r-1",
         "d-intersecting-n-negative"])
 def test_an_interval_bound_is_refused_before_any_interval(capsys, monkeypatch, argv, message):
+    # "interval" is the exact rational enclosure: the mpmath interval is
+    # evaluated, but no endpoint is made a Fraction, the big-integer step
     from sunflowers import bounds
     from sunflowers.cli import main
 
-    monkeypatch.setattr(bounds, "_enclosure", lambda *args: pytest.fail("an interval was made"))
+    monkeypatch.setattr(bounds, "_raw_to_fraction",
+                        lambda *args: pytest.fail("an exact endpoint was made"))
     started = time.perf_counter()
     assert main(["bounds", "--which", *argv]) == 3
     assert time.perf_counter() - started < 1
@@ -202,13 +225,47 @@ def test_an_interval_bound_is_refused_before_any_interval(capsys, monkeypatch, a
 
 
 def test_an_interval_bound_is_not_held_to_the_exact_digit_limit():
-    # (3 ln 100000)^100000 has about 153 831 digits, far over the 4300 of an
-    # exact value, and within decimal.MAX_EMAX: its estimate lets it through
-    from sunflowers.bounds import _BOUNDS, _check_log10
+    # (3 ln 20000)^20000 has 29 459 digits, far over the 4300 of an exact
+    # value, and well within decimal.MAX_EMAX
+    value = bound_report("rlogn", n=20000, r=3, digits=10).value
+    assert value.endswith("e+29458")
 
-    args = dict(n=100000, r=3, C=Fraction(1), digits=10, log_base="e")
-    assert 153830 < _BOUNDS["rlogn"][3](**args) < 153831
-    _check_log10("rlogn", args)
+
+def test_the_exponent_limit_refuses_no_value_within_it(monkeypatch):
+    # the check reads bit lengths only; a value it lets through reaches the endpoints' conversion
+    from sunflowers import bounds
+
+    def converted(raw):
+        raise LookupError("converted")
+
+    monkeypatch.setattr(bounds, "_raw_to_fraction", converted)
+    emax = decimal.MAX_EMAX
+    for make, factor in (
+            (lambda iv: iv.mpf(10) ** emax, {}),  # an exponent of emax, within the limit
+            (lambda iv: iv.mpf(1) / iv.mpf(10) ** emax, {}),  # and of -emax
+            (lambda iv: iv.mpf(1) / iv.mpf(10) ** (2 * emax), {"base": 10**10, "power": emax // 5}),
+            (lambda iv: iv.mpf(2), {"times": 3, "base": 8, "power": emax}),
+    ):
+        with pytest.raises(LookupError):
+            bounds._enclosure(make, 10, **factor)
+    for make, factor in (
+            (lambda iv: iv.mpf(10) ** (emax + 1000), {}),
+            (lambda iv: iv.mpf(1) / iv.mpf(10) ** (emax + 1000), {}),
+            (lambda iv: iv.mpf(2), {"base": 16, "power": emax}),
+            (lambda iv: iv.mpf(10) ** -emax, {"base": 8, "power": 3 * emax}),
+    ):
+        with pytest.raises(ValueError, match=EXPONENT_REFUSAL):
+            bounds._enclosure(make, 10, **factor)
+
+
+def test_a_library_call_past_the_exponent_limit_is_refused_at_once():
+    # the exact factors 8^(s-1) and (4r)^n are sized from their bit lengths, never made
+    started = time.perf_counter()
+    for evaluate in (lambda: three_sunflower_bound(5, 10**400), lambda: rlogn_bound(10**400, 3),
+                     lambda: d_intersecting_bound(10**400, 2, 3)):
+        with pytest.raises(ValueError, match=EXPONENT_REFUSAL):
+            evaluate()
+    assert time.perf_counter() - started < 1
 
 
 @pytest.mark.parametrize("log_base", [
@@ -219,7 +276,7 @@ def test_each_size_estimate_is_within_a_tenth_of_a_digit_of_its_bound(log_base):
     from sunflowers.bounds import _BOUNDS
 
     given = dict(n=12, r=3, s=2, L=[0, 2], d=4, C=Fraction(3, 2), digits=450, log_base=log_base)
-    for name, (_, reads, _, log10) in _BOUNDS.items():
+    for name, (_, reads, log10) in _BOUNDS.items():
         if log10 is None:
             continue
         value = bound_report(name, **given).value

@@ -7,6 +7,8 @@ import shlex
 import shutil
 import subprocess
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -284,6 +286,61 @@ def test_every_rational_flag_names_itself_when_refused(capsys, triangle, argv, f
     assert captured.out == ""
     assert f"argument {flag}: expected a rational like 2, 1/3, or 0.25, got " in captured.err
     assert "invalid" not in captured.err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["spread", "{fam}", "--kappa", "1e100000000"], "--kappa"),
+    (["spread", "{fam}", "--kappa", "1e4400"], "--kappa"),
+    (["bounds", "--which", "all", "-n", "3", "-r", "3", "-C", "1e5000"], "-C"),
+    (["bounds", "--which", "rlogn", "-n", "3", "-r", "3", "--log-base", "1e4300"], "--log-base"),
+    (["spread", "{fam}", "--alpha", "1e-4300"], "--alpha"),
+    (["encode-audit", "{fam}", "--px", "2", "--d", "1", "--delta", "1e99999999999"], "--delta"),
+    (["experiment", "{fam}", "--alpha-grid", "1e-100000000:0.5:0.1", "--trials", "10",
+      "--seed", "1"], "--alpha-grid"),
+])
+def test_a_rational_over_the_exact_digit_limit_is_refused_before_it_is_made(
+        capsys, triangle, argv, flag):
+    started = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main([triangle if a == "{fam}" else a for a in argv])
+    assert time.perf_counter() - started < 1
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"argument {flag}: expected a numerator and denominator of at most "
+            f"{bounds._MAX_EXACT_DIGITS} digits, got ") in captured.err
+
+
+def test_a_rational_within_the_exact_digit_limit_is_read():
+    assert cli._rational("1e4299") == 10**4299
+    assert cli._rational("-1e-4299") == Fraction(-1, 10**4299)
+    assert cli._rational("0.5e4300") == 5 * 10**4299
+    started = time.perf_counter()
+    assert cli._rational("0e100000000") == cli._rational("-0.0E-99999999999") == 0
+    assert time.perf_counter() - started < 1
+
+
+def test_a_report_writes_an_exact_fraction_past_the_int_str_limit(capsys, tmp_path):
+    # exact_satisfying at alpha = 10^-200 on 24 singletons has a denominator of about 4800 digits
+    from sunflowers.formats import load_family
+    from sunflowers.spread import exact_satisfying
+
+    code, text, _ = run(capsys, "gen", "all-subsets", "24", "1")
+    fam = write_family(tmp_path, "singletons.txt", text)
+    expected = exact_satisfying(load_family(text), Fraction(1, 10**200))
+    code, report, err = run_json(capsys, "spread", fam, "--alpha", "1e-200")
+    assert code == 0 and err == ""
+    code, csv, err = run(capsys, "experiment", fam, "--alpha-grid", "1e-200:1e-200:1",
+                         "--trials", "10", "--seed", "1")
+    assert code == 0 and err == ""
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # to parse the written values back
+    try:
+        assert Fraction(report["outputs"]["exact_satisfying"]) == expected
+        assert Fraction(csv.splitlines()[1].split(",")[-1]) == expected
+        assert len(str(expected.denominator)) > 4300
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 @pytest.mark.parametrize("argv", [

@@ -129,16 +129,19 @@ TABLE = [
      "6819e2c5ddfad432f91c311d12b0f4402b659ab37ac896a0edd19ea4537c0136"),
     (f"bounds --which rlogn -n {10**400} -r 3", 3,
      EMPTY,
-     "c7b37745a5d1801e2ce1b4ca9fc9ac6b1dd574f19854809a81ad07b8e91065b1"),
+     "906b39aa8e3e1108ac5847a0ec825aceee6d7e8021102726fc3204950034e66f"),
     (f"bounds --which three-sunflower -n 5 -s {10**400}", 3,
      EMPTY,
-     "1ec7bfc32bf98ba02751dc2d85d77d62441ece536da11fb6c3e14af07facd2a5"),
+     "906b39aa8e3e1108ac5847a0ec825aceee6d7e8021102726fc3204950034e66f"),
     (f"bounds --which d-intersecting -n 5 -d {10**400} -r 3", 3,
      EMPTY,
-     "3771a1d0bc8a296fde45760bc93cb9d60a0efd7707c2f84ca5f4a8327f17e878"),
+     "906b39aa8e3e1108ac5847a0ec825aceee6d7e8021102726fc3204950034e66f"),
     (f"bounds --which rlogn -n {10**400} -r 1", 3,
      EMPTY,
      "a713488d535b6e0202eb50792200f7cf7bb2cea2bc8a3eeb31fb5307e2bebbc0"),
+    (f"bounds --which erdos-rado -n {10**400} -r 1", 3,
+     EMPTY,
+     "d04a550276854f71293c313f69e8ac406774b32b8643d1608e6b298a7cf5028f"),
     ("spread {sunflower} --kappa 2", 1,
      "c9b7cc0a39918aca380c66c2215040e53e6a0ac4c1389b19e1c0c1792565790a",
      EMPTY),

@@ -369,3 +369,21 @@ def test_the_bounds_parser_reads_exactly_the_bound_flags():
     options = [flag for action in sub.choices["bounds"]._actions for flag in action.option_strings
                if flag not in ("-h", "--help", "--which", "--format")]
     assert options == [flag for flag, *_ in cli._BOUND_FLAGS.values()]
+
+
+def test_each_size_estimate_defers_outside_its_bounds_domain():
+    # a huge parameter outside a bound's domain must get the bound's own
+    # message, not the estimate's overflow: each estimate in `_BOUNDS` is
+    # `lambda ...: _outside_domain() if <outside> else <estimate>`
+    tree = ast.parse((SOURCE / "bounds.py").read_text(), filename="bounds.py")
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["_BOUNDS"])
+    found = []
+    for key, row in zip(table.keys, table.values):
+        estimate = row.elts[-1]
+        if isinstance(estimate, ast.Constant) and estimate.value is None:
+            continue
+        body = estimate.body if isinstance(estimate, ast.Lambda) else estimate
+        if not (isinstance(body, ast.IfExp) and ast.unparse(body.body) == "_outside_domain()"):
+            found.append(key.value)
+    assert table.keys and found == []
