@@ -36,12 +36,9 @@ DEFAULT_C, DEFAULT_DIGITS, DEFAULT_LOG_BASE = Fraction(1), 50, "e"
 
 
 def _raw_to_fraction(raw) -> Fraction:
-    # raw is a libmp mantissa/exponent tuple; conversion is exact and does
-    # not depend on any mpmath context precision.  mpmath marks +inf, -inf
-    # and nan by a negative bit count (their mantissa is 0, like zero's)
+    # raw is a finite libmp mantissa/exponent tuple; conversion is exact and
+    # does not depend on any mpmath context precision
     sign, man, exp, bc = raw
-    if bc < 0:
-        raise ValueError("non-finite interval endpoint; raise --digits")
     v = Fraction(int(man)) * Fraction(2) ** exp
     return -v if sign else v
 
@@ -77,9 +74,9 @@ def _enclosure(make: Callable, digits: int, times: int = 1, base: int = 1,
                power: int = 0) -> FracInterval:
     """times * base**power (times, base >= 1) times the interval `make(iv)`
     evaluates with mpmath's `iv` context at `digits` digits and 15 guard
-    digits, as exact rational endpoints.  A decimal exponent past
-    `decimal.MAX_EMAX` in size is refused, from bit lengths, before the
-    factor or any endpoint is made."""
+    digits, as exact rational endpoints.  A non-finite endpoint, or a decimal
+    exponent past `decimal.MAX_EMAX` in size, is refused, from bit lengths,
+    before the factor or any endpoint is made."""
     from mpmath import iv
 
     old = iv.dps
@@ -91,13 +88,14 @@ def _enclosure(make: Callable, digits: int, times: int = 1, base: int = 1,
         lo_raw, hi_raw = make(iv)._mpi_
     finally:
         iv.dps = old
-    (_, _, lo_exp, lo_bc), (_, _, hi_exp, hi_bc) = lo_raw, hi_raw
+    if min(lo_raw[3], hi_raw[3]) < 0:  # mpmath marks +inf, -inf and nan by a negative bit count
+        raise ValueError("non-finite interval endpoint; raise --digits")
     # a finite endpoint lies below 2^(exp + bc), and from 2^(exp + bc - 1) unless 0, the factor
     # in [2^low, 2^(low + power + 1)), and 301029995663981/10^15 is just below log10(2)
+    bottom, top = sorted(exp + bc for _, _, exp, bc in (lo_raw, hi_raw))
     low = power * (base.bit_length() - 1) + times.bit_length() - 1
-    if min(lo_bc, hi_bc) >= 0 and (  # `_raw_to_fraction` refuses a non-finite endpoint
-            (hi_exp + hi_bc - 1 + low) * 301029995663981 > (decimal.MAX_EMAX + 1) * 10**15
-            or (lo_exp + lo_bc + low + power + 1) * 301029995663981 < -decimal.MAX_EMAX * 10**15):
+    if ((top - 1 + low) * 301029995663981 > (decimal.MAX_EMAX + 1) * 10**15
+            or (bottom + low + power + 1) * 301029995663981 < -decimal.MAX_EMAX * 10**15):
         raise ValueError(
             f"value has a decimal exponent over the limit of {decimal.MAX_EMAX} in size")
     lo, hi, factor = _raw_to_fraction(lo_raw), _raw_to_fraction(hi_raw), times * base**power

@@ -20,6 +20,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import time
@@ -191,6 +192,11 @@ def _rational(text: str) -> Fraction:
     `bounds._MAX_EXACT_DIGITS` digits is refused before it is made: only an
     exponent makes one much longer than the text."""
     limit = bounds_mod._MAX_EXACT_DIGITS
+    too_long = argparse.ArgumentTypeError(
+        f"expected a numerator and denominator of at most {limit} digits, got {text!r}")
+    # a longer run of digits never reaches int(), which the int-to-str limit governs
+    if len(text) > limit and re.search(r"\d{%d}" % (limit + 1), text.replace("_", "")):
+        raise too_long
     mantissa, e, exponent = text.lower().partition("e")
     try:
         # past this exponent every value but 0 has a part over the limit, so
@@ -202,8 +208,7 @@ def _rational(text: str) -> Fraction:
             f"expected a rational like 2, 1/3, or 0.25, got {text!r}") from None
     big = max(abs(value.numerator), value.denominator)  # 10**limit has over 3 * limit bits
     if value and (huge or big.bit_length() > 3 * limit and big >= 10**limit):
-        raise argparse.ArgumentTypeError(
-            f"expected a numerator and denominator of at most {limit} digits, got {text!r}")
+        raise too_long
     return value
 
 

@@ -206,9 +206,15 @@ EXPONENT_REFUSAL = f"value has a decimal exponent over the limit of {decimal.MAX
      "need n >= 1, d >= 1, r >= 2, got"),
     (["d-intersecting", "-n", str(-10**400), "-d", "2", "-r", "3"],
      "need n >= 1, d >= 1, r >= 2, got"),
+    # ln b of this base rounds down to 0, so the enclosure is [finite, +inf], and its finite
+    # endpoint is far too large to make: the infinite one is refused first
+    (["rlogn", "-n", str(10**18), "-r", "3", "--log-base", f"{2**400 + 1}/{2**400}"],
+     "non-finite interval endpoint; raise --digits"),
+    (["d-intersecting", "-n", "3", "-d", str(10**18), "-r", "3",
+      "--log-base", f"{2**400 + 1}/{2**400}"], "non-finite interval endpoint; raise --digits"),
 ], ids=["rlogn-n", "three-sunflower-s", "d-intersecting-d", "rlogn-emax", "rlogn-emin",
         "three-sunflower-s-0", "three-sunflower-n-negative", "rlogn-r-1", "d-intersecting-r-1",
-        "d-intersecting-n-negative"])
+        "d-intersecting-n-negative", "rlogn-log-base-near-one", "d-intersecting-log-base-near-one"])
 def test_an_interval_bound_is_refused_before_any_interval(capsys, monkeypatch, argv, message):
     # "interval" is the exact rational enclosure: the mpmath interval is
     # evaluated, but no endpoint is made a Fraction, the big-integer step
@@ -670,11 +676,12 @@ def test_cli_refuses_digits_below_one(capsys):
 def test_a_non_finite_endpoint_is_refused_not_read_as_zero():
     from mpmath import libmp
 
-    from sunflowers.bounds import _raw_to_fraction
+    from sunflowers.bounds import _enclosure, _raw_to_fraction
 
-    for raw in (libmp.finf, libmp.fninf, libmp.fnan):
+    for lo, hi in (("-inf", 1), (1, "inf"), ("-inf", "inf"), ("nan", "nan")):
         with pytest.raises(ValueError, match="non-finite interval endpoint; raise --digits"):
-            _raw_to_fraction(raw)
+            _enclosure(lambda iv: iv.mpf([lo, hi]), 10)
+    assert _enclosure(lambda iv: iv.mpf([0, 1]), 10) == (0, 1)
     assert _raw_to_fraction(libmp.fzero) == 0
     assert _raw_to_fraction(libmp.from_int(-12)) == -12
     assert _raw_to_fraction(libmp.from_rational(3, 8, 53)) == Fraction(3, 8)

@@ -311,6 +311,31 @@ def test_a_rational_over_the_exact_digit_limit_is_refused_before_it_is_made(
             f"{bounds._MAX_EXACT_DIGITS} digits, got ") in captured.err
 
 
+def test_a_rational_is_read_alike_whatever_the_int_to_str_limit():
+    # int() inside Fraction refuses a run of over 4300 digits by default, and reads it when
+    # the interpreter's limit is lifted; the parser refuses it first either way
+    texts = [f"1/{'7' * 5000}", f"{'3' * 5000}/{'3' * 5000}", "0" * 5000 + "1", f"1e{'0' * 5000}",
+             f"0.{'9' * 4301}", f"1_{'2' * 4300}", "7" * 4300, f"1/{'7' * 4300}", "1e4299"]
+
+    def read(text):
+        try:
+            return cli._rational(text)
+        except argparse.ArgumentTypeError as exc:
+            return str(exc)
+
+    default = [read(text) for text in texts]
+    assert default[:6] == [
+        f"expected a numerator and denominator of at most {bounds._MAX_EXACT_DIGITS} digits, "
+        f"got {text!r}" for text in texts[:6]]
+    assert default[6:] == [int("7" * 4300), Fraction(1, int("7" * 4300)), 10**4299]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert [read(text) for text in texts] == default
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_a_rational_within_the_exact_digit_limit_is_read():
     assert cli._rational("1e4299") == 10**4299
     assert cli._rational("-1e-4299") == Fraction(-1, 10**4299)
