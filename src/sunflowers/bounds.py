@@ -16,6 +16,7 @@ integer bounds (and the CLI subcommands that use only them) never load it.
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import itertools
 import math
@@ -30,6 +31,7 @@ EQUALITY_REL_TOL = Fraction(1, 10**30)
 
 _MAX_COMPARE_DIGITS = 4096
 _MAX_EXACT_DIGITS = 4300  # the default int-to-str limit, held whatever the interpreter sets
+_LOG10_2 = 301029995663981  # 10^15 log10(2), rounded down
 
 #: The defaults of the free constant C, the significant digits and the log base.
 DEFAULT_C, DEFAULT_DIGITS, DEFAULT_LOG_BASE = Fraction(1), 50, "e"
@@ -90,12 +92,12 @@ def _enclosure(make: Callable, digits: int, times: int = 1, base: int = 1,
         iv.dps = old
     if min(lo_raw[3], hi_raw[3]) < 0:  # mpmath marks +inf, -inf and nan by a negative bit count
         raise ValueError("non-finite interval endpoint; raise --digits")
-    # a finite endpoint lies below 2^(exp + bc), and from 2^(exp + bc - 1) unless 0, the factor
-    # in [2^low, 2^(low + power + 1)), and 301029995663981/10^15 is just below log10(2)
+    # a finite endpoint lies below 2^(exp + bc), and from 2^(exp + bc - 1) unless 0, and the
+    # factor in [2^low, 2^(low + power + 1))
     bottom, top = sorted(exp + bc for _, _, exp, bc in (lo_raw, hi_raw))
     low = power * (base.bit_length() - 1) + times.bit_length() - 1
-    if ((top - 1 + low) * 301029995663981 > (decimal.MAX_EMAX + 1) * 10**15
-            or (bottom + low + power + 1) * 301029995663981 < -decimal.MAX_EMAX * 10**15):
+    if ((top - 1 + low) * _LOG10_2 > (decimal.MAX_EMAX + 1) * 10**15
+            or (bottom + low + power + 1) * _LOG10_2 < -decimal.MAX_EMAX * 10**15):
         raise ValueError(
             f"value has a decimal exponent over the limit of {decimal.MAX_EMAX} in size")
     lo, hi, factor = _raw_to_fraction(lo_raw), _raw_to_fraction(hi_raw), times * base**power
@@ -151,6 +153,19 @@ class RealBoundValue(NamedTuple):
         return float(self.decimal)
 
 
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Lift the interpreter's int-to-str limit meanwhile (0: none, as before 3.10.7)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
 def _real_value(interval: FracInterval, digits: int) -> RealBoundValue:
     import mpmath as mp
 
@@ -158,72 +173,58 @@ def _real_value(interval: FracInterval, digits: int) -> RealBoundValue:
         return mp.nstr(mp.mpf(q.numerator) / mp.mpf(q.denominator), shown)
 
     lo, hi = interval
-    # mpmath writes a decimal by str() of an integer of up to ~1054 + digits
-    # digits: lift the int-to-str limit meanwhile (0: none, as before 3.10.7)
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        with mp.workdps(digits + 10):
-            return RealBoundValue(decimal=show((lo + hi) / 2), lower=show(lo), upper=show(hi),
-                                  error=show(hi - lo, 3), digits=digits)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    # mpmath writes a decimal by str() of an integer of up to ~1054 + digits digits
+    with _no_int_str_limit(), mp.workdps(digits + 10):
+        return RealBoundValue(decimal=show((lo + hi) / 2), lower=show(lo), upper=show(hi),
+                              error=show(hi - lo, 3), digits=digits)
 
 
 # ---------------------------------------------------------------------------
 # Exact integer bounds
 # ---------------------------------------------------------------------------
 
-def _check_exact(value: int) -> None:
-    """Refuse, unconverted, a positive exact bound of more than
-    _MAX_EXACT_DIGITS digits, counted from its bit length."""
-    k = math.floor((value.bit_length() - 1) * math.log10(2)) + 1  # value has k or k + 1 digits
-    digits = k + (value >= 10**k)
-    if digits > _MAX_EXACT_DIGITS:
-        raise ValueError(f"exact value has {digits} digits, over the limit of {_MAX_EXACT_DIGITS}")
+class _Exact(NamedTuple):
+    """An exact bound inside its domain, not yet made by `make()`, of at least `bits`
+    bits: 1 plus a lower bound on its log2, with a^b >= 2^(b (bit_length(a) - 1))."""
+
+    bits: int
+    make: Callable[[], int]
+
+    def below(self, count: int) -> bool:
+        """Whether the value is below `count`, made only if its bits allow it."""
+        return count.bit_length() >= self.bits and count > self.make()
+
+    def decimal_for_report(self) -> str:
+        """The value in decimal by Decimal, whatever the int-to-str limit; refused past
+        _MAX_EXACT_DIGITS digits, before it is made if its bits put it there (reports only)."""
+        least = (self.bits - 1) * _LOG10_2 // 10**15 + 1  # the fewest digits of `bits` bits
+        if least > _MAX_EXACT_DIGITS:
+            raise ValueError(f"exact value has at least {decimal.Decimal(least)} digits, "
+                             f"over the limit of {_MAX_EXACT_DIGITS}")
+        text = str(decimal.Decimal(self.make()))
+        if len(text) > _MAX_EXACT_DIGITS:
+            raise ValueError(f"exact value has {len(text)} digits, over the limit of {_MAX_EXACT_DIGITS}")
+        return text
 
 
-def _exact_str(value: int) -> str:
-    """A positive exact bound in decimal, by a path that the interpreter's
-    int-to-str limit does not govern; refused past _MAX_EXACT_DIGITS digits."""
-    _check_exact(value)
-    return str(decimal.Decimal(value))
+def _log2_64ths(p: int, q: int = 1) -> int:
+    """An integer <= max(0, 64 log2(p/q)), q >= 1, from leading bits: p's cut, q's rounded up."""
+    s, t = max(p.bit_length() - 128, 0), max(q.bit_length() - 64, 0)
+    return max(64 * (s - t) + ((p >> s) ** 64 // ((q >> t) + (t > 0)) ** 64).bit_length() - 1, 0)
 
 
-def _check_log10(which: str, params: dict) -> None:
-    """Refuse exact bound `which` before it is made when its row's float
-    estimate of log10 of its value overflows (naming the largest parameter)
-    or passes _MAX_EXACT_DIGITS by over 1000 digits, far more than it can err
-    (nearer, `_check_exact` counts).  An estimate that raises ValueError, as
-    each does outside its bound's domain, leaves the refusal to the bound."""
-    log10 = _BOUNDS[which][2]
-    if log10 is None:
-        return
-    try:
-        value = log10(**params)
-        math.floor(value)  # raises OverflowError if value overflowed to inf
-    except ValueError:
-        return
-    except OverflowError:
-        name = max((p for p, v in params.items() if type(v) is int), key=lambda p: abs(params[p]))
-        raise ValueError(f"parameter {name} is too large to estimate the size of the bound")
-    if value > _MAX_EXACT_DIGITS + 1000:
-        raise ValueError(f"exact value has about {math.floor(value) + 1} digits, "
-                         f"over the limit of {_MAX_EXACT_DIGITS}")
-
-
-def _outside_domain() -> float:
-    """A size estimate outside its bound's domain, where a huge parameter could overflow it first."""
-    raise ValueError("outside the bound's domain")
+def _erdos_rado(n: int, r: int) -> _Exact:
+    if n < 1 or r < 2:
+        raise ValueError(f"need n >= 1 and r >= 2, got n={n}, r={r}")
+    # n! >= sqrt(2 pi n) (n/e)^n with e < 68/25, so n! >= 2 max(1, (n/e)^n) for n >= 2
+    log = (n * _log2_64ths(25 * n, 68) + 64 * (n > 1)) // 64
+    return _Exact(log + n * ((r - 1).bit_length() - 1) + 1,
+                  lambda: math.factorial(n) * (r - 1) ** n)
 
 
 def erdos_rado_bound(n: int, r: int) -> int:
     """n! * (r-1)^n, the classical factorial sunflower threshold."""
-    if n < 1 or r < 2:
-        raise ValueError(f"need n >= 1 and r >= 2, got n={n}, r={r}")
-    return math.factorial(n) * (r - 1) ** n
+    return _erdos_rado(n, r).make()
 
 
 def pigeonhole_limit(n: int, r: int) -> int:
@@ -238,15 +239,26 @@ def pigeonhole_limit(n: int, r: int) -> int:
     return max(r - 1, n * n - n + 1)
 
 
+def _pigeonhole(n: int, r: int) -> _Exact:
+    m = pigeonhole_limit(n, r)  # made at once: it has at most twice the bits of n or r
+    return _Exact(m.bit_length(), lambda: m)
+
+
+def _l_intersecting(n: int, s: int, r: int) -> _Exact:
+    if n < 1 or s < 1 or r < 2:
+        raise ValueError(f"need n >= 1, s >= 1, r >= 2, got n={n}, s={s}, r={r}")
+    m = pigeonhole_limit(n, r)
+    return _Exact(n * ((s + 1).bit_length() - 1) + s * (m.bit_length() - 1) + 1,
+                  lambda: (s + 1) ** n * m**s)
+
+
 def l_intersecting_bound(n: int, s: int, r: int) -> int:
     """(s+1)^n * m^s with m = pigeonhole_limit(n, r).
 
     Exact power form of the threshold for families whose pairwise
     intersection sizes take at most s values.
     """
-    if n < 1 or s < 1 or r < 2:
-        raise ValueError(f"need n >= 1, s >= 1, r >= 2, got n={n}, s={s}, r={r}")
-    return (s + 1) ** n * pigeonhole_limit(n, r) ** s
+    return _l_intersecting(n, s, r).make()
 
 
 def _validated_l(n: int, L: Iterable[int]) -> tuple[int, ...]:
@@ -260,12 +272,23 @@ def _validated_l(n: int, L: Iterable[int]) -> tuple[int, ...]:
     return ls
 
 
-def _gap_binomials(n: int, L: Iterable[int]) -> list[tuple[int, int]]:
-    """Pairs (c, p) whose binomials C(c, p) multiply to the multinomial of
-    the gaps l1+1, l2-l1, ..., n-ls-1 of L: p is a gap, c the running sum."""
+def _l_multinomial(n: int, L: Iterable[int], r: int) -> _Exact:
+    m = pigeonhole_limit(n, r)  # checks n >= 1 and r >= 2
     ls = _validated_l(n, L)
+    # C(c, p) over the gaps p = l1+1, l2-l1, ..., n-ls-1 of L and their running sums c
     parts = [ls[0] + 1, *(b - a for a, b in zip(ls, ls[1:])), n - ls[-1] - 1]
-    return list(zip(itertools.accumulate(parts), parts))
+    steps = list(zip(itertools.accumulate(parts), parts))
+    # C(c, p) >= (c/k)^k with k = min(p, c - p)
+    log = sum(k * _log2_64ths(c, k) for c, k in ((c, min(p, c - p)) for c, p in steps) if k)
+
+    def make() -> int:
+        value = math.prod(math.comb(c, p) for c, p in steps) * m ** len(ls)
+        # a multinomial of s + 1 parts is at most (s+1)^n; bits decide most without the power
+        if _l_intersecting(n, len(ls), r).below(value):
+            raise InvariantError("multinomial bound exceeds the L-intersecting bound")
+        return value
+
+    return _Exact(log // 64 + len(ls) * (m.bit_length() - 1) + 1, make)
 
 
 def l_multinomial_bound(n: int, L: Iterable[int], r: int) -> int:
@@ -275,35 +298,22 @@ def l_multinomial_bound(n: int, L: Iterable[int], r: int) -> int:
     so the quotient is an exact multinomial coefficient, taken as a product
     of binomials, times m^s.  Always at most l_intersecting_bound(n, |L|, r).
     """
-    m = pigeonhole_limit(n, r)  # checks n >= 1 and r >= 2
-    steps = _gap_binomials(n, L)
-    multinomial, s = math.prod(math.comb(c, p) for c, p in steps), len(steps) - 1
-    value = multinomial * m**s
-    # a multinomial of s + 1 parts is at most (s+1)^n; bit lengths decide most without the power
-    if (multinomial.bit_length() > n * ((s + 1).bit_length() - 1)
-            and value > l_intersecting_bound(n, s, r)):
-        raise InvariantError("multinomial bound exceeds the L-intersecting bound")
-    return value
+    return _l_multinomial(n, L, r).make()
+
+
+def _falling_factorial(n: int, d: int, r: int) -> _Exact:
+    if d < 0 or r < 2 or n < d:
+        raise ValueError(f"need 0 <= d <= n and r >= 2, got n={n}, d={d}, r={r}")
+    # n!/(n-d)! >= (n - d//2)^(d - d//2) (n - d + 1)^(d//2): its top d - d//2 factors >= n - d//2
+    log = ((d - d // 2) * _log2_64ths(n - d // 2) + d // 2 * _log2_64ths(n - d + 1)) // 64
+    return _Exact(log + (d + 1) * ((r - 1).bit_length() - 1) + 1,
+                  lambda: (r - 1) ** (d + 1) * math.perm(n, d))
 
 
 def falling_factorial_bound(n: int, d: int, r: int) -> int:
     """(r-1)^(d+1) * n!/(n-d)!: the factorial threshold specialized to
     families whose pairwise intersections have size at most d."""
-    if d < 0 or r < 2 or n < d:
-        raise ValueError(f"need 0 <= d <= n and r >= 2, got n={n}, d={d}, r={r}")
-    return (r - 1) ** (d + 1) * math.perm(n, d)
-
-
-def _log10_comb(c: int, k: int) -> float:
-    """log10 C(c, k), 0 <= k <= c, by Stirling's formula to well under a
-    digit.  No two large logs are subtracted, so it holds far past 2^53."""
-    k = min(k, c - k)
-    if k == 0:
-        return 0.0
-    x = k / c
-    tail = -math.log1p(-x) / x if x else 1.0  # -(c - k) log(1 - x) = k (1 - x) tail
-    return (k * (math.log(c) - math.log(k) + (1 - x) * tail)
-            - 0.5 * math.log(2 * math.pi * k * (1 - x))) / math.log(10)
+    return _falling_factorial(n, d, r).make()
 
 
 # ---------------------------------------------------------------------------
@@ -395,18 +405,17 @@ def crossover_report(n: int, r: int, C: Rational = DEFAULT_C, digits: int = DEFA
     log_base = _log_base(log_base)
     # each step in d multiplies the falling factorial by (r-1)(n-d) >= 1,
     # so row d = n is the largest: refuse it before any interval
-    _check_log10("falling-factorial", {"n": n, "d": n, "r": r})
-    _check_exact(falling_factorial_bound(n, n, r))
-    rows = []
+    _falling_factorial(n, n, r).decimal_for_report()
+    rows, trivial = [], r - 1
     for d in range(1, n + 1):
-        trivial = falling_factorial_bound(n, d, r)
+        trivial *= (r - 1) * (n - d + 1)  # falling_factorial_bound(n, d, r)
         interval = _d_intersecting_interval(n, d, r, c, digits, log_base)
         verdict = certified_compare(lambda dps, d=d, interval=interval: (
             interval if dps == digits else _d_intersecting_interval(n, d, r, c, dps, log_base)
         ), trivial, digits)
         smaller = {"<": "d-intersecting", ">": "falling-factorial", "=": "equal"}[verdict]
         rows.append(CrossoverRow(d=d, d_intersecting=_real_value(interval, digits).decimal,
-                                 falling_factorial=_exact_str(trivial), smaller=smaller))
+                                 falling_factorial=str(decimal.Decimal(trivial)), smaller=smaller))
     first = next((row.d for row in rows if row.smaller == "d-intersecting"), None)
     return CrossoverReport(n=n, r=r, C=str(c), log_base=str(log_base), digits=digits,
                            rows=tuple(rows), first_improvement=first)
@@ -434,32 +443,22 @@ class MissingParameterError(ValueError):
     """A bound was asked for without a parameter it reads."""
 
 
-#: name -> (function, the parameters it reads, in argument order, and an
-#: exact bound's float estimate of log10 of its value from them, or None):
-#: the one statement of them.  `bound_report` checks that size, passes and
+#: name -> (function, the parameters it reads, in argument order): the one statement
+#: of them; an exact bound's function returns its `_Exact`.  `bound_report` passes and
 #: echoes them, and the CLI reads exactly their flags.
 _BOUNDS = {
-    "erdos-rado": (erdos_rado_bound, ("n", "r"), lambda n, r: (
-        _outside_domain() if n < 1 or r < 2 else
-        math.lgamma(n + 1) / math.log(10) + n * math.log10(r - 1))),
-    "pigeonhole-limit": (pigeonhole_limit, ("n", "r"), None),
-    "l-intersecting": (l_intersecting_bound, ("n", "s", "r"), lambda n, s, r: (
-        _outside_domain() if n < 1 or s < 1 or r < 2 else
-        n * math.log10(s + 1) + s * math.log10(pigeonhole_limit(n, r)))),
-    "l-multinomial": (l_multinomial_bound, ("n", "L", "r"), lambda n, L, r: (
-        _outside_domain() if n < 1 or r < 2 else  # `_gap_binomials` checks L
-        sum(_log10_comb(c, p) for c, p in _gap_binomials(n, L))
-        + len(L) * math.log10(pigeonhole_limit(n, r)))),
-    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits"), None),
-    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base"), None),
-    "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base"), None),
-    "falling-factorial": (falling_factorial_bound, ("n", "d", "r"), lambda n, d, r: (
-        _outside_domain() if d < 0 or r < 2 or n < d else
-        _log10_comb(n, d) + math.lgamma(d + 1) / math.log(10) + (d + 1) * math.log10(r - 1))),
+    "erdos-rado": (_erdos_rado, ("n", "r")),
+    "pigeonhole-limit": (_pigeonhole, ("n", "r")),
+    "l-intersecting": (_l_intersecting, ("n", "s", "r")),
+    "l-multinomial": (_l_multinomial, ("n", "L", "r")),
+    "three-sunflower": (three_sunflower_bound, ("n", "s", "digits")),
+    "rlogn": (rlogn_bound, ("n", "r", "C", "digits", "log_base")),
+    "d-intersecting": (d_intersecting_bound, ("n", "d", "r", "C", "digits", "log_base")),
+    "falling-factorial": (_falling_factorial, ("n", "d", "r")),
 }
 BOUND_NAMES = tuple(_BOUNDS)
 #: The parameters that each name of `BOUND_NAMES`, and "crossover", reads.
-PARAMETERS_READ = {**{name: reads for name, (_, reads, *_) in _BOUNDS.items()},
+PARAMETERS_READ = {**{name: reads for name, (_, reads) in _BOUNDS.items()},
                    "crossover": ("n", "r", "C", "digits", "log_base")}
 
 
@@ -476,7 +475,7 @@ def bound_report(
     base = _log_base(log_base)
     if which not in _BOUNDS:
         raise ValueError(f"unknown bound {which!r}")
-    bound, reads, *_ = _BOUNDS[which]
+    bound, reads = _BOUNDS[which]
     if L is not None:
         L = sorted(set(L))
         s = len(L) if s is None else s
@@ -485,11 +484,10 @@ def bound_report(
     if missing:
         raise MissingParameterError(f"bound '{which}' needs parameters: {', '.join(missing)}")
     args = {p: given[p] for p in reads}
-    _check_log10(which, args)
     value = bound(**args)
     params = {p: str(v) if p in ("C", "log_base") else v for p, v in args.items() if p != "digits"}
     if isinstance(value, RealBoundValue):
         return BoundReport(name=which, params=params, value=value.decimal, exact=False,
                            digits=value.digits, lower=value.lower, upper=value.upper,
                            error=value.error)
-    return BoundReport(name=which, params=params, value=_exact_str(value), exact=True)
+    return BoundReport(name=which, params=params, value=value.decimal_for_report(), exact=True)

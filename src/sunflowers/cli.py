@@ -194,15 +194,16 @@ def _rational(text: str) -> Fraction:
     limit = bounds_mod._MAX_EXACT_DIGITS
     too_long = argparse.ArgumentTypeError(
         f"expected a numerator and denominator of at most {limit} digits, got {text!r}")
-    # a longer run of digits never reaches int(), which the int-to-str limit governs
+    # a longer run of digits is refused before int() reads it, whatever the int-to-str limit
     if len(text) > limit and re.search(r"\d{%d}" % (limit + 1), text.replace("_", "")):
         raise too_long
     mantissa, e, exponent = text.lower().partition("e")
     try:
         # past this exponent every value but 0 has a part over the limit, so
         # only the mantissa is read: it tells 0 and checks the form
-        huge = bool(e) and abs(int(exponent)) > limit + len(text)
-        value = Fraction(mantissa + "e0" if huge else text)
+        with bounds_mod._no_int_str_limit():  # and a shorter one is read under any limit
+            huge = bool(e) and abs(int(exponent)) > limit + len(text)
+            value = Fraction(mantissa + "e0" if huge else text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(
             f"expected a rational like 2, 1/3, or 0.25, got {text!r}") from None

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Optional
 
-from .bounds import _validated_l, erdos_rado_bound, l_multinomial_bound, pigeonhole_limit
+from .bounds import _erdos_rado, _l_multinomial, _validated_l, pigeonhole_limit
 from .families import (
     ElementSet,
     FamilyError,
@@ -113,7 +113,7 @@ def brute_force_sunflower(family: SetFamily, r: int) -> Optional[Sunflower]:
     chosen = _sunflower_indices(family.masks, r)
     if chosen is None:
         n = family.uniformity
-        if n and len(family) > erdos_rado_bound(n, r):
+        if n and _erdos_rado(n, r).below(len(family)):
             raise LemmaViolationError(f"no sunflower in {len(family)} sets, above Erdős–Rado")
         return None
     core = family.masks[chosen[0]]
@@ -275,7 +275,7 @@ def l_intersecting_find(
         member_masks = set(family.masks)
         if not all(s.mask in member_masks for s in flower.petal_sets):
             raise LemmaViolationError("certificate uses sets outside the family")
-    elif len(family) > l_multinomial_bound(n, sizes, r):
+    elif _l_multinomial(n, sizes, r).below(len(family)):
         raise LemmaViolationError(f"no sunflower in {len(family)} sets, over the multinomial bound")
     return flower, FinderTrace(found=flower is not None, levels=tuple(levels))
 

@@ -103,7 +103,8 @@ def test_l_multinomial_checks_its_invariant_without_the_power_form(monkeypatch):
         raise AssertionError("the power form was made")
 
     # n(n-1) * m^2 is far below 3^n * m^2: the bit lengths settle it
-    monkeypatch.setattr(bounds, "l_intersecting_bound", no_power)
+    power = bounds._l_intersecting
+    monkeypatch.setattr(bounds, "_l_intersecting", lambda *args: power(*args)._replace(make=no_power))
     n = 10**7
     assert l_multinomial_bound(n, [0, 1], 3) == n * (n - 1) * pigeonhole_limit(n, 3) ** 2
     monkeypatch.undo()
@@ -113,36 +114,60 @@ def test_l_multinomial_checks_its_invariant_without_the_power_form(monkeypatch):
         l_multinomial_bound(6, [1, 3], 3)
 
 
-def test_l_multinomial_far_over_the_digit_limit_is_refused_before_it_is_made(
-        monkeypatch, capsys):
-    from sunflowers import bounds
-    from sunflowers.cli import main
-
+def no_exact_value(monkeypatch):
+    """Make math.factorial, math.perm and math.comb fail the test."""
     def no_value(*args):
         raise AssertionError("the exact value was computed")
 
-    monkeypatch.setattr(bounds.math, "comb", no_value)
-    # C(10^7, 5 * 10^6) * (10^14 - 10^7 + 1) has 3010311 digits
+    for name in ("factorial", "perm", "comb"):
+        monkeypatch.setattr(math, name, no_value)
+
+
+def test_l_multinomial_far_over_the_digit_limit_is_refused_before_it_is_made(
+        monkeypatch, capsys):
+    from sunflowers.cli import main
+
+    no_exact_value(monkeypatch)
+    # C(10^7, 5 * 10^6) * (10^14 - 10^7 + 1) has 3010311 digits; (10^7 / (5 * 10^6))^(5 * 10^6)
+    # gives the lower bound
+    started = time.perf_counter()
     assert main(["bounds", "--which", "l-multinomial", "-n", "10000000", "--L", "4999999",
                  "-r", "3"]) == 3
+    assert time.perf_counter() - started < 0.1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: exact value has about 3010311 digits, over the limit of 4300\n"
+    assert captured.err == "error: exact value has at least 1505164 digits, over the limit of 4300\n"
 
 
-def test_log10_comb_is_within_a_tenth_of_a_digit():
-    from sunflowers.bounds import _log10_comb
+def test_each_exact_bound_has_between_its_bits_and_2_05_times_them():
+    # so no value of at most 4300 digits is refused before it is made, and none let through
+    # has more than about 8800 digits
+    import random
 
-    for c in range(0, 300, 7):
-        for k in range(c + 1):
-            assert abs(_log10_comb(c, k) - math.log10(math.comb(c, k))) < 0.1, (c, k)
-    # no difference of two logs near 10^20 is taken: lgamma's would be off by thousands of digits
-    for c, k in ((2**62 + 2**9, 2), (2**70 + 2**17, 3), (10**25 + 12345, 100), (10**300, 7)):
-        assert abs(_log10_comb(c, k) - math.log10(math.comb(c, k))) < 0.1, (c, k)
+    from sunflowers import bounds
+
+    rng = random.Random(0)
+    sized = []
+    for n in (*range(1, 16), 127, 128, 1023, 2046, 2882, 3000, *rng.sample(range(16, 3000), 6)):
+        for r in (2, 3, 4, 9, rng.randint(10, 10**6)):
+            sized += [bounds._erdos_rado(n, r), bounds._pigeonhole(n, r)]
+            sized += [bounds._falling_factorial(n, d, r)
+                      for d in {0, 1, 2, n // 3, n // 2, n - 1, n, rng.randint(0, n)} if d <= n]
+            sized += [bounds._l_intersecting(n, s, r) for s in (1, 2, 3, rng.randint(4, 60))]
+            sized += [bounds._l_multinomial(n, L, r) for L in (
+                [0], [n - 1], [n // 2], rng.sample(range(n), rng.randint(1, n)))]
+    # C(2882, 1380) m: logs taken in 16ths of a bit give it 0.4845 of its bits, under 1/2.05
+    sized.append(bounds._l_multinomial(2882, [1379], 3))
+    for exact in sized:
+        value = exact.make()
+        assert exact.bits <= value.bit_length() <= 2.05 * exact.bits, (exact.bits, value)
+        if value < 10**4300:
+            assert exact.decimal_for_report() == str(decimal.Decimal(value))
+        assert exact.below(value + 1) and not exact.below(value)
 
 
 def test_falling_factorial_near_2_to_the_62_is_not_refused():
-    # a difference of two lgamma values near 2^62 errs by thousands of digits; this has 38
+    # n is past the integers a float holds exactly; the value has 38 digits
     n = 2**62 + 2**9
     assert bound_report("falling-factorial", n=n, d=2, r=3).value == str(8 * n * (n - 1))
 
@@ -155,25 +180,44 @@ def test_falling_factorial_near_2_to_the_62_is_not_refused():
     (["l-multinomial", "-n", str(10**309), "--L", str(10**309 // 2), "-r", "3"], "n"),
 ])
 def test_a_parameter_too_large_for_a_float_is_refused_by_name(capsys, argv, name):
+    # the refusal counts, in integers, at least a tenth as many digits as the named parameter
+    import re
+
     from sunflowers.cli import main
 
     assert main(["bounds", "--which", *argv]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: parameter {name} is too large to estimate the size of the bound\n"
+    refused = re.fullmatch(r"error: exact value has at least (\d+) digits, over the limit of 4300\n",
+                           captured.err)
+    assert refused and int(refused[1]) > int(argv[argv.index(f"-{name}") + 1]) // 10
+
+
+BIG, OUT = str(10**400), str(-10**400)
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["erdos-rado", "-n", str(10**400), "-r", "1"], "need n >= 1 and r >= 2, got"),
-    (["l-intersecting", "-n", str(10**400), "-s", "1", "-r", "1"],
-     "need n >= 1, s >= 1, r >= 2, got"),
-    (["l-multinomial", "-n", str(10**400), "--L", str(10**400 // 2), "-r", "1"],
+    (["erdos-rado", "-n", BIG, "-r", "1"], "need n >= 1 and r >= 2, got"),
+    (["l-intersecting", "-n", BIG, "-s", "1", "-r", "1"], "need n >= 1, s >= 1, r >= 2, got"),
+    (["l-multinomial", "-n", BIG, "--L", str(10**400 // 2), "-r", "1"],
      "need n >= 1 and r >= 2, got"),
-    (["falling-factorial", "-n", str(10**400), "-d", str(10**400), "-r", "1"],
+    (["falling-factorial", "-n", BIG, "-d", BIG, "-r", "1"], "need 0 <= d <= n and r >= 2, got"),
+    (["erdos-rado", "-n", OUT, "-r", "3"], "need n >= 1 and r >= 2, got"),
+    (["erdos-rado", "-n", "0", "-r", BIG], "need n >= 1 and r >= 2, got"),
+    (["pigeonhole-limit", "-n", BIG, "-r", "1"], "need n >= 1 and r >= 2, got"),
+    (["pigeonhole-limit", "-n", OUT, "-r", BIG], "need n >= 1 and r >= 2, got"),
+    (["l-intersecting", "-n", OUT, "-s", BIG, "-r", "3"], "need n >= 1, s >= 1, r >= 2, got"),
+    (["l-intersecting", "-n", BIG, "-s", "0", "-r", "3"], "need n >= 1, s >= 1, r >= 2, got"),
+    (["l-multinomial", "-n", OUT, "--L", "0", "-r", "3"], "need n >= 1 and r >= 2, got"),
+    (["l-multinomial", "-n", BIG, "--L", BIG, "-r", "3"],
+     f"largest intersection size {BIG} must be < n = {BIG}"),
+    (["l-multinomial", "-n", BIG, "--L=-1", "-r", "3"], "intersection sizes must be >= 0, got -1"),
+    (["falling-factorial", "-n", BIG, "-d", str(10**400 + 1), "-r", "3"],
      "need 0 <= d <= n and r >= 2, got"),
+    (["falling-factorial", "-n", OUT, "-d", "0", "-r", "3"], "need 0 <= d <= n and r >= 2, got"),
 ])
 def test_an_exact_bound_outside_its_domain_gives_its_own_message(capsys, argv, message):
-    # the size estimate would overflow on these parameters; the bound's domain check comes first
+    # each exact bound checks its domain before it sizes its value from these huge parameters
     from sunflowers.cli import main
 
     assert main(["bounds", "--which", *argv]) == 3
@@ -182,7 +226,7 @@ def test_an_exact_bound_outside_its_domain_gives_its_own_message(capsys, argv, m
 
 
 def test_a_small_bound_of_a_huge_parameter_is_exact():
-    # the estimates stay finite here, so these values of about 310 and 930 digits are made
+    # these values of about 310 and 930 digits are within the limit, and made
     n = 10**309
     assert bound_report("falling-factorial", n=n, d=1, r=3).value == str(4 * n)
     assert bound_report("l-multinomial", n=n, L=[0], r=3).value == str(n * (n * n - n + 1))
@@ -272,22 +316,6 @@ def test_a_library_call_past_the_exponent_limit_is_refused_at_once():
         with pytest.raises(ValueError, match=EXPONENT_REFUSAL):
             evaluate()
     assert time.perf_counter() - started < 1
-
-
-@pytest.mark.parametrize("log_base", [
-    "e", Fraction(7, 3), Fraction(1001, 1000), Fraction(10**30),
-    Fraction(10**310 + 1, 10**310), Fraction(10**400 + 1, 10**400),  # b - 1 below any float
-])
-def test_each_size_estimate_is_within_a_tenth_of_a_digit_of_its_bound(log_base):
-    from sunflowers.bounds import _BOUNDS
-
-    given = dict(n=12, r=3, s=2, L=[0, 2], d=4, C=Fraction(3, 2), digits=450, log_base=log_base)
-    for name, (_, reads, log10) in _BOUNDS.items():
-        if log10 is None:
-            continue
-        value = bound_report(name, **given).value
-        estimate = log10(**{p: given[p] for p in reads})
-        assert abs(estimate - float(mp.log10(mp.mpf(value)))) < 0.1, (name, estimate, value)
 
 
 @pytest.mark.parametrize("exponent", [310, 400])
@@ -566,7 +594,7 @@ def test_digits_below_one_refused_before_any_interval(monkeypatch):
 def test_exact_values_do_not_depend_on_the_int_str_limit(capsys):
     import sys
 
-    from sunflowers.bounds import _exact_str
+    from sunflowers.bounds import _Exact
 
     def run_bounds(*argv):
         code, out, err = run(capsys, "bounds", "--which", *argv)
@@ -579,10 +607,10 @@ def test_exact_values_do_not_depend_on_the_int_str_limit(capsys):
         try:
             runs[limit] = [run_bounds("crossover", "-n", "400", "-r", "3"),
                            run_bounds("erdos-rado", "-n", "1400", "-r", "3"),
-                           run_bounds("erdos-rado", "-n", "1500", "-r", "3")]
-            assert _exact_str(10**4300 - 1) == "9" * 4300
+                           run_bounds("erdos-rado", "-n", "1354", "-r", "4")]
+            assert _Exact(1, lambda: 10**4300 - 1).decimal_for_report() == "9" * 4300
             with pytest.raises(ValueError, match="has 4301 digits, over the limit of 4300"):
-                _exact_str(10**4300)
+                _Exact(1, lambda: 10**4300).decimal_for_report()
         finally:
             sys.set_int_max_str_digits(default)
     assert runs[default] == runs[640] == runs[0]
@@ -590,7 +618,8 @@ def test_exact_values_do_not_depend_on_the_int_str_limit(capsys):
     assert crossover[0] == 0 and json.loads(crossover[1])["outputs"]["crossover"]["rows"]
     value = json.loads(printed[1])["outputs"]["bound"]["value"]
     assert printed[0] == 0 and value == str(erdos_rado_bound(1400, 3)) and len(value) == 4220
-    assert refused == (3, "", "error: exact value has 4567 digits, over the limit of 4300\n")
+    # 1354! * 3^1354 has 4301 digits, though its bits allow 4057: it is made, and counted
+    assert refused == (3, "", "error: exact value has 4301 digits, over the limit of 4300\n")
 
 
 def test_crossover_refuses_an_oversized_row_before_any_interval(monkeypatch, capsys):
@@ -611,23 +640,27 @@ def test_crossover_refuses_an_oversized_row_before_any_interval(monkeypatch, cap
 
 def test_an_exact_report_far_over_the_digit_limit_is_refused_before_it_is_made(
         monkeypatch, capsys):
-    # lgamma and log10 of the parameters put these values at millions of digits
-    from sunflowers import bounds
+    # the bits of each bound put these values at millions of digits, or past 10^311
     from sunflowers.cli import main
 
-    def no_value(*args):
-        raise AssertionError("the exact value was computed")
-
-    monkeypatch.setattr(bounds.math, "factorial", no_value)
-    monkeypatch.setattr(bounds.math, "perm", no_value)
-    for argv, digits in ((["erdos-rado", "-n", "1000000", "-r", "3"], 5866739),
+    no_exact_value(monkeypatch)
+    n = 10**309
+    with mp.workdps(400):  # n! 2^n has this many digits
+        most = int(mp.floor((mp.loggamma(n + 1) + n * mp.log(2)) / mp.log(10))) + 1
+    for argv, digits in ((["erdos-rado", "-n", "1000000", "-r", "3"], 5865382),
+                         (["erdos-rado", "-n", str(n), "-r", "3"], None),
                          (["falling-factorial", "-n", "3000000", "-d", "3000000", "-r", "3"],
-                          19031575),
-                         (["crossover", "-n", "200000", "-r", "3"], 1033557)):
+                          10166818),
+                         (["crossover", "-n", "200000", "-r", "3"], 560199)):
+        started = time.perf_counter()
         assert main(["bounds", "--which", *argv]) == 3
+        assert time.perf_counter() - started < 0.1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: exact value has about {digits} digits, over the limit of 4300\n"
+        least = int(captured.err.split()[6])
+        assert captured.err == (f"error: exact value has at least {least} digits, "
+                                f"over the limit of 4300\n")
+        assert least == digits if digits else 999 * most < 1000 * least <= 1000 * most
     # a parameter outside the bound's domain is still refused by the bound itself
     with pytest.raises(ValueError, match="need 0 <= d <= n"):
         bound_report("falling-factorial", n=10**6, d=10**7, r=3)
@@ -637,11 +670,8 @@ def test_an_exact_report_far_over_the_digit_limit_is_refused_before_it_is_made(
 
 def test_the_digit_limit_is_a_rule_for_reports_only():
     assert erdos_rado_bound(2000, 3) == math.factorial(2000) * 2**2000
-    with pytest.raises(ValueError, match="has about 6338 digits, over the limit of 4300"):
+    with pytest.raises(ValueError, match="has at least 6332 digits, over the limit of 4300"):
         bound_report("erdos-rado", n=2000, r=3)
-    # 1700! * 2^1700 has 5268 digits, within 1000 of the limit: counted exactly
-    with pytest.raises(ValueError, match="has 5268 digits, over the limit of 4300"):
-        bound_report("erdos-rado", n=1700, r=3)
 
 
 def test_falling_factorial_bound_is_the_quotient_of_two_factorials():

@@ -336,6 +336,28 @@ def test_a_rational_is_read_alike_whatever_the_int_to_str_limit():
         sys.set_int_max_str_digits(limit)
 
 
+RATIONALS_READ = """\
+import argparse, sys
+from sunflowers import cli
+for text in sys.argv[1:]:
+    try:
+        value = cli._rational(text)
+    except argparse.ArgumentTypeError as exc:
+        print(str(exc).split(",")[0].replace(" ", "_"))
+    else:  # hex() is not governed by the int-to-str limit
+        print(hex(value.numerator), hex(value.denominator))
+"""
+
+
+def test_a_rational_is_read_alike_under_a_lowered_int_to_str_limit():
+    texts = ["2", "-1/3", "0.25", "1e5", "1_000", "7" * 1000, f"1/{'3' * 4300}", "7" * 4301]
+    read = _fresh_python(RATIONALS_READ, *texts, PYTHONINTMAXSTRDIGITS="640")
+    values = [Fraction(int(read[2 * i], 16), int(read[2 * i + 1], 16)) for i in range(7)]
+    assert values == [2, Fraction(-1, 3), Fraction(1, 4), 100000, 1000, int("7" * 1000),
+                      Fraction(1, int("3" * 4300))]
+    assert read[14:] == ["expected_a_numerator_and_denominator_of_at_most_4300_digits"]
+
+
 def test_a_rational_within_the_exact_digit_limit_is_read():
     assert cli._rational("1e4299") == 10**4299
     assert cli._rational("-1e-4299") == Fraction(-1, 10**4299)

@@ -227,6 +227,24 @@ def test_no_sunflower_above_erdos_rado_is_an_internal_error(monkeypatch, tmp_pat
     assert captured.out == "" and "Erdős–Rado" in captured.err
 
 
+def test_a_finder_makes_no_bound_its_family_cannot_exceed(monkeypatch, tmp_path, capsys):
+    # two members against 2000! * 2^2000 and the multinomial bound: their bits settle it
+    def no_value(*args):
+        raise AssertionError("a bound was made")
+
+    multinomial = finders._l_multinomial
+    monkeypatch.setattr(math, "factorial", no_value)
+    monkeypatch.setattr(finders, "_l_multinomial",
+                        lambda *args: multinomial(*args)._replace(make=no_value))
+    path = tmp_path / "two.txt"
+    path.write_text("x=4000\n" + " ".join(map(str, range(2000))) + "\n"
+                    + " ".join(map(str, range(2000, 4000))) + "\n")
+    for strategy in ("brute", "auto"):
+        assert main(["find", str(path), "--r", "3", "--strategy", strategy]) == 1
+        captured = capsys.readouterr()
+        assert '"status": "absent"' in captured.out and captured.err == ""
+
+
 def test_no_sunflower_above_the_multinomial_bound_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(finders, "_search", lambda *args: None)
     singletons = SetFamily(2, [[0], [1]])

@@ -215,7 +215,27 @@ def test_bounds_takes_factorials_only_for_n_factorial_and_the_multinomial():
         and node.func.attr == "factorial" and isinstance(node.func.value, ast.Name)
         and node.func.value.id == "math"
     }
-    assert found == {"erdos_rado_bound"}
+    assert found == {"_erdos_rado"}
+
+
+def test_bounds_has_no_float_but_the_one_a_real_value_gives():
+    # exact bounds are sized in integers and real ones from mpmath intervals: bounds calls no
+    # math.log*, math.lgamma or math.log1p, and writes no float literal.  Only
+    # `RealBoundValue.__float__` makes a float, for a caller who asks for one.
+    tree = ast.parse((SOURCE / "bounds.py").read_text(), filename="bounds.py")
+    found = [
+        f"bounds.py:{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, float)
+        or isinstance(node, ast.Attribute) and ast.unparse(node.value) == "math"
+        and node.attr not in ("comb", "factorial", "perm", "prod")
+    ]
+    assert found == []
+    real_value = next(node for node in tree.body if getattr(node, "name", "") == "RealBoundValue")
+    method = next(node for node in real_value.body if getattr(node, "name", "") == "__float__")
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "float"]
+    assert calls and all(any(call is node for node in ast.walk(method)) for call in calls)
 
 
 def test_cli_makes_every_parser_with_the_one_formatter():
@@ -369,21 +389,3 @@ def test_the_bounds_parser_reads_exactly_the_bound_flags():
     options = [flag for action in sub.choices["bounds"]._actions for flag in action.option_strings
                if flag not in ("-h", "--help", "--which", "--format")]
     assert options == [flag for flag, *_ in cli._BOUND_FLAGS.values()]
-
-
-def test_each_size_estimate_defers_outside_its_bounds_domain():
-    # a huge parameter outside a bound's domain must get the bound's own
-    # message, not the estimate's overflow: each estimate in `_BOUNDS` is
-    # `lambda ...: _outside_domain() if <outside> else <estimate>`
-    tree = ast.parse((SOURCE / "bounds.py").read_text(), filename="bounds.py")
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and [ast.unparse(t) for t in node.targets] == ["_BOUNDS"])
-    found = []
-    for key, row in zip(table.keys, table.values):
-        estimate = row.elts[-1]
-        if isinstance(estimate, ast.Constant) and estimate.value is None:
-            continue
-        body = estimate.body if isinstance(estimate, ast.Lambda) else estimate
-        if not (isinstance(body, ast.IfExp) and ast.unparse(body.body) == "_outside_domain()"):
-            found.append(key.value)
-    assert table.keys and found == []
