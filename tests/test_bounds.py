@@ -166,6 +166,47 @@ def test_each_exact_bound_has_between_its_bits_and_2_05_times_them():
         assert exact.below(value + 1) and not exact.below(value)
 
 
+def test_log10_comb_is_within_a_tenth_of_a_digit():
+    # the exact bounds size their binomials and ratios in integers, by _log2_64ths
+    from sunflowers.bounds import _log2_64ths
+
+    def digits(log2_64ths):
+        return log2_64ths / 64 * math.log10(2)
+
+    for c in range(0, 300, 7):
+        for k in range(c + 1):
+            comb = math.comb(c, k)
+            assert abs(digits(_log2_64ths(comb)) - math.log10(comb)) < 0.1, (c, k)
+            if k:
+                assert abs(digits(_log2_64ths(c, k)) - math.log10(c / k)) < 0.1, (c, k)
+    # parameters past the integers a float holds, and a ratio of two binomials of 2000 digits
+    for c, k in ((2**62 + 2**9, 2), (2**70 + 2**17, 3), (10**25 + 12345, 100), (10**300, 7)):
+        comb = math.comb(c, k)
+        assert abs(digits(_log2_64ths(comb)) - math.log10(comb)) < 0.1, (c, k)
+        assert abs(digits(_log2_64ths(comb, math.comb(c, k - 1)))
+                   - math.log10(comb) + math.log10(math.comb(c, k - 1))) < 0.1, (c, k)
+
+
+@pytest.mark.parametrize("log_base", [
+    "e", Fraction(7, 3), Fraction(1001, 1000), Fraction(10**30),
+    Fraction(10**310 + 1, 10**310), Fraction(10**400 + 1, 10**400),  # b - 1 below any float
+])
+def test_each_size_estimate_is_within_a_tenth_of_a_digit_of_its_bound(log_base):
+    # every bound's value, exact or an interval's rational endpoints, as _log2_64ths sizes it:
+    # at least 1, since no bound is sized below it (rlogn with log base 10^30 is 3.2e-10)
+    from sunflowers.bounds import _BOUNDS, _log2_64ths
+
+    given = dict(n=12, r=3, s=2, L=[0, 2], d=4, C=Fraction(3, 2), digits=450, log_base=log_base)
+    for name in _BOUNDS:
+        report = bound_report(name, **given)
+        ends = [report.value] if report.exact else [report.lower, report.upper]
+        for end in map(Fraction, ends):
+            estimate = _log2_64ths(end.numerator, end.denominator) / 64 * math.log10(2)
+            log10 = max(0.0, float(mp.log10(as_mpf(report.value, 500))))
+            assert abs(estimate - log10) < 0.1, (
+                name, estimate, report.value)
+
+
 def test_falling_factorial_near_2_to_the_62_is_not_refused():
     # n is past the integers a float holds exactly; the value has 38 digits
     n = 2**62 + 2**9
